@@ -12,10 +12,15 @@ with r^2 = -1): f(x + V*r) is the complex value f(x + V*i) with i replaced
 by r.  In particular exp(p) = e^x * (cos V + r sin V), and sin/cos follow
 from the exponential the same way as over the complex numbers.
 
-For the heads applied directly to ``p``, :func:`phi_components` returns the
-closed-form doubling components; the factors sin(V)/V and sinh(V)/V that
-appear there are degenerate at V = 0 and are switched to degree-6 Taylor
-polynomials below V = 1e-4 (their limits at 0 are 1).
+There is one evaluator.  It walks the tree on raw doubling pairs (a, b) of
+complex numbers, the value a + b*j: + and - act componentwise, * and / use
+:func:`hquat.quaternion.cd_mul` and :func:`hquat.quaternion.cd_inverse`, and
+the heads apply the lift above to the pair.  Every node checks its pair for
+finiteness (every product of an integer power, too) and raises
+EvaluationOverflowError on inf or nan; a check on the final value alone
+would miss an overflow that a later node hides, e.g. exp(-inf) = 0.  Only
+:func:`evaluate` builds a :class:`~hquat.quaternion.Quaternion`, from the
+final pair, and :func:`phi_components` is that value in doubling form.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .quaternion import I, J, K, ONE, Quaternion, ZeroDivisorError
+from .quaternion import I, J, K, Pair, Quaternion, cd_inverse, cd_mul
 
 
 class EvaluationOverflowError(ArithmeticError):
@@ -171,13 +176,20 @@ def polar(p: Quaternion) -> PolarDecomp:
     return PolarDecomp(p.x, v, Quaternion(0.0, p.y / v, p.z / v, p.u / v))
 
 
-def _lift(fn, q: Quaternion) -> Quaternion:
+def _lift(fn, q: Pair) -> Pair:
     """Apply a complex elementary function along the imaginary axis of q."""
-    x, v, r = polar(q)
-    w = fn(complex(x, v))
-    if r is None:
-        return Quaternion.from_real(w.real)
-    return Quaternion(w.real, r.y * w.imag, r.z * w.imag, r.u * w.imag)
+    a, b = q
+    y, z, u = a.imag, b.real, b.imag
+    v = math.sqrt(y * y + z * z + u * u)
+    if v == math.inf:
+        # finite components whose magnitude overflows; cmath would raise
+        # ValueError or return inf/nan here
+        raise EvaluationOverflowError(f"imaginary magnitude of {q!r} overflows")
+    w = fn(complex(a.real, v))
+    if v == 0.0:
+        return complex(w.real, 0.0), 0j
+    s = w.imag
+    return complex(w.real, (y / v) * s), complex((z / v) * s, (u / v) * s)
 
 
 # ---------------------------------------------------------------------------
@@ -192,41 +204,51 @@ def evaluate(expr: FuncExpr, p: Quaternion) -> Quaternion:
     EvaluationOverflowError when intermediates leave the double range.
     """
     try:
-        return _eval(expr, p)
+        return Quaternion.from_cd(*_eval(expr, p.to_cd()))
     except OverflowError as exc:
         raise EvaluationOverflowError(str(exc)) from exc
-    except ValueError as exc:
-        # Quaternion constructors reject inf/nan produced by float arithmetic.
-        raise EvaluationOverflowError(str(exc)) from exc
 
 
-def _eval(expr: FuncExpr, p: Quaternion) -> Quaternion:
+def _finite(q: Pair) -> Pair:
+    """q itself when both components are finite; the per-node overflow check."""
+    a, b = q
+    if cmath.isfinite(a) and cmath.isfinite(b):
+        return q
+    raise EvaluationOverflowError(f"non-finite intermediate value {q!r}")
+
+
+_ONE: Pair = (1 + 0j, 0j)
+
+
+def _eval(expr: FuncExpr, p: Pair) -> Pair:
     if isinstance(expr, Var):
         return p
     if isinstance(expr, RealConst):
-        return Quaternion.from_real(expr.value)
+        return complex(expr.value, 0.0), 0j
     if isinstance(expr, QuatConst):
-        return expr.value
+        return expr.value.to_cd()
     if isinstance(expr, Add):
-        return _eval(expr.lhs, p) + _eval(expr.rhs, p)
+        (a1, b1), (a2, b2) = _eval(expr.lhs, p), _eval(expr.rhs, p)
+        return _finite((a1 + a2, b1 + b2))
     if isinstance(expr, Sub):
-        return _eval(expr.lhs, p) - _eval(expr.rhs, p)
+        (a1, b1), (a2, b2) = _eval(expr.lhs, p), _eval(expr.rhs, p)
+        return _finite((a1 - a2, b1 - b2))
     if isinstance(expr, Mul):
-        return _eval(expr.lhs, p) * _eval(expr.rhs, p)
+        return _finite(cd_mul(_eval(expr.lhs, p), _eval(expr.rhs, p)))
     if isinstance(expr, Div):
-        return _eval(expr.lhs, p) / _eval(expr.rhs, p)
+        return _finite(cd_mul(_eval(expr.lhs, p), cd_inverse(_eval(expr.rhs, p))))
     if isinstance(expr, IntPow):
         base = _eval(expr.base, p)
-        out = ONE
+        out = _ONE
         for _ in range(expr.exponent):
-            out = out * base
+            out = _finite(cd_mul(out, base))
         return out
     if isinstance(expr, Exp):
-        return _lift(cmath.exp, _eval(expr.arg, p))
+        return _finite(_lift(cmath.exp, _eval(expr.arg, p)))
     if isinstance(expr, Sin):
-        return _lift(cmath.sin, _eval(expr.arg, p))
+        return _finite(_lift(cmath.sin, _eval(expr.arg, p)))
     if isinstance(expr, Cos):
-        return _lift(cmath.cos, _eval(expr.arg, p))
+        return _finite(_lift(cmath.cos, _eval(expr.arg, p)))
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -242,75 +264,14 @@ class ComplexPair(NamedTuple):
     phi2: complex
 
 
-_SERIES_CUTOFF = 1e-4
-
-
-def _sinc(v: float) -> float:
-    """sin(v)/v, by Taylor polynomial below the cutoff (limit 1 at v=0)."""
-    if abs(v) < _SERIES_CUTOFF:
-        v2 = v * v
-        return 1.0 - v2 / 6.0 + v2 * v2 / 120.0 - v2 * v2 * v2 / 5040.0
-    return math.sin(v) / v
-
-
-def _sinhc(v: float) -> float:
-    """sinh(v)/v, by Taylor polynomial below the cutoff (limit 1 at v=0)."""
-    if abs(v) < _SERIES_CUTOFF:
-        v2 = v * v
-        return 1.0 + v2 / 6.0 + v2 * v2 / 120.0 + v2 * v2 * v2 / 5040.0
-    return math.sinh(v) / v
-
-
-def _imag_magnitude(p: Quaternion) -> float:
-    return math.sqrt(p.y * p.y + p.z * p.z + p.u * p.u)
-
-
-def _phi_exp(p: Quaternion) -> ComplexPair:
-    # exp(p) = e^x (cos V + r sin V); componentwise this is
-    # phi1 = e^x cos V + i y e^x sinc V, phi2 = e^x sinc V * b.
-    v = _imag_magnitude(p)
-    ex = math.exp(p.x)
-    s = ex * _sinc(v)
-    return ComplexPair(complex(ex * math.cos(v), p.y * s), complex(p.z * s, p.u * s))
-
-
-def _phi_cos(p: Quaternion) -> ComplexPair:
-    # cos(x + Vr) = cos x cosh V - r sin x sinh V.
-    v = _imag_magnitude(p)
-    ch = math.cosh(v)
-    g = _sinhc(v) * math.sin(p.x)
-    return ComplexPair(complex(ch * math.cos(p.x), -p.y * g), complex(-p.z * g, -p.u * g))
-
-
-def _phi_sin(p: Quaternion) -> ComplexPair:
-    # sin(x + Vr) = sin x cosh V + r cos x sinh V.
-    v = _imag_magnitude(p)
-    ch = math.cosh(v)
-    g = _sinhc(v) * math.cos(p.x)
-    return ComplexPair(complex(ch * math.sin(p.x), p.y * g), complex(p.z * g, p.u * g))
-
-
 def phi_components(expr: FuncExpr, p: Quaternion) -> ComplexPair:
-    """Doubling components of the function value at p.
-
-    For exp/sin/cos applied directly to p the closed forms above are used;
-    any other tree is evaluated and split.
-    """
-    if isinstance(expr, Exp) and isinstance(expr.arg, Var):
-        return _phi_exp(p)
-    if isinstance(expr, Sin) and isinstance(expr.arg, Var):
-        return _phi_sin(p)
-    if isinstance(expr, Cos) and isinstance(expr.arg, Var):
-        return _phi_cos(p)
-    a, b = evaluate(expr, p).to_cd()
-    return ComplexPair(a, b)
+    """Doubling components of the function value at p."""
+    return ComplexPair(*evaluate(expr, p).to_cd())
 
 
 def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:
-    """Doubling-form product: re = f1 g1 - f2 conj(g2), im = f2 conj(g1) + f1 g2."""
-    f1, f2 = fval
-    g1, g2 = gval
-    return ComplexPair(f1 * g1 - f2 * g2.conjugate(), f2 * g1.conjugate() + f1 * g2)
+    """Doubling-form product phi(f) * phi(g); see :func:`hquat.quaternion.cd_mul`."""
+    return ComplexPair(*cd_mul(fval, gval))
 
 
 def commutator_residual(f: FuncExpr, g: FuncExpr, p: Quaternion) -> float:

@@ -3,12 +3,15 @@
 A quaternion p = x + y*i + z*j + u*k is stored componentwise; the doubling
 form p = a + b*j with complex a = x + y*i and b = z + u*i is a view obtained
 with :meth:`Quaternion.to_cd`.  Multiplication is carried out in the doubling
-form,
+form by :func:`cd_mul`, the one place that holds the product formula,
 
     p*q = (a1*a2 - b1*conj(b2)) + (a1*b2 + conj(a2)*b1)*j,
 
 which is equivalent to the 16-term componentwise product generated by
-i**2 = j**2 = k**2 = -1, ij = k, jk = i, ki = j.
+i**2 = j**2 = k**2 = -1, ij = k, jk = i, ki = j.  :func:`cd_inverse` gives
+the multiplicative inverse.  Both act on raw pairs (a, b) of complex numbers,
+so the tree evaluator in :mod:`hquat.functions` uses them without building a
+:class:`Quaternion` per intermediate.
 
 All values are immutable and every operation is a pure function, so they can
 be shared freely between threads.
@@ -30,6 +33,35 @@ class CayleyDickson(NamedTuple):
 
     a: complex
     b: complex
+
+
+# Raw doubling pair (a, b), the value a + b*j; CayleyDickson is its named form.
+Pair = tuple[complex, complex]
+
+# Zero-divisor threshold of cd_inverse, relative to the largest component.
+INVERSE_EPS = 1e-300
+
+
+def cd_mul(p: Pair, q: Pair) -> Pair:
+    """Product of two doubling pairs: (a1 + b1 j)(a2 + b2 j)."""
+    a1, b1 = p
+    a2, b2 = q
+    return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + a2.conjugate() * b1
+
+
+def cd_inverse(p: Pair) -> Pair:
+    """Inverse conj(p)/|p|**2 of a doubling pair.
+
+    Raises ZeroDivisorError when the squared norm falls below INVERSE_EPS
+    scaled by the largest component magnitude (guards 0/0, not accuracy).
+    """
+    a, b = p
+    x, y, z, u = a.real, a.imag, b.real, b.imag
+    n2 = x * x + y * y + z * z + u * u
+    scale = max(abs(x), abs(y), abs(z), abs(u), 1.0)
+    if n2 <= INVERSE_EPS * scale:
+        raise ZeroDivisorError(f"quaternion too close to zero to invert: |p|^2 = {n2!r}")
+    return complex(x / n2, -y / n2), complex(-z / n2, -u / n2)
 
 
 @dataclass(frozen=True)
@@ -72,17 +104,9 @@ class Quaternion:
 
     __abs__ = norm
 
-    def inverse(self, eps: float = 1e-300) -> Quaternion:
-        """Multiplicative inverse conj(p)/|p|**2.
-
-        Raises ZeroDivisorError when the squared norm falls below ``eps``
-        scaled by the largest component magnitude (guards 0/0, not accuracy).
-        """
-        n2 = self.norm_sq()
-        scale = max(abs(self.x), abs(self.y), abs(self.z), abs(self.u), 1.0)
-        if n2 <= eps * scale:
-            raise ZeroDivisorError(f"quaternion too close to zero to invert: |p|^2 = {n2!r}")
-        return Quaternion(self.x / n2, -self.y / n2, -self.z / n2, -self.u / n2)
+    def inverse(self) -> Quaternion:
+        """Multiplicative inverse conj(p)/|p|**2; see :func:`cd_inverse`."""
+        return Quaternion.from_cd(*cd_inverse(self.to_cd()))
 
     def __neg__(self) -> Quaternion:
         return Quaternion(-self.x, -self.y, -self.z, -self.u)
@@ -108,12 +132,7 @@ class Quaternion:
 
     def __mul__(self, other: Quaternion | float | int) -> Quaternion:
         if isinstance(other, Quaternion):
-            a1, b1 = self.to_cd()
-            a2, b2 = other.to_cd()
-            return Quaternion.from_cd(
-                a1 * a2 - b1 * b2.conjugate(),
-                a1 * b2 + a2.conjugate() * b1,
-            )
+            return Quaternion.from_cd(*cd_mul(self.to_cd(), other.to_cd()))
         if isinstance(other, (int, float)):
             return Quaternion(self.x * other, self.y * other, self.z * other, self.u * other)
         return NotImplemented

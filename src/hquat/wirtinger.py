@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .functions import FuncExpr, evaluate, phi_components
-from .quaternion import Quaternion
+from .quaternion import I, J, K, ONE, Quaternion
 
 
 class InvalidPointError(ValueError):
@@ -54,21 +54,13 @@ class PartialsTable:
     point: Quaternion
 
 
-_UNITS = (
-    Quaternion(1.0, 0.0, 0.0, 0.0),
-    Quaternion(0.0, 1.0, 0.0, 0.0),
-    Quaternion(0.0, 0.0, 1.0, 0.0),
-    Quaternion(0.0, 0.0, 0.0, 1.0),
-)
-
-
 def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
     """Central-difference Wirtinger partials with step scaled by max(1, |p|)."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     h = step * max(1.0, p.norm())
     d = []
-    for e in _UNITS:
+    for e in (ONE, I, J, K):
         hi = phi_components(f, p + e * h)
         lo = phi_components(f, p - e * h)
         d.append(((hi.phi1 - lo.phi1) / (2.0 * h), (hi.phi2 - lo.phi2) / (2.0 * h)))

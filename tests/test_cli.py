@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import hquat
 from hquat import Quaternion
 from hquat.cli import main
 
@@ -64,6 +69,22 @@ def test_check_single_point(capsys):
 def test_check_point_off_slice_is_eval_error(capsys):
     code, out, err = run_cli(capsys, ["check", "--expr", "cos(p)", "--point", "0.3", "0.2", "0.4", "0.1"])
     assert code == 3
+    assert "evaluation error" in err
+
+
+def test_check_overflow_in_phi_is_eval_error(capsys):
+    # cosh(800) overflows in the components differenced by the holomorphy check
+    code, out, err = run_cli(capsys, ["check", "--expr", "cos(p)", "--point", "0", "0", "800", "0"])
+    assert code == 3
+    assert "evaluation error" in err
+
+
+@pytest.mark.parametrize("expr, x", [("exp(0-p^400)", "10"), ("exp(0-p^2)", "1e200")])
+def test_eval_overflow_hidden_by_later_node_exit_code(capsys, expr, x):
+    # the power overflows; exp of the resulting -inf would be a finite 0
+    code, out, err = run_cli(capsys, ["eval", "--expr", expr, "--point", x, "0", "0", "0"])
+    assert code == 3
+    assert out == ""
     assert "evaluation error" in err
 
 
@@ -193,10 +214,14 @@ def test_eval_matches_series_partial_sum(capsys):
 
 
 def test_module_execution_smoke():
+    # run the package under test, wherever pytest found it
+    src = str(Path(hquat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "hquat", "eval", "--expr", "exp(p)", "--point", "0", "0", "0", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "1" in proc.stdout

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from hquat import (
+    Add,
+    Cos,
     Div,
     EvaluationOverflowError,
     Exp,
@@ -13,10 +15,14 @@ from hquat import (
     K,
     IntPow,
     Mul,
+    ONE,
     P,
     QuatConst,
     Quaternion,
     RealConst,
+    Sin,
+    Sub,
+    Var,
     ZERO,
     ZeroDivisorError,
     commutator_residual,
@@ -29,6 +35,7 @@ from hquat import (
     product_cd,
 )
 from hquat.functions import ComplexPair
+from test_parser import _random_tree
 
 
 def random_quat(rng, span=2.0):
@@ -145,6 +152,78 @@ def test_eval_errors():
         evaluate(parse("exp(exp(p))"), Quaternion.from_real(800.0))
 
 
+@pytest.mark.parametrize("power, x", [("p^400", 10.0), ("p^2", 1e200)])
+@pytest.mark.parametrize("template", ["exp(0-{})", "1/({})", "sin({})*0"])
+def test_overflow_hidden_by_later_node_is_reported(template, power, x):
+    # the power overflows; p^2 at 1e200 is exactly inf + 0j, so without a
+    # check at that node exp(-inf) = 0 would be finite, 1/inf a zero divisor
+    # and sin(inf) a ValueError
+    with pytest.raises(EvaluationOverflowError):
+        evaluate(parse(template.format(power)), Quaternion.from_real(x))
+
+
+def _reference_lift(fn, q):
+    x, v, r = polar(q)
+    w = fn(complex(x, v))
+    if r is None:
+        return Quaternion.from_real(w.real)
+    return Quaternion(w.real, r.y * w.imag, r.z * w.imag, r.u * w.imag)
+
+
+def _reference_walk(expr, p):
+    """Tree walk on validated Quaternion operators; every intermediate is a
+    Quaternion, whose constructor rejects inf and nan with ValueError."""
+    if isinstance(expr, Var):
+        return p
+    if isinstance(expr, RealConst):
+        return Quaternion.from_real(expr.value)
+    if isinstance(expr, QuatConst):
+        return expr.value
+    if isinstance(expr, Add):
+        return _reference_walk(expr.lhs, p) + _reference_walk(expr.rhs, p)
+    if isinstance(expr, Sub):
+        return _reference_walk(expr.lhs, p) - _reference_walk(expr.rhs, p)
+    if isinstance(expr, Mul):
+        return _reference_walk(expr.lhs, p) * _reference_walk(expr.rhs, p)
+    if isinstance(expr, Div):
+        return _reference_walk(expr.lhs, p) / _reference_walk(expr.rhs, p)
+    if isinstance(expr, IntPow):
+        base = _reference_walk(expr.base, p)
+        out = ONE
+        for _ in range(expr.exponent):
+            out = out * base
+        return out
+    heads = {Exp: cmath.exp, Sin: cmath.sin, Cos: cmath.cos}
+    return _reference_lift(heads[type(expr)], _reference_walk(expr.arg, p))
+
+
+def _reference_evaluate(expr, p):
+    try:
+        return _reference_walk(expr, p)
+    except (OverflowError, ValueError) as exc:
+        raise EvaluationOverflowError(str(exc)) from exc
+
+
+def _outcome(fn, expr, p):
+    try:
+        return fn(expr, p)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def test_pair_kernel_matches_reference_walk():
+    rng = random.Random(21)
+    spans = (0.0, 0.5, 3.0, 1e3, 1e160)
+    for _ in range(600):
+        tree = _random_tree(rng, 0)
+        for span in spans:
+            p = random_quat(rng, span)
+            want = _outcome(_reference_evaluate, tree, p)
+            got = _outcome(evaluate, tree, p)
+            # repr is bitwise on the components, sign of zero included
+            assert repr(got) == repr(want), (tree, p)
+
+
 def test_nonreal_constant_flag():
     assert not has_nonreal_constant(parse("sin(p)*cos(p)"))
     assert has_nonreal_constant(parse("j*exp(p)"))
@@ -168,19 +247,23 @@ def test_conjugate_expr_evaluates_to_conjugate():
 
 def test_phi_closed_forms_match_evaluation():
     rng = random.Random(16)
-    trees = [parse("exp(p)"), parse("sin(p)"), parse("cos(p)")]
+    cases = [
+        (parse("exp(p)"), _exp_phi_explicit),
+        (parse("sin(p)"), _sin_phi_explicit),
+        (parse("cos(p)"), _cos_phi_explicit),
+    ]
     for _ in range(10_000):
         p = random_quat(rng, span=5.0 / 2.0)
-        tree = trees[rng.randrange(3)]
-        closed = phi_components(tree, p)
-        a, b = evaluate(tree, p).to_cd()
+        tree, explicit = cases[rng.randrange(3)]
+        closed = explicit(p)
+        a, b = phi_components(tree, p)
         scale = max(1.0, abs(a), abs(b))
         assert abs(closed.phi1 - a) <= 1e-10 * scale
         assert abs(closed.phi2 - b) <= 1e-10 * scale
 
 
 def test_phi_closed_forms_near_degenerate_axis():
-    # the sin(V)/V and sinh(V)/V factors switch to series below 1e-4
+    # the lift divides by the imaginary magnitude V; tiny V must stay exact
     for tree, fn in ((parse("exp(p)"), cmath.exp), (parse("sin(p)"), cmath.sin), (parse("cos(p)"), cmath.cos)):
         for v in (0.0, 1e-12, 1e-9, 1e-6, 9.9e-5, 1.1e-4):
             p = Quaternion(0.7, 0.0, v, 0.0)
@@ -233,6 +316,16 @@ def test_product_cd_examples():
     # j = (0, 1), k = (0, i); j*k = i = (i, 0)
     got = product_cd(ComplexPair(0j, 1 + 0j), ComplexPair(0j, 1j))
     assert got == ComplexPair(1j, 0j)
+
+
+def _exp_phi_explicit(p):
+    a, b = p.to_cd()
+    v = math.sqrt(p.y**2 + p.z**2 + p.u**2)
+    ex = math.exp(p.x)
+    co, si = math.cos(v), math.sin(v)
+    e1 = ex * co + (a - a.conjugate()) * ex * si / (2 * v)
+    e2 = ex * si / v * b
+    return ComplexPair(e1, e2)
 
 
 def _sin_phi_explicit(p):
