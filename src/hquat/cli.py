@@ -20,10 +20,11 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .functions import evaluate, commutator_residual, has_nonreal_constant
+from .functions import evaluate, has_nonreal_constant
 from .parser import ParseError, format_expr, parse
 from .quaternion import Quaternion, ZeroDivisorError
 from .series import (
+    NONREAL_TOL,
     NonRealCoefficientError,
     PowerSeries,
     RatioTestInconclusive,
@@ -44,8 +45,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_EVAL_ERROR = 3
 EXIT_NONREAL = 4
-
-_NONREAL_TOL = 1e-8
 
 _KNOWN_TERM_RULES = {
     "exp(p)": ("inverse factorial", exp_coefficient),
@@ -103,12 +102,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     point = Quaternion(*args.point)
     value = evaluate(expr, point)
     a, b = value.to_cd()
+    canonical = format_expr(expr)
     report = _report(
         "eval",
-        {"expr": format_expr(expr), "point": _quat(point)},
+        {"expr": canonical, "point": _quat(point)},
         {"value": _quat(value), "cd_a": _cplx(a), "cd_b": _cplx(b)},
     )
-    text = f"{format_expr(expr)} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
+    text = f"{canonical} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
     _emit(args, report, text)
     return EXIT_OK
 
@@ -186,7 +186,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     worst = max(ext.nonreal_residues) if ext.nonreal_residues else 0.0
     canonical = format_expr(expr)
     rule_result = None
-    if canonical in _KNOWN_TERM_RULES and worst <= _NONREAL_TOL:
+    if canonical in _KNOWN_TERM_RULES and worst <= NONREAL_TOL:
         name, rule = _KNOWN_TERM_RULES[canonical]
         try:
             general_term_check(rule, ext.coeffs)
@@ -212,19 +212,20 @@ def _cmd_series(args: argparse.Namespace) -> int:
         lines.append(f"radius: {rr['radius']:.12g}")
     if rule_result is not None:
         lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
-    if worst > _NONREAL_TOL:
+    if worst > NONREAL_TOL:
         lines.append(f"NON-REAL COEFFICIENTS: max residue {worst:.3e}")
     _emit(args, report, "\n".join(lines) + "\n")
-    return EXIT_NONREAL if worst > _NONREAL_TOL else EXIT_OK
+    return EXIT_NONREAL if worst > NONREAL_TOL else EXIT_OK
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
     point = Quaternion(*args.point)
     res = kth_derivative(expr, point, args.k, step=args.step)
+    canonical = format_expr(expr)
     report = _report(
         "derive",
-        {"expr": format_expr(expr), "point": _quat(point), "k": args.k, "step": args.step},
+        {"expr": canonical, "point": _quat(point), "k": args.k, "step": args.step},
         {
             "value": _quat(res.value),
             "method": res.method,
@@ -232,7 +233,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
             "accuracy_warning": res.accuracy_warning,
         },
     )
-    text = f"derivative order {args.k} of {format_expr(expr)} at ({point}) = {res.value}\n  method: {res.method}\n"
+    text = f"derivative order {args.k} of {canonical} at ({point}) = {res.value}\n  method: {res.method}\n"
     if res.accuracy_warning:
         text += f"  warning: estimated truncation error {res.truncation_estimate:.2e} exceeds 1e-4\n"
     _emit(args, report, text)
@@ -254,7 +255,7 @@ def _cmd_radius(args: argparse.Namespace) -> int:
     else:
         text = f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"
     _emit(args, report, text)
-    return EXIT_NONREAL if worst > _NONREAL_TOL else EXIT_OK
+    return EXIT_NONREAL if worst > NONREAL_TOL else EXIT_OK
 
 
 def _commute_points(args: argparse.Namespace) -> list[Quaternion]:
@@ -273,8 +274,10 @@ def _cmd_commute(args: argparse.Namespace) -> int:
     all_pass = True
     worst = 0.0
     for point in _commute_points(args):
-        residual = commutator_residual(f, g, point)
-        scale = 1.0 + evaluate(f, point).norm() * evaluate(g, point).norm()
+        fv = evaluate(f, point)
+        gv = evaluate(g, point)
+        residual = (fv * gv - gv * fv).norm()
+        scale = 1.0 + fv.norm() * gv.norm()
         ok = residual <= args.tol * scale
         all_pass = all_pass and ok
         worst = max(worst, residual)
@@ -386,6 +389,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "derive" and args.k < 1:
         parser.error("--k must be >= 1")
+    if args.subcommand in ("check", "derive") and not 0.0 < args.step < math.inf:
+        parser.error("--step must be positive and finite")
+    if args.subcommand in ("check", "commute") and args.grid < 1:
+        parser.error("--grid must be >= 1")
     try:
         return args.func(args)
     except ParseError as exc:

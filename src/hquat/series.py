@@ -384,6 +384,10 @@ def m_test(
 # ---------------------------------------------------------------------------
 
 
+# Largest non-real residue of an extracted coefficient still taken as real.
+NONREAL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class MaclaurinExtraction:
     """Raw circle-sampling output: real parts and non-real residues.
@@ -462,17 +466,16 @@ def maclaurin_coeffs(
     n: int,
     rho: float = 0.8,
     samples: int | None = None,
-    nonreal_tol: float = 1e-8,
 ) -> PowerSeries:
     """Extract r_0..r_n, enforcing coefficient realness.
 
     Raises NonRealCoefficientError at the first index whose non-real residue
-    exceeds ``nonreal_tol`` (the signature of a non-holomorphic input, e.g.
-    a function multiplied by a non-real constant).
+    exceeds NONREAL_TOL (the signature of a non-holomorphic input, e.g. a
+    function multiplied by a non-real constant).
     """
     ext = maclaurin_extraction(f, n, rho, samples)
     for k, res in enumerate(ext.nonreal_residues):
-        if res > nonreal_tol:
+        if res > NONREAL_TOL:
             raise NonRealCoefficientError(k, res)
     return PowerSeries(ext.coeffs)
 

@@ -21,8 +21,11 @@ arbitrary points without that restriction and are reported separately.
 
 The full quaternionic derivative (the one uniting the left and right
 derivatives) has components phi1' = da(phi1) + dabar(phi1) and likewise for
-phi2; the two Wirtinger sums collapse to plain d/dx derivatives, which is
-what the nested higher-order stencils exploit.
+phi2.  Since d/da + d/d(conj a) = d/dx for any function, psi' = d(psi)/dx,
+and every derivative is taken along x without forming the partials:
+:func:`full_derivative` is one central difference, and :func:`kth_derivative`
+picks its route from the input alone ("exact" at k = 0, "series" at the
+origin, "stencil", k nested x-differences, elsewhere).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass, replace
 
 from .functions import FuncExpr, evaluate, phi_components
 from .quaternion import I, J, K, ONE, Quaternion
+from .series import maclaurin_coeffs
 
 
 class InvalidPointError(ValueError):
@@ -54,10 +58,14 @@ class PartialsTable:
     point: Quaternion
 
 
+def _check_step(step: float) -> None:
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+
+
 def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
     """Central-difference Wirtinger partials with step scaled by max(1, |p|)."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_step(step)
     h = step * max(1.0, p.norm())
     d = []
     for e in (ONE, I, J, K):
@@ -165,10 +173,20 @@ def check_holomorphy(
     )
 
 
+def _nested_dx(f: FuncExpr, p: Quaternion, k: int, h: float) -> Quaternion:
+    if k == 0:
+        return evaluate(f, p)
+    e = Quaternion(h, 0.0, 0.0, 0.0)
+    hi = _nested_dx(f, p + e, k - 1, h)
+    lo = _nested_dx(f, p - e, k - 1, h)
+    return (hi - lo) * (0.5 / h)
+
+
 def full_derivative(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> Quaternion:
-    """Full quaternionic derivative from the Wirtinger sums."""
-    t = partials(f, p, step)
-    return Quaternion.from_cd(t.dphi1_da + t.dphi1_dabar, t.dphi2_da + t.dphi2_dabar)
+    """Full quaternionic derivative d(psi)/dx: one central difference along x
+    with step ``step * max(1, |p|)``, at every point including the origin."""
+    _check_step(step)
+    return _nested_dx(f, p, 1, step * max(1.0, p.norm()))
 
 
 @dataclass(frozen=True)
@@ -187,59 +205,29 @@ _ACCURACY_FLAG_THRESHOLD = 1e-4
 _MAX_STENCIL_ORDER = 4
 
 
-def _nested_dx(f: FuncExpr, p: Quaternion, k: int, h: float) -> Quaternion:
-    if k == 0:
-        return evaluate(f, p)
-    e = Quaternion(h, 0.0, 0.0, 0.0)
-    hi = _nested_dx(f, p + e, k - 1, h)
-    lo = _nested_dx(f, p - e, k - 1, h)
-    return (hi - lo) * (0.5 / h)
+def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> DerivativeResult:
+    """k-th full quaternionic derivative d^k(psi)/dx^k of f at p.
 
-
-def kth_derivative(
-    f: FuncExpr,
-    p: Quaternion,
-    k: int,
-    step: float = 1e-5,
-    method: str = "auto",
-    rho: float = 0.8,
-) -> DerivativeResult:
-    """k-th full quaternionic derivative of f at p.
-
-    Two routes are available: nested central differences of the derivative
-    recursion with per-level step ``step**(1/k)`` (any point, k <= 4 before
-    the accuracy cliff), and k! times the k-th Maclaurin coefficient (p = 0
-    only, any k).  ``method`` is "auto", "stencil" or "series"; auto picks
-    the series route at the origin.  The truncation estimate is the leading
-    stencil error term k*h^2/6 scaled by the result magnitude; the accuracy
-    warning is set when it exceeds 1e-4.
+    The route follows from the input: "exact" evaluation at k = 0; "series",
+    k! times the k-th Maclaurin coefficient, at p = 0 (any k); "stencil",
+    k nested central differences along x with per-level step
+    ``step**(1/k) * max(1, |p|)`` (2^k evaluations, k <= 4), elsewhere.  The
+    truncation estimate is the leading stencil error term k*h^2/6 scaled by
+    the result magnitude; the accuracy warning is set when it exceeds 1e-4.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    if method not in ("auto", "stencil", "series"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_step(step)
     if k == 0:
         return DerivativeResult(evaluate(f, p), 0, "exact", None, 0.0, False)
-
-    at_origin = p.norm_sq() == 0.0
-    if method == "series" and not at_origin:
-        raise ValueError("series route applies only at p = 0")
-    use_series = method == "series" or (method == "auto" and at_origin)
-
-    if use_series:
-        from .series import maclaurin_coeffs
-
-        ser = maclaurin_coeffs(f, n=k, rho=rho, samples=max(64, 8 * (k + 1)))
+    if p.norm_sq() == 0.0:
+        ser = maclaurin_coeffs(f, n=k)
         value = Quaternion.from_real(ser.coeffs[k] * math.factorial(k))
         return DerivativeResult(value, k, "series", None, 0.0, False)
 
     if k > _MAX_STENCIL_ORDER:
         raise ValueError(f"stencil route supports k <= {_MAX_STENCIL_ORDER}, got {k}")
-    if k == 1:
-        value = full_derivative(f, p, step)
-        h = step * max(1.0, p.norm())
-    else:
-        h = step ** (1.0 / k) * max(1.0, p.norm())
-        value = _nested_dx(f, p, k, h)
+    h = step ** (1.0 / k) * max(1.0, p.norm())
+    value = _nested_dx(f, p, k, h)
     est = k * h * h / 6.0 * max(1.0, value.norm())
     return DerivativeResult(value, k, "stencil", h, est, est > _ACCURACY_FLAG_THRESHOLD)

@@ -174,6 +174,27 @@ def test_commute_constants_fail_with_residual_two(capsys):
     assert rep["results"]["max_residual"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--expr", "p", "--point", "1", "0", "0", "0", "--k", "2", "--step", "-1"],
+        ["derive", "--expr", "p", "--point", "1", "0", "0", "0", "--k", "2", "--step", "0"],
+        ["derive", "--expr", "p", "--point", "0", "0", "0", "0", "--step", "nan"],
+        ["derive", "--expr", "p", "--point", "1", "0", "0", "0", "--step", "inf"],
+        ["check", "--expr", "exp(p)", "--point", "0.3", "0", "0.2", "-0.1", "--step", "0"],
+        ["check", "--expr", "exp(p)", "--grid", "0"],
+        ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--grid", "0"],
+    ],
+)
+def test_out_of_range_step_and_grid_are_usage_errors(capsys, argv):
+    # no traceback for a bad step, no vacuous PASS over an empty grid
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be" in captured.err and captured.out == ""
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, ["eval", "--expr", "2p", "--point", "0", "0", "0", "0"])
     assert code == 2

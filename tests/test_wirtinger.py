@@ -21,7 +21,9 @@ from hquat import (
     parse,
     partials,
 )
+from hquat import wirtinger
 from hquat.wirtinger import InvalidPointError
+from test_parser import _random_tree
 
 
 def random_quat(rng, span=1.5, y_zero=False):
@@ -241,16 +243,20 @@ def test_kth_order_zero_and_one():
 
 
 def test_kth_paths_agree_where_both_apply():
+    # the series route at the origin against the stencil route just off it
     tree = parse("exp(p)")
-    series = kth_derivative(tree, ZERO, 3, method="series")
-    stencil = kth_derivative(tree, ZERO, 3, method="stencil")
+    x = 1e-3
+    series = kth_derivative(tree, ZERO, 3)
+    stencil = kth_derivative(tree, Quaternion.from_real(x), 3)
+    assert series.method == "series" and stencil.method == "stencil"
     assert (series.value - stencil.value).norm() <= 5e-3
+    assert abs(stencil.value.x - math.exp(x)) <= 5e-3
     # nested differencing at order 3 has crossed the accuracy cliff
     assert stencil.accuracy_warning
     assert stencil.truncation_estimate > 1e-4
 
-    stencil2 = kth_derivative(tree, ZERO, 2, method="stencil")
-    assert (stencil2.value - Quaternion.from_real(1.0)).norm() <= 1e-4
+    stencil2 = kth_derivative(tree, Quaternion.from_real(x), 2)
+    assert (stencil2.value - Quaternion.from_real(math.exp(x))).norm() <= 1e-4
     assert not stencil2.accuracy_warning
 
 
@@ -269,10 +275,69 @@ def test_kth_preconditions():
         kth_derivative(parse("exp(p)"), ZERO, -1)
     with pytest.raises(ValueError):
         kth_derivative(parse("exp(p)"), Quaternion.from_real(1.0), 5)  # stencil cliff
-    with pytest.raises(ValueError):
-        kth_derivative(parse("exp(p)"), Quaternion.from_real(1.0), 2, method="series")
-    with pytest.raises(ValueError):
-        kth_derivative(parse("exp(p)"), ZERO, 2, method="unknown")
     # any order is fine at the origin through the series route
     r = kth_derivative(parse("exp(p)"), ZERO, 7)
     assert abs(r.value.x - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_derivatives_reject_bad_step(step):
+    # validated before a route is picked, so every order and point rejects it
+    for p in (ZERO, Quaternion(0.5, 0.2, -0.1, 0.3)):
+        with pytest.raises(ValueError):
+            full_derivative(P, p, step=step)
+        for k in range(4):
+            with pytest.raises(ValueError):
+                kth_derivative(P, p, k, step=step)
+
+
+def _count_calls(monkeypatch, name):
+    original = getattr(wirtinger, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wirtinger, name, counted)
+    return calls
+
+
+def test_evaluation_counts(monkeypatch):
+    evals = _count_calls(monkeypatch, "evaluate")
+    phis = _count_calls(monkeypatch, "phi_components")
+    tree = parse("sin(p)*cos(p)")
+    p = Quaternion(0.5, 0.2, -0.1, 0.3)
+
+    full_derivative(tree, p)
+    assert (len(evals), len(phis)) == (2, 0)
+    for k in range(1, 5):
+        evals.clear()
+        kth_derivative(tree, p, k)
+        assert (len(evals), len(phis)) == (2**k, 0)
+
+    evals.clear()
+    check_holomorphy(tree, Quaternion(0.3, 0.0, 0.2, -0.1))
+    assert (len(evals), len(phis)) == (0, 16)
+
+
+def test_full_derivative_is_the_wirtinger_sum_on_random_trees():
+    # d/da + d/d(conj a) = d/dx: both difference the same two evaluations,
+    # so they differ only by the rounding of the Wirtinger combination
+    rng = random.Random(32)
+    eps = 2.220446049250313e-16
+    checked = 0
+    for _ in range(300):
+        tree = _random_tree(rng, 0)
+        p = random_quat(rng)
+        try:
+            got = full_derivative(tree, p)
+            t = partials(tree, p)
+        except (ArithmeticError, ValueError):
+            continue
+        a, b = got.to_cd()
+        for d, da, dabar in ((a, t.dphi1_da, t.dphi1_dabar), (b, t.dphi2_da, t.dphi2_dabar)):
+            # |d/dx| = |da + dabar|, |d/dy| = |dabar - da|
+            assert abs(d - (da + dabar)) <= 8 * eps * (abs(da + dabar) + abs(dabar - da)), (tree, p)
+        checked += 1
+    assert checked >= 250
