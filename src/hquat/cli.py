@@ -142,15 +142,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "pass": ok,
             }
         )
-    inputs = {
-        "expr": format_expr(expr),
-        "tol": args.tol,
-        "step": args.step,
-        "grid": args.grid,
-        "radius": args.radius,
-        "seed": args.seed,
-        "nonreal_constant": has_nonreal_constant(expr),
-    }
+    inputs = {"expr": format_expr(expr), "tol": args.tol, "step": args.step}
+    if args.point is None:
+        inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
+    inputs["nonreal_constant"] = has_nonreal_constant(expr)
     report = _report("check", inputs, {"points": rows, "pass": all_pass})
     lines = [f"holomorphy check of {inputs['expr']} (tol {args.tol:g})"]
     for row in rows:
@@ -389,10 +384,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "derive" and args.k < 1:
         parser.error("--k must be >= 1")
-    if args.subcommand in ("check", "derive") and not 0.0 < args.step < math.inf:
-        parser.error("--step must be positive and finite")
+    if args.subcommand in ("check", "derive") and not sys.float_info.epsilon <= args.step < math.inf:
+        parser.error("--step must be finite and at least machine epsilon (2.2e-16)")
     if args.subcommand in ("check", "commute") and args.grid < 1:
         parser.error("--grid must be >= 1")
+    if args.subcommand in ("series", "radius"):
+        if args.n < 0:
+            parser.error("--n must be >= 0")
+        if not 0.0 < args.rho < math.inf:
+            parser.error("--rho must be positive and finite")
+        if args.samples is not None and args.samples < 4 * (args.n + 1):
+            parser.error(f"--samples must be >= 4(n+1) = {4 * (args.n + 1)}")
     try:
         return args.func(args)
     except ParseError as exc:

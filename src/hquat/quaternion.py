@@ -74,11 +74,23 @@ class Quaternion:
     u: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "u"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite quaternion component {name}={v!r}")
-            object.__setattr__(self, name, v)
+        x = float(self.x)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite quaternion component x={x!r}")
+        y = float(self.y)
+        if not math.isfinite(y):
+            raise ValueError(f"non-finite quaternion component y={y!r}")
+        z = float(self.z)
+        if not math.isfinite(z):
+            raise ValueError(f"non-finite quaternion component z={z!r}")
+        u = float(self.u)
+        if not math.isfinite(u):
+            raise ValueError(f"non-finite quaternion component u={u!r}")
+        set_field = object.__setattr__
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
+        set_field(self, "u", u)
 
     @classmethod
     def from_real(cls, r: float) -> Quaternion:

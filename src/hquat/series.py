@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -411,6 +412,22 @@ class MaclaurinExtraction:
         return tuple(vals)
 
 
+# Copies of the N roots of unity that twiddle rows are sliced from: row k
+# takes about k/4 slices, where an n-fold table would hold n*N references.
+_TWIDDLE_COPIES = 4
+
+
+def _twiddle_row(table: list[complex], N: int, k: int) -> list[complex]:
+    """[roots[k*m mod N] for m < N] for k >= 1, where table repeats the N roots."""
+    row: list[complex] = []
+    start = 0
+    while len(row) < N:
+        piece = table[start : start + k * (N - len(row)) : k]
+        row += piece
+        start = (start + k * len(piece)) % N
+    return row
+
+
 def maclaurin_extraction(
     f: FuncExpr,
     n: int,
@@ -422,41 +439,49 @@ def maclaurin_extraction(
     The k-th coefficient estimate is (1/(N rho^k)) sum_m f(rho e^{i th_m})
     e^{-ik th_m}; for a holomorphic function this is the k-th series
     coefficient.  The residue of index k collects the imaginary part of the
-    first doubling component and the magnitude of the second one.
+    first doubling component and the magnitudes of the second one at the
+    frequencies k and -k.  Each of the N samples is evaluated once.
     """
     if n < 0:
         raise ValueError("coefficient count must be >= 0")
-    if rho <= 0.0:
-        raise ValueError("circle radius must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("circle radius must be positive and finite")
     N = samples if samples is not None else max(64, 8 * (n + 1))
     if N < 4 * (n + 1):
         raise ValueError(f"need at least {4 * (n + 1)} samples for {n + 1} coefficients, got {N}")
 
-    values: list[tuple[float, complex, complex]] = []
+    # roots[j] = e^{-2 pi i j/N} gives both the sample points rho*conj(roots[m])
+    # and the twiddles e^{-ik th_m} = roots[k*m mod N]: the angle is reduced
+    # exactly in integers, so its phase error does not grow with k*m.
+    roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
+    first: list[complex] = []
+    second: list[complex] = []
     vmax = 0.0
-    for m in range(N):
-        theta = 2.0 * math.pi * m / N
-        point = Quaternion(rho * math.cos(theta), rho * math.sin(theta), 0.0, 0.0)
-        a, b = evaluate(f, point).to_cd()
+    for w in roots:
+        a, b = evaluate(f, Quaternion(rho * w.real, -rho * w.imag, 0.0, 0.0)).to_cd()
         vmax = max(vmax, abs(a), abs(b))
-        values.append((theta, a, b))
+        first.append(a)
+        second.append(b)
+    # b vanishes on the slice for every real-coefficient function; otherwise
+    # a left constant can move conj(a)-terms to the negative frequencies of b
+    second_conj = [b.conjugate() for b in second] if any(second) else None
 
+    table = roots * _TWIDDLE_COPIES
     noise_unit = math.sqrt(N) * 2.220446049250313e-16 * vmax
     coeffs: list[float] = []
     residues: list[float] = []
     floors: list[float] = []
     for k in range(n + 1):
-        s1 = 0.0j
-        s2 = 0.0j
-        for theta, a, b in values:
-            w = cmath.exp(complex(0.0, -k * theta))
-            s1 += a * w
-            s2 += b * w
+        row = _twiddle_row(table, N, k) if k else [1.0 + 0.0j] * N
         scale = 1.0 / (N * rho**k)
-        c1 = s1 * scale
-        c2 = s2 * scale
+        c1 = sum(map(operator.mul, first, row), 0.0j) * scale
         coeffs.append(c1.real)
-        residues.append(math.hypot(c1.imag, abs(c2)))
+        parts = [c1.imag]
+        if second_conj is not None:
+            parts.append(abs(sum(map(operator.mul, second, row), 0.0j) * scale))
+            if k:  # frequency -k: sum of b*conj(row) = conj(sum of conj(b)*row)
+                parts.append(abs(sum(map(operator.mul, second_conj, row), 0.0j) * scale))
+        residues.append(math.hypot(*parts))
         floors.append(noise_unit / rho**k)
     return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors))
 

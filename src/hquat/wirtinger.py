@@ -31,6 +31,7 @@ origin, "stencil", k nested x-differences, elsewhere).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .functions import FuncExpr, evaluate, phi_components
@@ -59,8 +60,9 @@ class PartialsTable:
 
 
 def _check_step(step: float) -> None:
-    if not 0.0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
+    # h = step*max(1, |p|) >= eps*|c| for every component c, so c +- h != c
+    if not sys.float_info.epsilon <= step < math.inf:
+        raise ValueError("step must be finite and at least machine epsilon (2.2e-16)")
 
 
 def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:

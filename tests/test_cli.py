@@ -122,6 +122,15 @@ def test_series_nonreal_exit_code(capsys):
     assert rep["results"]["max_nonreal_residue"] > 1e-8
 
 
+@pytest.mark.parametrize("expr", ["j*p", "k*p^2"])
+def test_series_left_constant_is_nonreal(capsys, expr):
+    # the restriction is conj(a)-terms in the second component, at negative
+    # frequencies; these printed all-zero coefficients and exited 0
+    code, rep, _ = run_json(capsys, ["series", "--expr", expr, "--n", "4"])
+    assert code == 4
+    assert rep["results"]["max_nonreal_residue"] > 0.5
+
+
 def test_derive_first_order(capsys):
     code, rep, _ = run_json(capsys, ["derive", "--expr", "cos(p)", "--point", "0.5", "-0.2", "0.9", "0.1", "--k", "1"])
     assert code == 0
@@ -184,6 +193,9 @@ def test_commute_constants_fail_with_residual_two(capsys):
         ["check", "--expr", "exp(p)", "--point", "0.3", "0", "0.2", "-0.1", "--step", "0"],
         ["check", "--expr", "exp(p)", "--grid", "0"],
         ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--grid", "0"],
+        # below machine epsilon x +- h rounds back to x: the derivative read 0
+        ["derive", "--expr", "exp(p)", "--point", "0.3", "0", "0", "0", "--step", "1e-300"],
+        ["check", "--expr", "exp(p)", "--point", "0.3", "0", "0.2", "-0.1", "--step", "1e-17"],
     ],
 )
 def test_out_of_range_step_and_grid_are_usage_errors(capsys, argv):
@@ -193,6 +205,38 @@ def test_out_of_range_step_and_grid_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "must be" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--expr", "exp(p)", "--samples", "8"],
+        ["series", "--expr", "exp(p)", "--n", "4", "--samples", "19"],
+        ["series", "--expr", "exp(p)", "--rho", "-1"],
+        ["series", "--expr", "exp(p)", "--rho", "nan"],
+        ["series", "--expr", "exp(p)", "--n", "-1"],
+        ["radius", "--expr", "exp(p)", "--rho", "0"],
+        ["radius", "--expr", "exp(p)", "--rho", "inf"],
+        ["radius", "--expr", "exp(p)", "--n", "-1"],
+        ["radius", "--expr", "exp(p)", "--samples", "8"],
+    ],
+)
+def test_out_of_range_series_arguments_are_usage_errors(capsys, argv):
+    # each of these used to leave a traceback from maclaurin_extraction
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be" in captured.err and captured.out == ""
+
+
+def test_check_inputs_name_only_inputs_used(capsys):
+    # grid, radius and seed choose the sampled points; --point replaces them
+    sampled = ["grid", "radius", "seed"]
+    _, rep, _ = run_json(capsys, ["check", "--expr", "exp(p)", "--point", "0.3", "0", "0.2", "-0.1"])
+    assert list(rep["inputs"]) == ["expr", "tol", "step", "nonreal_constant"]
+    _, rep, _ = run_json(capsys, ["check", "--expr", "exp(p)", "--grid", "2"])
+    assert list(rep["inputs"]) == ["expr", "tol", "step", *sampled, "nonreal_constant"]
 
 
 def test_parse_error_exit_code(capsys):

@@ -156,3 +156,17 @@ def test_constructor_rejects_nonfinite():
         Quaternion(float("inf"), 0, 0, 0)
     with pytest.raises(ValueError):
         Quaternion(0, float("nan"), 0, 0)
+    # the message names the first non-finite component
+    for i, name in enumerate("xyzu"):
+        comps = [1.0, 2.0, 3.0, 4.0]
+        comps[i] = -math.inf
+        with pytest.raises(ValueError, match=f"non-finite quaternion component {name}=-inf"):
+            Quaternion(*comps)
+    with pytest.raises(ValueError, match="component z=nan"):
+        Quaternion(0, 1, math.nan, math.inf)
+
+
+def test_constructor_stores_floats():
+    q = Quaternion(1, True, 2.5, -0.0)
+    assert [type(c) for c in (q.x, q.y, q.z, q.u)] == [float] * 4
+    assert (q.x, q.y, q.z, math.copysign(1.0, q.u)) == (1.0, 1.0, 2.5, -1.0)

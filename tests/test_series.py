@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -30,6 +31,8 @@ from hquat import (
     sin_cos_series,
     sin_series,
 )
+from hquat import series as series_module
+from test_parser import _random_tree
 
 
 def random_quat(rng, span):
@@ -268,14 +271,99 @@ def test_nonreal_rejection():
     with pytest.raises(NonRealCoefficientError):
         maclaurin_coeffs(parse("i*exp(p)"), 5)
 
+    # a left constant j or k moves conj(a)-terms, frequency -l, into b
+    with pytest.raises(NonRealCoefficientError) as exc:
+        maclaurin_coeffs(parse("k*p^2"), 4)
+    assert exc.value.index == 2
+    with pytest.raises(NonRealCoefficientError) as exc:
+        maclaurin_coeffs(parse("j*p"), 4)
+    assert exc.value.index == 1
+
+
+def _reference_extraction(f, n, rho, N):
+    """The direct DFT: one cmath.exp twiddle per term, summed in a Python
+    loop, with the second component also read at frequency -k."""
+    values = []
+    vmax = 0.0
+    for m in range(N):
+        theta = 2.0 * math.pi * m / N
+        a, b = evaluate(f, Quaternion(rho * math.cos(theta), rho * math.sin(theta), 0.0, 0.0)).to_cd()
+        vmax = max(vmax, abs(a), abs(b))
+        values.append((theta, a, b))
+    coeffs, residues = [], []
+    for k in range(n + 1):
+        s1 = s2 = s2neg = 0.0j
+        for theta, a, b in values:
+            w = cmath.exp(complex(0.0, -k * theta))
+            s1 += a * w
+            s2 += b * w
+            s2neg += b * w.conjugate()
+        scale = 1.0 / (N * rho**k)
+        extra = (abs(s2 * scale), abs(s2neg * scale)) if k else (abs(s2 * scale),)
+        coeffs.append((s1 * scale).real)
+        residues.append(math.hypot((s1 * scale).imag, *extra))
+    return coeffs, residues, vmax
+
+
+def _assert_matches_reference(f, n, rho, N):
+    eps = 2.220446049250313e-16
+    try:
+        want_c, want_r, vmax = _reference_extraction(f, n, rho, N)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            maclaurin_extraction(f, n, rho, N)
+        return False
+    ext = maclaurin_extraction(f, n, rho, N)
+    assert ext.samples == N and len(ext.coeffs) == len(ext.nonreal_residues) == n + 1
+    for k in range(n + 1):
+        tol = 4 * N * eps * vmax / rho**k
+        assert abs(ext.coeffs[k] - want_c[k]) <= tol, (k, ext.coeffs[k], want_c[k])
+        assert abs(ext.nonreal_residues[k] - want_r[k]) <= tol, (k, ext.nonreal_residues[k], want_r[k])
+    return True
+
+
+@pytest.mark.parametrize(
+    "expr", ["exp(p)", "sin(p)", "cos(p)", "sin(p)*cos(p)", "1/(1-p)", "j*exp(p)", "(2+i)*p", "j*p", "k*p^2"]
+)
+def test_extraction_matches_reference_dft_on_catalog(expr):
+    for n, rho, N in ((17, 0.8, 144), (9, 0.5, 43), (64, 0.8, 1024)):
+        assert _assert_matches_reference(parse(expr), n, rho, N)
+
+
+def test_extraction_matches_reference_dft_on_random_trees():
+    rng = random.Random(4404)
+    checked = 0
+    for _ in range(120):
+        tree = _random_tree(rng, 0)
+        n = rng.randint(0, 12)
+        N = rng.choice((max(64, 8 * (n + 1)), 4 * (n + 1) + rng.randint(0, 9)))
+        checked += _assert_matches_reference(tree, n, rng.choice((0.5, 0.8, 1.3)), N)
+    assert checked >= 80
+
+
+def test_extraction_evaluates_each_sample_once(monkeypatch):
+    calls = []
+    original = series_module.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(series_module, "evaluate", counted)
+    for n, samples, N in ((9, None, 80), (17, 200, 200), (0, None, 64), (4, 21, 21)):
+        calls.clear()
+        assert maclaurin_extraction(parse("j*exp(p)"), n, samples=samples).samples == N
+        assert len(calls) == N
+
 
 def test_extraction_preconditions():
     with pytest.raises(ValueError):
         maclaurin_extraction(parse("exp(p)"), 5, samples=16)  # fewer than 4*(n+1)
     with pytest.raises(ValueError):
         maclaurin_extraction(parse("exp(p)"), -1)
-    with pytest.raises(ValueError):
-        maclaurin_extraction(parse("exp(p)"), 3, rho=0.0)
+    for rho in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="circle radius"):
+            maclaurin_extraction(parse("exp(p)"), 3, rho=rho)
 
 
 def test_denoised_coefficients_zero_noise_entries():

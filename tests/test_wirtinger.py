@@ -98,6 +98,26 @@ def test_partials_of_exp_at_zero():
 def test_partials_rejects_bad_step():
     with pytest.raises(ValueError):
         partials(P, ZERO, step=0.0)
+    with pytest.raises(ValueError):
+        partials(P, Quaternion(0.3, 0.0, 0.0, 0.0), step=1e-300)
+
+
+def test_smallest_step_still_moves_every_component():
+    # h = eps*max(1, |p|) >= eps*|c| for each component c, so c +- h != c and
+    # no coordinate quotient of the identity collapses to 0
+    eps = 2.220446049250313e-16
+    points = [
+        Quaternion(0.3, 0.0, 0.0, 0.0),
+        Quaternion(0.0, 1e8, 0.0, 0.0),
+        Quaternion(0.0, 0.0, -(2.0**60), 0.0),
+        Quaternion(0.0, 0.0, 0.0, 1.9999999999999998),
+        Quaternion(1e8, -3.0, 0.5, 7.0),
+    ]
+    for p in points:
+        assert full_derivative(P, p, step=eps).x != 0.0
+        t = partials(P, p, step=eps)
+        assert t.dphi1_da + t.dphi1_dabar != 0.0 and t.dphi1_dabar - t.dphi1_da != 0.0
+        assert t.dphi2_db + t.dphi2_dbbar != 0.0 and t.dphi2_dbbar - t.dphi2_db != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +300,10 @@ def test_kth_preconditions():
     assert abs(r.value.x - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 1e-300, 1e-16])
 def test_derivatives_reject_bad_step(step):
-    # validated before a route is picked, so every order and point rejects it
+    # validated before a route is picked, so every order and point rejects it;
+    # below machine epsilon p +- h can round back to p and the quotient be 0
     for p in (ZERO, Quaternion(0.5, 0.2, -0.1, 0.3)):
         with pytest.raises(ValueError):
             full_derivative(P, p, step=step)
