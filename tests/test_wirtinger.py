@@ -125,6 +125,13 @@ def test_smallest_step_still_moves_every_component():
 # ---------------------------------------------------------------------------
 
 
+def test_check_rejects_tolerance_that_makes_the_verdict_vacuous():
+    # tol = inf passed every residual, nan failed every one
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            check_holomorphy(parse("j*exp(p)"), Quaternion(0.5, 0.0, 0.2, 0.1), tol=tol)
+
+
 def test_check_requires_slice_point():
     with pytest.raises(InvalidPointError):
         check_holomorphy(parse("exp(p)"), Quaternion(0.1, 0.2, 0.3, 0.4))
