@@ -18,14 +18,13 @@ import json
 import math
 import random
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
-from .functions import evaluate, has_nonreal_constant
+from .functions import EvaluationOverflowError, commutator_norm, evaluate, has_nonreal_constant
 from .parser import ParseError, format_expr, parse
 from .quaternion import Quaternion, ZeroDivisorError
 from .series import (
-    NONREAL_TOL,
     NonRealCoefficientError,
     PowerSeries,
     RatioTestInconclusive,
@@ -39,7 +38,6 @@ from .series import (
     sin_cos_coefficient,
 )
 from .wirtinger import InvalidPointError, check_holomorphy, kth_derivative
-from .functions import EvaluationOverflowError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,23 +114,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_points(args: argparse.Namespace) -> list[tuple[Quaternion, Quaternion | None]]:
-    if args.point is not None:
-        return [(Quaternion(*args.point), None)]
+def _grid(args: argparse.Namespace, draw: Callable[[random.Random], object]) -> list:
+    """``--grid`` results of ``draw(rng)``, one RNG seeded with ``--seed``."""
     rng = random.Random(args.seed)
-    pairs = []
-    for _ in range(args.grid):
-        main = sample_ball(rng, args.radius, y_zero=True)
-        aux = sample_ball(rng, args.radius, y_zero=False)
-        pairs.append((main, aux))
-    return pairs
+    return [draw(rng) for _ in range(args.grid)]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
+    if args.point is not None:
+        pairs = [(Quaternion(*args.point), None)]
+    else:
+        pairs = _grid(args, lambda rng: (sample_ball(rng, args.radius, y_zero=True), sample_ball(rng, args.radius)))
     rows = []
     all_pass = True
-    for point, aux in _check_points(args):
+    for point, aux in pairs:
         rep = check_holomorphy(expr, point, tol=args.tol, step=args.step, aux_point=aux)
         ok = rep.passed
         all_pass = all_pass and ok
@@ -184,8 +180,7 @@ def _extract(args: argparse.Namespace):
     expr = parse(args.expr)
     ext = maclaurin_extraction(expr, args.n, rho=args.rho, samples=args.samples)
     inputs = {"expr": format_expr(expr), "n": args.n, "rho": ext.rho, "samples": ext.samples}
-    worst = max(ext.nonreal_residues)
-    return ext, inputs, worst, worst <= NONREAL_TOL
+    return ext, inputs, max(ext.nonreal_residues), ext.first_nonreal() is None
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -260,13 +255,6 @@ def _cmd_radius(args: argparse.Namespace) -> int:
     return EXIT_OK if real else EXIT_NONREAL
 
 
-def _commute_points(args: argparse.Namespace) -> list[Quaternion]:
-    if args.point is not None:
-        return [Quaternion(*args.point)]
-    rng = random.Random(args.seed)
-    return [sample_ball(rng, args.radius) for _ in range(args.grid)]
-
-
 def _cmd_commute(args: argparse.Namespace) -> int:
     if len(args.expr) != 2:
         raise ValueError(f"commute needs exactly two --expr arguments, got {len(args.expr)}")
@@ -274,13 +262,17 @@ def _cmd_commute(args: argparse.Namespace) -> int:
         raise ValueError("tolerance must be positive and finite")
     f = parse(args.expr[0])
     g = parse(args.expr[1])
+    if args.point is not None:
+        points = [Quaternion(*args.point)]
+    else:
+        points = _grid(args, lambda rng: sample_ball(rng, args.radius))
     rows = []
     all_pass = True
     worst = 0.0
-    for point in _commute_points(args):
+    for point in points:
         fv = evaluate(f, point)
         gv = evaluate(g, point)
-        residual = (fv * gv - gv * fv).norm()
+        residual = commutator_norm(fv, gv)
         scale = 1.0 + fv.norm() * gv.norm()
         ok = residual <= args.tol * scale
         all_pass = all_pass and ok

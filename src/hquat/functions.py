@@ -6,7 +6,7 @@ transcendental heads exp, sin, cos.  Quaternion-valued constants (i, j, k)
 are admitted only so that non-holomorphic counterexamples can be expressed;
 :func:`has_nonreal_constant` flags such trees.
 
-Transcendental heads are evaluated through the polar split q = x + V*r of
+Transcendental heads are evaluated through the split q = x + V*r of
 their argument (V = sqrt(y^2+z^2+u^2), r a purely imaginary unit quaternion
 with r^2 = -1): f(x + V*r) is the complex value f(x + V*i) with i replaced
 by r.  In particular exp(p) = e^x * (cos V + r sin V), and sin/cos follow
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .quaternion import I, J, K, Pair, Quaternion, cd_inverse, cd_mul
 
@@ -124,7 +124,15 @@ class Cos(FuncExpr):
 
 P = Var()
 
-Number = Union[int, float]
+
+# The one table of heads, by node class: the text and the complex function that
+# _lift applies.  A tuple field holds the function, so it never binds as a method.
+Head = NamedTuple("Head", [("text", str), ("fn", Callable[[complex], complex])])
+HEADS: dict[type[FuncExpr], Head] = {
+    Exp: Head("exp", cmath.exp),
+    Sin: Head("sin", cmath.sin),
+    Cos: Head("cos", cmath.cos),
+}
 
 
 def has_nonreal_constant(expr: FuncExpr) -> bool:
@@ -136,7 +144,7 @@ def has_nonreal_constant(expr: FuncExpr) -> bool:
         return has_nonreal_constant(expr.lhs) or has_nonreal_constant(expr.rhs)
     if isinstance(expr, IntPow):
         return has_nonreal_constant(expr.base)
-    if isinstance(expr, (Exp, Sin, Cos)):
+    if type(expr) in HEADS:
         return has_nonreal_constant(expr.arg)
     return False
 
@@ -156,24 +164,8 @@ def conjugate_expr() -> FuncExpr:
 
 
 # ---------------------------------------------------------------------------
-# Polar decomposition and scalar extension
+# Scalar extension
 # ---------------------------------------------------------------------------
-
-
-class PolarDecomp(NamedTuple):
-    """p = x + v*r with |r| = 1, r purely imaginary; r is None when v = 0."""
-
-    x: float
-    v: float
-    r: Quaternion | None
-
-
-def polar(p: Quaternion) -> PolarDecomp:
-    """Split p into real part and imaginary magnitude/direction."""
-    v = math.sqrt(p.y * p.y + p.z * p.z + p.u * p.u)
-    if v == 0.0:
-        return PolarDecomp(p.x, 0.0, None)
-    return PolarDecomp(p.x, v, Quaternion(0.0, p.y / v, p.z / v, p.u / v))
 
 
 def _lift(fn, q: Pair) -> Pair:
@@ -243,12 +235,9 @@ def _eval(expr: FuncExpr, p: Pair) -> Pair:
         for _ in range(expr.exponent):
             out = _finite(cd_mul(out, base))
         return out
-    if isinstance(expr, Exp):
-        return _finite(_lift(cmath.exp, _eval(expr.arg, p)))
-    if isinstance(expr, Sin):
-        return _finite(_lift(cmath.sin, _eval(expr.arg, p)))
-    if isinstance(expr, Cos):
-        return _finite(_lift(cmath.cos, _eval(expr.arg, p)))
+    head = HEADS.get(type(expr))
+    if head is not None:
+        return _finite(_lift(head.fn, _eval(expr.arg, p)))
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -274,8 +263,14 @@ def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:
     return ComplexPair(*cd_mul(fval, gval))
 
 
+def commutator_norm(fv: Quaternion, gv: Quaternion) -> float:
+    """|fv*gv - gv*fv| on doubling pairs; EvaluationOverflowError when a
+    product or their difference leaves the double range."""
+    f, g = fv.to_cd(), gv.to_cd()
+    (a1, b1), (a2, b2) = _finite(cd_mul(f, g)), _finite(cd_mul(g, f))
+    return Quaternion.from_cd(*_finite((a1 - a2, b1 - b2))).norm()
+
+
 def commutator_residual(f: FuncExpr, g: FuncExpr, p: Quaternion) -> float:
     """|f(p)g(p) - g(p)f(p)|; vanishes for holomorphic pairs."""
-    fv = evaluate(f, p)
-    gv = evaluate(g, p)
-    return (fv * gv - gv * fv).norm()
+    return commutator_norm(evaluate(f, p), evaluate(g, p))

@@ -28,17 +28,15 @@ import re
 from dataclasses import dataclass
 
 from .functions import (
+    HEADS,
     Add,
-    Cos,
     Div,
-    Exp,
     FuncExpr,
     IntPow,
     Mul,
     P,
     QuatConst,
     RealConst,
-    Sin,
     Sub,
     Var,
 )
@@ -50,7 +48,6 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _UINT_RE = re.compile(r"\d+\Z")
 
-_HEADS = {"exp": Exp, "sin": Sin, "cos": Cos}
 _UNIT_CONSTS = {"i": I, "j": J, "k": K}
 
 
@@ -185,16 +182,16 @@ class _Parser:
             if tok.text == "p":
                 self.advance()
                 return P
-            if tok.text in _HEADS:
-                self.advance()
-                self.expect("(", "'('")
-                arg = self.expr()
-                self.expect(")", "')'")
-                return _HEADS[tok.text](arg)
+            for node, head in HEADS.items():
+                if tok.text == head.text:
+                    self.advance()
+                    self.expect("(", "'('")
+                    arg = self.expr()
+                    self.expect(")", "')'")
+                    return node(arg)
             if tok.text in _UNIT_CONSTS:
                 self.advance()
                 return QuatConst(_UNIT_CONSTS[tok.text])
-            raise ParseError(tok.pos, "p, a number, exp/sin/cos, i/j/k or '('", tok.describe())
         raise ParseError(tok.pos, "p, a number, exp/sin/cos, i/j/k or '('", tok.describe())
 
 
@@ -217,8 +214,6 @@ _LEVEL_MUL = 2
 _LEVEL_POW = 3
 _LEVEL_NEG = 4
 _LEVEL_ATOM = 5
-
-_HEAD_NAMES = {Exp: "exp", Sin: "sin", Cos: "cos"}
 
 
 def _is_neg_sugar(expr: FuncExpr) -> bool:
@@ -271,9 +266,9 @@ def _render_raw(expr: FuncExpr) -> str:
         return f"{_render(expr.lhs, _LEVEL_MUL)}/{_render(expr.rhs, _LEVEL_MUL + 1)}"
     if isinstance(expr, IntPow):
         return f"{_render(expr.base, _LEVEL_NEG)}^{expr.exponent}"
-    for head, name in _HEAD_NAMES.items():
-        if isinstance(expr, head):
-            return f"{name}({_render_raw(expr.arg)})"
+    head = HEADS.get(type(expr))
+    if head is not None:
+        return f"{head.text}({_render_raw(expr.arg)})"
     raise TypeError(f"cannot format node {expr!r}")
 
 

@@ -21,10 +21,11 @@ Convergence machinery:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .functions import FuncExpr, evaluate
 from .quaternion import ONE, ZERO, Quaternion
@@ -94,6 +95,11 @@ class PowerSeries:
             return float(self.generator(l))
         raise IndexError(f"coefficient {l} beyond stored length {len(self.coeffs)} and no generator")
 
+    def terms(self, limit: int) -> Iterator[tuple[int, float]]:
+        """(l, r_l) for l < limit, ending with the stored ones if there is no generator."""
+        stop = limit if self.generator is not None else min(limit, len(self.coeffs))
+        return enumerate(map(self.coefficient, range(stop)))
+
     def partial_sum(self, p: Quaternion, n: int) -> Quaternion:
         """Horner evaluation of sum_{l<=n} r_l p^l."""
         acc = Quaternion.from_real(self.coefficient(n))
@@ -113,11 +119,7 @@ class PowerSeries:
         power_mag = 1.0
         streak = 0
         used = 0
-        for l in range(max_terms):
-            try:
-                c = self.coefficient(l)
-            except IndexError:
-                break
+        for l, c in self.terms(max_terms):
             acc = acc + power * c
             used = l + 1
             if abs(c) * power_mag < tol:
@@ -256,15 +258,7 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
     """
     if n_tail < 2:
         raise ValueError("need at least 2 trailing ratios")
-    limit = len(s.coeffs) if s.generator is None else max(len(s.coeffs), 64)
-    nonzero: list[tuple[int, float]] = []
-    for l in range(limit):
-        try:
-            c = s.coefficient(l)
-        except IndexError:
-            break
-        if c != 0.0:
-            nonzero.append((l, abs(c)))
+    nonzero = [(l, abs(c)) for l, c in s.terms(max(len(s.coeffs), 64)) if c != 0.0]
     if len(nonzero) < n_tail + 1:
         raise ValueError(f"need {n_tail + 1} nonzero coefficients, found {len(nonzero)}")
 
@@ -325,36 +319,26 @@ class MTestCertificate:
 
 
 _M_TEST_TERMS = 40
+_M_TEST_INDICES = 4096  # a generator's nonzero terms count as run out past this
 
 
 def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float]) -> MTestCertificate:
     """Check |r_l| R^l <= M_i termwise over the first 40 nonzero terms (i
     counts them) and that the majorant series passes its own ratio test; a
     pass certifies uniform and absolute convergence on the closed ball of the
-    given radius.
+    given radius.  Indices at or past max(len(coeffs), 4096) are not read.
 
     Raises MajorantViolatedError at the first violated term index.
     """
     if ball_radius <= 0.0:
         raise ValueError("ball radius must be positive")
-    bounds: list[float] = []
     ms: list[float] = []
-    i = 0
-    l = 0
-    while i < _M_TEST_TERMS:
-        try:
-            c = s.coefficient(l)
-        except IndexError:
-            break
-        if c != 0.0:
-            bound = abs(c) * ball_radius**l
-            m = majorant(i)
-            if bound > m * (1.0 + 1e-12):
-                raise MajorantViolatedError(i)
-            bounds.append(bound)
-            ms.append(m)
-            i += 1
-        l += 1
+    nonzero = ((l, c) for l, c in s.terms(max(len(s.coeffs), _M_TEST_INDICES)) if c != 0.0)
+    for i, (l, c) in enumerate(itertools.islice(nonzero, _M_TEST_TERMS)):
+        m = majorant(i)
+        if abs(c) * ball_radius**l > m * (1.0 + 1e-12):
+            raise MajorantViolatedError(i)
+        ms.append(m)
 
     if not ms:
         return MTestCertificate(False, 0, ball_radius, math.nan, 0.0, "no nonzero terms to check")
@@ -375,6 +359,10 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
 # Largest non-real residue of an extracted coefficient still taken as real.
 NONREAL_TOL = 1e-8
 
+# Most work one extraction may do, in Fourier terms: samples*(n+1), plus 128
+# per sample for its evaluation (one evaluation costs about 100 terms).
+MAX_EXTRACTION_TERMS = 2**24
+
 
 @dataclass(frozen=True)
 class MaclaurinExtraction:
@@ -390,6 +378,10 @@ class MaclaurinExtraction:
     rho: float
     samples: int
     noise_floors: tuple[float, ...]
+
+    def first_nonreal(self) -> int | None:
+        """First index whose non-real residue is not within NONREAL_TOL, else None."""
+        return next((k for k, res in enumerate(self.nonreal_residues) if not res <= NONREAL_TOL), None)
 
     def denoised_coeffs(self) -> tuple[float, ...]:
         """Coefficients at or below 10x their noise floor zeroed, trailing zeros cut."""
@@ -440,6 +432,8 @@ def maclaurin_extraction(
     N = samples if samples is not None else max(64, 8 * (n + 1))
     if N < 4 * (n + 1):
         raise ValueError(f"samples must be >= 4(n+1) = {4 * (n + 1)}, got {N}")
+    if N * (n + 1 + 128) > MAX_EXTRACTION_TERMS:
+        raise ValueError(f"samples*(n+129) must be <= {MAX_EXTRACTION_TERMS}, got {N} * {n + 129}")
 
     # roots[j] = e^{-2 pi i j/N} gives both the sample points rho*conj(roots[m])
     # and the twiddles e^{-ik th_m} = roots[k*m mod N]: the angle is reduced
@@ -485,14 +479,14 @@ def maclaurin_coeffs(
 ) -> PowerSeries:
     """Extract r_0..r_n, enforcing coefficient realness.
 
-    Raises NonRealCoefficientError at the first index whose non-real residue
-    exceeds NONREAL_TOL (the signature of a non-holomorphic input, e.g. a
-    function multiplied by a non-real constant).
+    Raises NonRealCoefficientError at :meth:`MaclaurinExtraction.first_nonreal`
+    (the signature of a non-holomorphic input, e.g. a function multiplied by
+    a non-real constant).
     """
     ext = maclaurin_extraction(f, n, rho, samples)
-    for k, res in enumerate(ext.nonreal_residues):
-        if res > NONREAL_TOL:
-            raise NonRealCoefficientError(k, res)
+    k = ext.first_nonreal()
+    if k is not None:
+        raise NonRealCoefficientError(k, ext.nonreal_residues[k])
     return PowerSeries(ext.coeffs)
 
 

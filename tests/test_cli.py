@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,39 @@ def test_commute_constants_fail_with_residual_two(capsys):
     code, rep, _ = run_json(capsys, ["commute", "--expr", "j", "--expr", "k", "--grid", "3"])
     assert code == 1
     assert rep["results"]["max_residual"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "exprs, point",
+    [(("p^4", "i*p^4"), ["1e50", "0", "1e50", "0"]), (("p", "j*p"), ["1e160", "0", "0", "0"])],
+)
+def test_commute_product_overflow_is_eval_error(capsys, exprs, point):
+    # the overflowing product was rejected by the Quaternion constructor,
+    # a ValueError that ended in exit 2 as a usage error
+    code, out, err = run_cli(capsys, ["commute", "--expr", exprs[0], "--expr", exprs[1], "--point", *point])
+    assert code == 3 and out == ""
+    assert "evaluation error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--expr", "exp(p)", "--n", "100000"],
+        ["series", "--expr", "exp(p)", "--n", "100000", "--rho", "1"],
+        ["radius", "--expr", "exp(p)", "--n", "1", "--samples", "1000000000"],
+        ["radius", "--expr", "exp(p)", "--n", "0", "--samples", "200000"],
+        ["derive", "--expr", "exp(p)", "--k", "100000", "--point", "0", "0", "0", "0"],
+        ["derive", "--expr", "exp(p)", "--k", "3000", "--point", "0", "0", "0", "0"],
+    ],
+)
+def test_extraction_beyond_the_work_budget_is_a_usage_error(capsys, argv):
+    # unbounded --n, --samples or origin --k ran for hours or filled memory
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    assert "must" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

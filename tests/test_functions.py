@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -28,13 +29,13 @@ from hquat import (
     commutator_residual,
     conjugate_expr,
     evaluate,
+    format_expr,
     has_nonreal_constant,
     parse,
     phi_components,
-    polar,
     product_cd,
 )
-from hquat.functions import ComplexPair
+from hquat.functions import HEADS, ComplexPair
 from test_parser import _random_tree
 
 
@@ -43,8 +44,24 @@ def random_quat(rng, span=2.0):
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition
+# polar decomposition: the reference split for the head lift
 # ---------------------------------------------------------------------------
+
+
+class PolarDecomp(NamedTuple):
+    """p = x + v*r with |r| = 1, r purely imaginary; r is None when v = 0."""
+
+    x: float
+    v: float
+    r: Quaternion | None
+
+
+def polar(p: Quaternion) -> PolarDecomp:
+    """Split p into real part and imaginary magnitude/direction."""
+    v = math.sqrt(p.y * p.y + p.z * p.z + p.u * p.u)
+    if v == 0.0:
+        return PolarDecomp(p.x, 0.0, None)
+    return PolarDecomp(p.x, v, Quaternion(0.0, p.y / v, p.z / v, p.u / v))
 
 
 def test_polar_examples():
@@ -224,9 +241,24 @@ def test_pair_kernel_matches_reference_walk():
             assert repr(got) == repr(want), (tree, p)
 
 
+@pytest.mark.parametrize("text, node, fn", [("exp", Exp, cmath.exp), ("sin", Sin, cmath.sin), ("cos", Cos, cmath.cos)])
+def test_each_head_round_trips_and_evaluates_through_the_table(text, node, fn):
+    assert set(HEADS) == {Exp, Sin, Cos}
+    inner = Add(P, RealConst(0.5))
+    tree = node(inner)
+    assert parse(f"{text}(p+0.5)") == tree
+    assert format_expr(tree) == f"{text}(p+0.5)"
+    assert has_nonreal_constant(node(QuatConst(K))) and not has_nonreal_constant(tree)
+    rng = random.Random(23)
+    for _ in range(200):
+        p = random_quat(rng)
+        assert repr(evaluate(tree, p)) == repr(_reference_lift(fn, evaluate(inner, p)))
+
+
 def test_nonreal_constant_flag():
     assert not has_nonreal_constant(parse("sin(p)*cos(p)"))
     assert has_nonreal_constant(parse("j*exp(p)"))
+    assert has_nonreal_constant(parse("cos(p*i)"))
     assert has_nonreal_constant(conjugate_expr())
     assert not has_nonreal_constant(parse("2*p - 3"))
 
@@ -378,3 +410,15 @@ def test_commutator_residuals():
         assert commutator_residual(exp_t, poly, p) <= 1e-9 * (1.0 + ev.norm() * pv.norm())
     # non-holomorphic constants do not commute: jk - kj = 2i
     assert commutator_residual(QuatConst(J), QuatConst(K), ZERO) == 2.0
+
+
+@pytest.mark.parametrize(
+    "f, g, point",
+    [("p^4", "i*p^4", Quaternion(1e50, 0, 1e50, 0)), ("p", "j*p", Quaternion(1e160, 0, 0, 0))],
+)
+def test_commutator_product_overflow_is_evaluation_overflow(f, g, point):
+    # both values are finite (evaluate raises otherwise); their products are not
+    for expr in (f, g):
+        evaluate(parse(expr), point)
+    with pytest.raises(EvaluationOverflowError):
+        commutator_residual(parse(f), parse(g), point)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 
@@ -182,6 +183,20 @@ def test_m_test_divergent_majorant():
     assert "ratio test" in cert.reason
 
 
+def test_m_test_ends_when_generator_terms_run_out():
+    # the walk over the generator's zero tail never returned
+    cert = m_test(PowerSeries((1.0, 0.5), generator=lambda l: 0.0), 0.5, lambda i: 1.0)
+    assert cert.terms_checked == 2
+    assert not cert.passed
+    # exp's rule is 0 past l = 170; its first 40 nonzero terms still certify
+    cert = m_test(PowerSeries((), generator=exp_coefficient), 1.0, lambda i: 1.0 / math.factorial(i))
+    assert cert.passed and cert.terms_checked == 40
+    # 40 nonzero terms spread over thousands of indices are all checked
+    sparse = PowerSeries((), generator=lambda l: 1.0 if l % 100 == 0 else 0.0)
+    cert = m_test(sparse, 0.99, lambda i: 2.0**-i)  # 0.99^100 < 1/2
+    assert cert.passed and cert.terms_checked == 40
+
+
 # ---------------------------------------------------------------------------
 # termwise differentiation
 # ---------------------------------------------------------------------------
@@ -278,6 +293,10 @@ def test_nonreal_rejection():
         maclaurin_coeffs(parse("j*p"), 4)
     assert exc.value.index == 1
 
+    # the one realness rule, which maclaurin_coeffs and the CLI both read
+    assert maclaurin_extraction(parse("k*p^2"), 4).first_nonreal() == 2
+    assert maclaurin_extraction(parse("exp(p)"), 4).first_nonreal() is None
+
 
 def _reference_extraction(f, n, rho, N):
     """The direct DFT: one cmath.exp twiddle per term, summed in a Python
@@ -363,6 +382,23 @@ def test_extraction_preconditions():
     for rho in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="circle radius"):
             maclaurin_extraction(parse("exp(p)"), 3, rho=rho)
+
+
+def test_extraction_work_budget(monkeypatch):
+    budget = series_module.MAX_EXTRACTION_TERMS
+    # at least 64 times the largest use in the tests and the benchmark (n = 64, N = 1024)
+    assert 64 * 1024 * (64 + 1 + 128) <= budget
+    start = time.perf_counter()
+    for n, samples in [(1, 10**9), (2047, None), (0, budget // 128)]:
+        with pytest.raises(ValueError, match="samples"):
+            maclaurin_extraction(parse("exp(p)"), n, rho=1.0, samples=samples)
+    # rejected before the sample points are built
+    assert time.perf_counter() - start < 1.0
+    # samples*(n+1) Fourier terms plus 128 terms' worth per evaluated sample
+    monkeypatch.setattr(series_module, "MAX_EXTRACTION_TERMS", 64 * (2 + 1 + 128))
+    assert math.isclose(maclaurin_extraction(parse("exp(p)"), 2, samples=64).coeffs[2], 0.5, rel_tol=1e-12)
+    with pytest.raises(ValueError, match="samples"):
+        maclaurin_extraction(parse("exp(p)"), 2, samples=65)
 
 
 def test_extraction_rejects_rho_whose_powers_leave_the_double_range():
