@@ -1,3 +1,5 @@
-from .cli import console_main
+import sys
 
-console_main()
+from .cli import main
+
+sys.exit(main())

@@ -7,8 +7,7 @@ produce byte-identical documents.  Text output is human-oriented and not a
 stability contract.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 evaluation
-error, 4 non-real coefficient.  An expression that starts with "-" is given
-as ``--expr=-p``: argparse reads ``--expr -p`` as a missing argument.
+error, 4 non-real coefficient.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .functions import EvaluationOverflowError, commutator_norm, evaluate, has_nonreal_constant
-from .parser import ParseError, format_expr, parse
+from .parser import GRAMMAR, ParseError, format_expr, parse
 from .quaternion import Quaternion, ZeroDivisorError
 from .series import (
     NonRealCoefficientError,
@@ -44,6 +43,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_EVAL_ERROR = 3
 EXIT_NONREAL = 4
+
+# Most points one check or commute samples.
+MAX_GRID = 10_000
 
 _KNOWN_TERM_RULES = {
     "exp(p)": ("inverse factorial", exp_coefficient),
@@ -74,58 +76,36 @@ def _cplx(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
-def _report(subcommand: str, inputs: dict, results: dict) -> dict:
-    return {
-        "tool": "hquat",
-        "version": __version__,
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
-def _emit(args: argparse.Namespace, report: dict, text: str) -> None:
-    out = json.dumps(report, indent=2) + "\n" if args.format == "machine" else text
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# What a subcommand returns: exit code, machine-output inputs and results, text
+Report = tuple[int, dict, dict, str]
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+
+def _cmd_eval(args: argparse.Namespace) -> Report:
     expr = parse(args.expr)
     point = Quaternion(*args.point)
     value = evaluate(expr, point)
     a, b = value.to_cd()
     canonical = format_expr(expr)
-    report = _report(
-        "eval",
-        {"expr": canonical, "point": _quat(point)},
-        {"value": _quat(value), "cd_a": _cplx(a), "cd_b": _cplx(b)},
-    )
-    text = f"{canonical} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
-    _emit(args, report, text)
-    return EXIT_OK
+    inputs = {"expr": canonical, "point": _quat(point)}
+    results = {"value": _quat(value), "cd_a": _cplx(a), "cd_b": _cplx(b)}
+    return EXIT_OK, inputs, results, f"{canonical} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
 
 
-def _grid(args: argparse.Namespace, draw: Callable[[random.Random], object]) -> list:
-    """``--grid`` results of ``draw(rng)``, one RNG seeded with ``--seed``."""
+def _points(args: argparse.Namespace, draw: Callable[[random.Random], tuple]) -> list[tuple]:
+    """``[(--point, None)]``, else ``--grid`` draws from one RNG seeded with ``--seed``."""
+    if args.point is not None:
+        return [(Quaternion(*args.point), None)]
     rng = random.Random(args.seed)
     return [draw(rng) for _ in range(args.grid)]
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> Report:
     expr = parse(args.expr)
-    if args.point is not None:
-        pairs = [(Quaternion(*args.point), None)]
-    else:
-        pairs = _grid(args, lambda rng: (sample_ball(rng, args.radius, y_zero=True), sample_ball(rng, args.radius)))
+    pairs = _points(args, lambda rng: (sample_ball(rng, args.radius, y_zero=True), sample_ball(rng, args.radius)))
     rows = []
     all_pass = True
     for point, aux in pairs:
@@ -145,15 +125,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.point is None:
         inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
     inputs["nonreal_constant"] = has_nonreal_constant(expr)
-    report = _report("check", inputs, {"points": rows, "pass": all_pass})
     lines = [f"holomorphy check of {inputs['expr']} (tol {args.tol:g})"]
     for row in rows:
         mr = " ".join(f"{r:.3e}" for r in row["main_residuals"])
         ar = " ".join(f"{r:.3e}" for r in row["aux_residuals"])
         lines.append(f"  point {row['point']}  main [{mr}]  aux [{ar}]  {'pass' if row['pass'] else 'FAIL'}")
     lines.append("PASS" if all_pass else "FAIL")
-    _emit(args, report, "\n".join(lines) + "\n")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return code, inputs, {"points": rows, "pass": all_pass}, "\n".join(lines) + "\n"
 
 
 def _radius_results(ext) -> dict:
@@ -183,7 +162,7 @@ def _extract(args: argparse.Namespace):
     return ext, inputs, max(ext.nonreal_residues), ext.first_nonreal() is None
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> Report:
     ext, inputs, worst, real = _extract(args)
     canonical = inputs["expr"]
     rule_result = None
@@ -201,7 +180,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
         "radius_estimate": _radius_results(ext),
         "general_term": rule_result,
     }
-    report = _report("series", inputs, results)
     lines = [f"series coefficients of {canonical} (rho {ext.rho:g}, {ext.samples} samples)"]
     for l, (c, res) in enumerate(zip(ext.coeffs, ext.nonreal_residues)):
         lines.append(f"  r[{l:2d}] = {c: .15g}   (nonreal residue {res:.2e})")
@@ -214,62 +192,51 @@ def _cmd_series(args: argparse.Namespace) -> int:
         lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
     if not real:
         lines.append(f"NON-REAL COEFFICIENTS: max residue {worst:.3e}")
-    _emit(args, report, "\n".join(lines) + "\n")
-    return EXIT_OK if real else EXIT_NONREAL
+    return (EXIT_OK if real else EXIT_NONREAL), inputs, results, "\n".join(lines) + "\n"
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
+def _cmd_derive(args: argparse.Namespace) -> Report:
     expr = parse(args.expr)
     point = Quaternion(*args.point)
     res = kth_derivative(expr, point, args.k, step=args.step)
     canonical = format_expr(expr)
-    report = _report(
-        "derive",
-        {"expr": canonical, "point": _quat(point), "k": args.k, "step": args.step},
-        {
-            "value": _quat(res.value),
-            "method": res.method,
-            "truncation_estimate": res.truncation_estimate,
-            "accuracy_warning": res.accuracy_warning,
-        },
-    )
+    inputs = {"expr": canonical, "point": _quat(point), "k": args.k, "step": args.step}
+    results = {
+        "value": _quat(res.value),
+        "method": res.method,
+        "truncation_estimate": res.truncation_estimate,
+        "accuracy_warning": res.accuracy_warning,
+    }
     text = f"derivative order {args.k} of {canonical} at ({point}) = {res.value}\n  method: {res.method}\n"
     if res.accuracy_warning:
         text += f"  warning: estimated truncation error {res.truncation_estimate:.2e} exceeds 1e-4\n"
-    _emit(args, report, text)
-    return EXIT_OK
+    return EXIT_OK, inputs, results, text
 
 
-def _cmd_radius(args: argparse.Namespace) -> int:
+def _cmd_radius(args: argparse.Namespace) -> Report:
     ext, inputs, worst, real = _extract(args)
     results = _radius_results(ext)
     results["max_nonreal_residue"] = worst
-    report = _report("radius", inputs, results)
     if results.get("radius_is_infinite"):
         text = f"radius of {inputs['expr']}: infinite (L estimate {results['L_estimate']:.2e}, monotone decreasing evidence over {results['n_used']} ratios)\n"
     elif results.get("radius") is not None:
         text = f"radius of {inputs['expr']}: {results['radius']:.12g}\n"
     else:
         text = f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"
-    _emit(args, report, text)
-    return EXIT_OK if real else EXIT_NONREAL
+    return (EXIT_OK if real else EXIT_NONREAL), inputs, results, text
 
 
-def _cmd_commute(args: argparse.Namespace) -> int:
+def _cmd_commute(args: argparse.Namespace) -> Report:
     if len(args.expr) != 2:
         raise ValueError(f"commute needs exactly two --expr arguments, got {len(args.expr)}")
     if not 0.0 < args.tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     f = parse(args.expr[0])
     g = parse(args.expr[1])
-    if args.point is not None:
-        points = [Quaternion(*args.point)]
-    else:
-        points = _grid(args, lambda rng: sample_ball(rng, args.radius))
     rows = []
     all_pass = True
     worst = 0.0
-    for point in points:
+    for point, _ in _points(args, lambda rng: (sample_ball(rng, args.radius), None)):
         fv = evaluate(f, point)
         gv = evaluate(g, point)
         residual = commutator_norm(fv, gv)
@@ -286,13 +253,12 @@ def _cmd_commute(args: argparse.Namespace) -> int:
         "radius": args.radius,
         "seed": args.seed,
     }
-    report = _report("commute", inputs, {"points": rows, "max_residual": worst, "pass": all_pass})
     text = (
         f"commutator of {inputs['expr_f']} and {inputs['expr_g']}: max residual {worst:.3e} "
         f"over {len(rows)} points -> {'PASS' if all_pass else 'FAIL'}\n"
     )
-    _emit(args, report, text)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return code, inputs, {"points": rows, "max_residual": worst, "pass": all_pass}, text
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +273,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def grid_size(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_GRID}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hquat",
@@ -314,15 +287,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "expression grammar (EBNF):\n"
-            '  expr   := term (("+"|"-") term)* ;\n'
-            '  term   := factor (("*"|"/") factor)* ;\n'
-            '  factor := unary ("^" uint)? ;\n'
-            '  unary  := "-" unary | atom ;\n'
-            '  atom   := "p" | real | "(" expr ")"\n'
-            '          | ("exp"|"sin"|"cos") "(" expr ")" | ("i"|"j"|"k") ;\n'
-            "  real   := decimal literal with optional fraction and exponent ;\n"
-            "left-associative binary operators, precedence +,- < *,/ < ^ < unary -;\n"
-            'an expression that starts with "-" is given as --expr=-p;\n'
+            + GRAMMAR
+            + "left-associative binary operators, precedence +,- < *,/ < ^ < unary -;\n"
             "exit codes: 0 pass, 1 check failed, 2 usage or parse error,\n"
             "3 evaluation error, 4 non-real coefficient"
         ),
@@ -343,7 +309,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="holomorphy residuals on the y=0 slice plus auxiliary identities")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--grid", type=positive_int, default=20, help="number of sampled point pairs")
+    sp.add_argument("--grid", type=grid_size, default=20, help="number of sampled point pairs")
     sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-6)
@@ -378,7 +344,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("commute", help="commutator residual of two expressions")
     sp.add_argument("--expr", action="append", required=True, help="give twice: f and g")
     sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--grid", type=positive_int, default=20)
+    sp.add_argument("--grid", type=grid_size, default=20)
     sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-9)
@@ -389,10 +355,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # argparse reads the -p of "--expr -p" as a flag, never that of "--expr=-p"
+    given = iter(sys.argv[1:] if argv is None else argv)
+    argv = []
+    for arg in given:
+        value = next(given, None) if arg == "--expr" else None
+        argv.append(arg if value is None else f"--expr={value}")
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, inputs, results, text = args.func(args)
+        if args.format == "machine":
+            report = {"tool": "hquat", "version": __version__, "subcommand": args.subcommand, "inputs": inputs, "results": results}
+            text = json.dumps(report, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ParseError as exc:
         print(f"hquat: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -404,11 +385,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NONREAL
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

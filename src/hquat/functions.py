@@ -97,14 +97,18 @@ class Div(FuncExpr):
     rhs: FuncExpr
 
 
+# Largest integer power exponent: an evaluation multiplies that many times.
+MAX_EXPONENT = 1024
+
+
 @dataclass(frozen=True)
 class IntPow(FuncExpr):
     base: FuncExpr
     exponent: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise ValueError(f"integer power exponent must be >= 0, got {self.exponent!r}")
+        if not isinstance(self.exponent, int) or not 0 <= self.exponent <= MAX_EXPONENT:
+            raise ValueError(f"integer power exponent must be in [0, {MAX_EXPONENT}], got {self.exponent!r}")
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,12 @@
 """Parser and canonical formatter for quaternionic function expressions.
 
-Grammar (EBNF):
-
-    expr   := term (("+"|"-") term)* ;
-    term   := factor (("*"|"/") factor)* ;
-    factor := unary ("^" uint)? ;
-    unary  := "-" unary | atom ;
-    atom   := "p" | real | "(" expr ")"
-            | ("exp"|"sin"|"cos") "(" expr ")" | ("i"|"j"|"k") ;
-    real   := decimal literal with optional fraction and exponent ;
-
-Binary operators associate to the left with the usual precedence
-(+,- < *,/ < ^ < unary -); exponents are non-negative integers only and
-implicit multiplication is not supported ("2p" is an error).  The literals
-i, j, k build quaternion-constant leaves; they are admitted for
-counterexample workflows and mark the tree as carrying a non-real constant.
+The grammar is :data:`GRAMMAR`, in ASCII.  Binary operators associate to the
+left with the usual precedence (+,- < *,/ < ^ < unary -); exponents are
+non-negative integers only and implicit multiplication is not supported
+("2p" is an error).  The literals i, j, k build quaternion-constant leaves;
+they are admitted for counterexample workflows and mark the tree as carrying
+a non-real constant.  :func:`parse` rejects a tree deeper than
+``_DEPTH_LIMIT`` levels, so that the recursive walks over it stay bounded.
 
 A unary minus folds into a real literal ("-2" is the constant -2); applied
 to anything else it desugars to multiplication by -1, since the tree has no
@@ -25,7 +17,7 @@ parentheses such that parsing it reproduces the tree structurally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .functions import (
     HEADS,
@@ -42,10 +34,24 @@ from .functions import (
 )
 from .quaternion import I, J, K
 
+# The grammar in EBNF, as ``hquat --help`` prints it.
+GRAMMAR = """\
+  expr   := term (("+"|"-") term)* ;
+  term   := factor (("*"|"/") factor)* ;
+  factor := unary ("^" uint)? ;
+  unary  := "-" unary | atom ;
+  atom   := "p" | real | "(" expr ")"
+          | ("exp"|"sin"|"cos") "(" expr ")" | ("i"|"j"|"k") ;
+  real   := decimal literal with optional fraction and exponent ;
+"""
+
 _DEPTH_LIMIT = 256
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token per match; any other character is a "bad" one.
+_TOKEN_RE = re.compile(
+    r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)",
+    re.ASCII | re.DOTALL,
+)
 _UINT_RE = re.compile(r"\d+\Z")
 
 _UNIT_CONSTS = {"i": I, "j": J, "k": K}
@@ -61,8 +67,7 @@ class ParseError(ValueError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "name", one of "+-*/^()", or "end"
     text: str
     pos: int
@@ -73,29 +78,13 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            m = _NUMBER_RE.match(src, i)
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _NAME_RE.match(src, i)
-            tokens.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, "a token", f"{ch!r}")
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(m.start(), "a token", f"{text!r}")
+        if kind != "space":
+            tokens.append(_Token(text if kind == "op" else kind, text, m.start()))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
@@ -202,6 +191,15 @@ def parse(src: str) -> FuncExpr:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.pos, "an operator or end of input", tok.describe())
+    # A chain p+p+...+p is built in a loop, out of the recursion bound's sight.
+    # A tree has no more levels than tokens, so only a long text is walked.
+    if len(parser.tokens) > _DEPTH_LIMIT:
+        level, depth = [node], 0
+        while level:
+            depth += 1
+            level = [c for n in level for c in vars(n).values() if isinstance(c, FuncExpr)]
+        if depth > _DEPTH_LIMIT:
+            raise ParseError(tok.pos, f"tree depth <= {_DEPTH_LIMIT}", f"depth {depth}")
     return node
 
 

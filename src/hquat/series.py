@@ -336,7 +336,12 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
     nonzero = ((l, c) for l, c in s.terms(max(len(s.coeffs), _M_TEST_INDICES)) if c != 0.0)
     for i, (l, c) in enumerate(itertools.islice(nonzero, _M_TEST_TERMS)):
         m = majorant(i)
-        if abs(c) * ball_radius**l > m * (1.0 + 1e-12):
+        try:
+            term = abs(c) * ball_radius**l
+        except OverflowError:  # R^l alone leaves the double range; a small |c| may bring it back
+            log_term = math.log(abs(c)) + l * math.log(ball_radius)
+            term = math.exp(log_term) if log_term < 709.0 else math.inf
+        if term > m * (1.0 + 1e-12):
             raise MajorantViolatedError(i)
         ms.append(m)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 from .functions import FuncExpr, evaluate, phi_components
 from .quaternion import I, J, K, ONE, Quaternion
-from .series import maclaurin_coeffs
+from .series import NonRealCoefficientError, maclaurin_coeffs
 
 
 class InvalidPointError(ValueError):
@@ -223,7 +223,12 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
     if k == 0:
         return DerivativeResult(evaluate(f, p), 0, "exact", None, 0.0, False)
     if p.norm_sq() == 0.0:
-        ser = maclaurin_coeffs(f, n=k)
+        try:
+            ser = maclaurin_coeffs(f, n=k)
+        except NonRealCoefficientError:
+            raise
+        except ValueError as exc:  # a limit of the extraction, which knows k as n
+            raise ValueError(f"derivative order {k} is beyond the series route at p = 0: {exc}") from exc
         value = Quaternion.from_real(ser.coeffs[k] * math.factorial(k))
         return DerivativeResult(value, k, "series", None, 0.0, False)
 

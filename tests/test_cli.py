@@ -11,7 +11,9 @@ import pytest
 
 import hquat
 from hquat import Quaternion, format_expr
-from hquat.cli import main, sample_ball
+from hquat.cli import MAX_GRID, main, sample_ball
+from hquat.functions import MAX_EXPONENT
+from hquat.parser import _DEPTH_LIMIT
 from test_parser import _random_tree
 
 
@@ -232,6 +234,8 @@ def test_extraction_beyond_the_work_budget_is_a_usage_error(capsys, argv):
         # below machine epsilon x +- h rounds back to x: the derivative read 0
         ["derive", "--expr", "exp(p)", "--point", "0.3", "0", "0", "0", "--step", "1e-300"],
         ["check", "--expr", "exp(p)", "--point", "0.3", "0", "0.2", "-0.1", "--step", "1e-17"],
+        ["check", "--expr", "exp(p)", "--grid", str(MAX_GRID + 1)],
+        ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--grid", str(MAX_GRID + 1)],
     ],
 )
 def test_out_of_range_step_and_grid_are_usage_errors(capsys, argv):
@@ -384,6 +388,10 @@ def test_rho_whose_powers_leave_the_double_range_is_a_usage_error(capsys, sub, r
         (["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "5"], "k <= 4"),
         (["commute", "--expr", "sin(p)"], "exactly two --expr arguments"),
         (["derive", "--expr", "p", "--point", "0", "0", "0", "0", "--k", "0"], "must be >= 1"),
+        # the extraction's limits spoke of rho and n, which derive has no flags for
+        (["derive", "--expr", "exp(p)", "--point", "0", "0", "0", "0", "--k", "100000"], "derivative order 100000"),
+        (["derive", "--expr", "exp(p)", "--point", "0", "0", "0", "0", "--k", "2000"], "derivative order 2000"),
+        (["eval", "--expr", f"p^{MAX_EXPONENT + 1}", "--point", "0.5", "0", "0", "0"], f"[0, {MAX_EXPONENT}]"),
     ],
 )
 def test_library_errors_end_in_usage_error_with_the_library_message(capsys, argv, message):
@@ -403,6 +411,34 @@ def test_expression_starting_with_minus_is_given_with_equals(capsys):
     assert rep["results"]["value"] == [-1.0, 0.0, 0.0, 0.0]
 
 
+def test_expression_starting_with_minus_follows_expr(capsys):
+    # argparse read "--expr -p" as a missing argument
+    code, rep, _ = run_json(capsys, ["eval", "--expr", "-p", "--point", "1", "0", "0", "0"])
+    assert code == 0 and rep["results"]["value"] == [-1.0, 0.0, 0.0, 0.0]
+    code, rep, _ = run_json(capsys, ["commute", "--expr", "-p", "--expr", "p", "--grid", "2"])
+    assert code == 0 and rep["inputs"]["expr_f"] == "-p"
+    assert "expected one argument" in run_usage_error(capsys, ["eval", "--point", "1", "0", "0", "0", "--expr"])
+
+
+def test_bounds_are_accepted_at_their_limits(capsys):
+    code, rep, _ = run_json(capsys, ["eval", "--expr", f"p^{MAX_EXPONENT}", "--point", "1", "0", "0", "0"])
+    assert code == 0 and rep["results"]["value"] == [1.0, 0.0, 0.0, 0.0]
+    code, rep, _ = run_json(capsys, ["commute", "--expr", "p", "--expr", "2*p", "--grid", str(MAX_GRID)])
+    assert code == 0 and len(rep["results"]["points"]) == MAX_GRID
+
+
+@pytest.mark.parametrize("sub", [["eval"], ["check"]])
+def test_tree_depth_is_bounded(capsys, sub):
+    point = ["--point", "0.3", "0", "0.2", "-0.1"]
+    # a 1000-term chain is built in a loop, out of the parser's recursion
+    # bound, and the recursive walks over it ended in RecursionError
+    code, _, err = run_cli(capsys, sub + ["--expr", "+".join(["p"] * 1000)] + point)
+    assert code == 2 and "tree depth <= 256" in err
+    at_limit = "+".join(["p"] * _DEPTH_LIMIT)  # _DEPTH_LIMIT levels
+    code, rep, _ = run_json(capsys, sub + ["--expr", at_limit] + point)
+    assert code == 0 and rep["inputs"]["expr"] == at_limit
+
+
 _FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-17", "1e300", "0.5", "1", "2"]
 _FUZZ_FLAGS = {
     "eval": {},
@@ -416,11 +452,26 @@ _FUZZ_FLAGS = {
 }
 
 
+def _fuzz_text(rng):
+    """A canonical tree text, or one of the raw texts the grammar must reject."""
+    text = format_expr(_random_tree(rng, 0))
+    pick = rng.random()
+    if pick < 0.1:  # a non-ASCII character spliced in
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(("²", "é", "ｐ", "١", "\u00a0", "\u2212")) + text[at:]
+    if pick < 0.15:  # a left-associative chain of more than 1000 terms
+        return rng.choice("+-*/").join(rng.choice(("p", "2", "j", "(p)")) for _ in range(rng.randint(1001, 1200)))
+    if pick < 0.2:  # an exponent above the bound
+        return f"({text})^{rng.randint(MAX_EXPONENT + 1, 10**12)}"
+    return text
+
+
 def _fuzz_argv(rng, tmp_path):
     sub = rng.choice(sorted(_FUZZ_FLAGS))
     argv = [sub]
     for _ in range(rng.choice((1, 2, 2, 2, 3)) if sub == "commute" else 1):
-        argv.append("--expr=" + format_expr(_random_tree(rng, 0)))
+        text = _fuzz_text(rng)
+        argv += ["--expr", text] if text.startswith("-") else ["--expr=" + text]
     # a point is required for eval/derive, optional for check/commute
     if sub in ("eval", "derive") or (sub in ("check", "commute") and rng.random() < 0.3):
         argv += ["--point", *(rng.choice(_FUZZ_FLOATS if rng.random() < 0.3 else ["0", "0.5", "-0.25"])

@@ -22,6 +22,7 @@ from hquat import (
     has_nonreal_constant,
     parse,
 )
+from hquat.parser import _DEPTH_LIMIT
 
 
 def test_grammar_examples():
@@ -153,6 +154,11 @@ def test_error_positions():
         ("1.5.2", 3),
         ("2 p", 2),
         ("p @ p", 2),
+        # the grammar is ASCII: these ended in AttributeError, and "p+١" read as p+1
+        ("p²", 1),
+        ("é", 0),
+        ("ｐ", 0),
+        ("p+١", 2),
     ]
     for text, pos in cases:
         with pytest.raises(ParseError) as exc:
@@ -173,6 +179,12 @@ def test_depth_limit():
         parse("-" * 300 + "p")
     with pytest.raises(ParseError):
         parse("(" * 200 + "p" + ")" * 200)
+    # a chain has no recursion to bound; its tree's levels are counted
+    assert parse("*".join(["p"] * _DEPTH_LIMIT)) is not None
+    with pytest.raises(ParseError, match=f"depth {_DEPTH_LIMIT + 1} "):
+        parse("*".join(["p"] * (_DEPTH_LIMIT + 1)))
+    with pytest.raises(ParseError):
+        parse("-".join(["exp(p)"] * 3000))
 
 
 def test_rational_and_negative_exponents_rejected():

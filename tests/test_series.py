@@ -183,6 +183,15 @@ def test_m_test_divergent_majorant():
     assert "ratio test" in cert.reason
 
 
+def test_m_test_weighs_terms_whose_radius_power_overflows():
+    # R^l alone leaves the double range: OverflowError escaped
+    with pytest.raises(MajorantViolatedError) as exc:
+        m_test(PowerSeries((), generator=lambda l: 1e-300 if l % 1100 == 0 else 0.0), 2.0, lambda i: 1.0)
+    assert exc.value.index == 1  # 1e-300 * 2^1100 = 1.36e31
+    cert = m_test(PowerSeries((), generator=lambda l: 1e-320 if l == 1030 else 0.0), 2.0, lambda i: 1.0)
+    assert cert.passed  # 1e-320 * 2^1030 = 1.15e-10
+
+
 def test_m_test_ends_when_generator_terms_run_out():
     # the walk over the generator's zero tail never returned
     cert = m_test(PowerSeries((1.0, 0.5), generator=lambda l: 0.0), 0.5, lambda i: 1.0)
