@@ -245,14 +245,9 @@ def _cmd_commute(args: argparse.Namespace) -> Report:
         all_pass = all_pass and ok
         worst = max(worst, residual)
         rows.append({"point": _quat(point), "residual": residual, "pass": ok})
-    inputs = {
-        "expr_f": format_expr(f),
-        "expr_g": format_expr(g),
-        "tol": args.tol,
-        "grid": args.grid,
-        "radius": args.radius,
-        "seed": args.seed,
-    }
+    inputs = {"expr_f": format_expr(f), "expr_g": format_expr(g), "tol": args.tol}
+    if args.point is None:
+        inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
     text = (
         f"commutator of {inputs['expr_f']} and {inputs['expr_g']}: max residual {worst:.3e} "
         f"over {len(rows)} points -> {'PASS' if all_pass else 'FAIL'}\n"

@@ -12,15 +12,25 @@ with r^2 = -1): f(x + V*r) is the complex value f(x + V*i) with i replaced
 by r.  In particular exp(p) = e^x * (cos V + r sin V), and sin/cos follow
 from the exponential the same way as over the complex numbers.
 
-There is one evaluator.  It walks the tree on raw doubling pairs (a, b) of
-complex numbers, the value a + b*j: + and - act componentwise, * and / use
-:func:`hquat.quaternion.cd_mul` and :func:`hquat.quaternion.cd_inverse`, and
-the heads apply the lift above to the pair.  Every node checks its pair for
-finiteness (every product of an integer power, too) and raises
-EvaluationOverflowError on inf or nan; a check on the final value alone
-would miss an overflow that a later node hides, e.g. exp(-inf) = 0.  Only
-:func:`evaluate` builds a :class:`~hquat.quaternion.Quaternion`, from the
-final pair, and :func:`phi_components` is that value in doubling form.
+There is one evaluator.  It compiles each tree once into nested closures
+on raw doubling pairs (a, b) of complex numbers, the value a + b*j: + and -
+act componentwise, * and / use :func:`hquat.quaternion.cd_mul` and
+:func:`hquat.quaternion.cd_inverse`, and the heads apply the lift above to
+the pair.  The compiled function is cached on the root node object as the
+attribute ``_compiled``, not by value, since the frozen-dataclass hash walks
+the whole tree; it is not a dataclass field, so ``==``, ``hash`` and
+``repr`` ignore it, and :meth:`FuncExpr.__getstate__` leaves it out of
+pickles and copies.  Every node checks its pair for finiteness (every
+product of an integer power, too) and raises EvaluationOverflowError on inf
+or nan; a check on the final value alone would miss an overflow that a
+later node hides, e.g. exp(-inf) = 0.  Only :func:`evaluate` builds a
+:class:`~hquat.quaternion.Quaternion`, from the final pair;
+:func:`phi_components` is the same pair as a :class:`ComplexPair`.
+
+A tree deeper than :data:`MAX_DEPTH` levels is rejected with ValueError by
+every recursive walk over it (compiling, :func:`has_nonreal_constant`,
+:func:`hquat.parser.format_expr`), which count levels through
+:func:`descend`; :func:`hquat.parser.parse` applies the same bound.
 """
 
 from __future__ import annotations
@@ -46,6 +56,12 @@ class FuncExpr:
     """Base class for nodes of a quaternionic function expression."""
 
     __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        # the compiled function is a cache of this object; closures do not pickle
+        state = dict(vars(self))
+        state.pop("_compiled", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,19 @@ class Div(FuncExpr):
 
 # Largest integer power exponent: an evaluation multiplies that many times.
 MAX_EXPONENT = 1024
+# Deepest tree, in levels (a lone leaf has one), that a recursive walk accepts.
+MAX_DEPTH = 256
+
+
+def descend(depth: int) -> int:
+    """The level below ``depth``; ValueError when it would pass MAX_DEPTH.
+
+    Each recursive walk over a tree steps down through this, so its
+    recursion stays bounded whether the tree was parsed or built in code.
+    """
+    if depth >= MAX_DEPTH:
+        raise ValueError(f"tree depth exceeds {MAX_DEPTH} levels")
+    return depth + 1
 
 
 @dataclass(frozen=True)
@@ -141,15 +170,20 @@ HEADS: dict[type[FuncExpr], Head] = {
 
 def has_nonreal_constant(expr: FuncExpr) -> bool:
     """True when the tree contains a quaternion constant with i/j/k parts."""
+    return _nonreal(expr, 0)
+
+
+def _nonreal(expr: FuncExpr, depth: int) -> bool:
+    depth = descend(depth)
     if isinstance(expr, QuatConst):
         q = expr.value
         return q.y != 0.0 or q.z != 0.0 or q.u != 0.0
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        return has_nonreal_constant(expr.lhs) or has_nonreal_constant(expr.rhs)
+        return _nonreal(expr.lhs, depth) or _nonreal(expr.rhs, depth)
     if isinstance(expr, IntPow):
-        return has_nonreal_constant(expr.base)
+        return _nonreal(expr.base, depth)
     if type(expr) in HEADS:
-        return has_nonreal_constant(expr.arg)
+        return _nonreal(expr.arg, depth)
     return False
 
 
@@ -196,11 +230,24 @@ def _lift(fn, q: Pair) -> Pair:
 def evaluate(expr: FuncExpr, p: Quaternion) -> Quaternion:
     """Evaluate the function tree at the quaternion point p.
 
-    Raises ZeroDivisorError for division by a numerically zero value and
-    EvaluationOverflowError when intermediates leave the double range.
+    Raises ZeroDivisorError for division by a numerically zero value,
+    EvaluationOverflowError when intermediates leave the double range, and
+    ValueError for a tree deeper than MAX_DEPTH levels.
     """
+    return Quaternion.from_cd(*_run(expr, p.to_cd()))
+
+
+def _run(expr: FuncExpr, p: Pair) -> Pair:
+    """Value of expr at the pair p by its compiled function, which the first
+    call builds and caches; an OverflowError raised inside it becomes an
+    EvaluationOverflowError."""
     try:
-        return Quaternion.from_cd(*_eval(expr, p.to_cd()))
+        fn = expr._compiled
+    except AttributeError:
+        fn = _compile(expr, 0)
+        object.__setattr__(expr, "_compiled", fn)
+    try:
+        return fn(p)
     except OverflowError as exc:
         raise EvaluationOverflowError(str(exc)) from exc
 
@@ -216,32 +263,49 @@ def _finite(q: Pair) -> Pair:
 _ONE: Pair = (1 + 0j, 0j)
 
 
-def _eval(expr: FuncExpr, p: Pair) -> Pair:
+def _compile(expr: FuncExpr, depth: int) -> Callable[[Pair], Pair]:
+    """The function p -> value of expr at p, as closures over the compiled
+    children; they evaluate lhs before rhs and check every node's pair."""
+    depth = descend(depth)
     if isinstance(expr, Var):
-        return p
-    if isinstance(expr, RealConst):
-        return complex(expr.value, 0.0), 0j
-    if isinstance(expr, QuatConst):
-        return expr.value.to_cd()
-    if isinstance(expr, Add):
-        (a1, b1), (a2, b2) = _eval(expr.lhs, p), _eval(expr.rhs, p)
-        return _finite((a1 + a2, b1 + b2))
-    if isinstance(expr, Sub):
-        (a1, b1), (a2, b2) = _eval(expr.lhs, p), _eval(expr.rhs, p)
-        return _finite((a1 - a2, b1 - b2))
-    if isinstance(expr, Mul):
-        return _finite(cd_mul(_eval(expr.lhs, p), _eval(expr.rhs, p)))
-    if isinstance(expr, Div):
-        return _finite(cd_mul(_eval(expr.lhs, p), cd_inverse(_eval(expr.rhs, p))))
+        return lambda p: p
+    if isinstance(expr, (RealConst, QuatConst)):
+        value = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
+        return lambda p: value
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        lhs, rhs = _compile(expr.lhs, depth), _compile(expr.rhs, depth)
+        if isinstance(expr, Add):
+
+            def add(p: Pair) -> Pair:
+                (a1, b1), (a2, b2) = lhs(p), rhs(p)
+                return _finite((a1 + a2, b1 + b2))
+
+            return add
+        if isinstance(expr, Sub):
+
+            def sub(p: Pair) -> Pair:
+                (a1, b1), (a2, b2) = lhs(p), rhs(p)
+                return _finite((a1 - a2, b1 - b2))
+
+            return sub
+        if isinstance(expr, Mul):
+            return lambda p: _finite(cd_mul(lhs(p), rhs(p)))
+        return lambda p: _finite(cd_mul(lhs(p), cd_inverse(rhs(p))))
     if isinstance(expr, IntPow):
-        base = _eval(expr.base, p)
-        out = _ONE
-        for _ in range(expr.exponent):
-            out = _finite(cd_mul(out, base))
-        return out
+        base, exponent = _compile(expr.base, depth), expr.exponent
+
+        def power(p: Pair) -> Pair:
+            b = base(p)
+            out = _ONE
+            for _ in range(exponent):
+                out = _finite(cd_mul(out, b))
+            return out
+
+        return power
     head = HEADS.get(type(expr))
     if head is not None:
-        return _finite(_lift(head.fn, _eval(expr.arg, p)))
+        arg, fn = _compile(expr.arg, depth), head.fn
+        return lambda p: _finite(_lift(fn, arg(p)))
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -259,7 +323,7 @@ class ComplexPair(NamedTuple):
 
 def phi_components(expr: FuncExpr, p: Quaternion) -> ComplexPair:
     """Doubling components of the function value at p."""
-    return ComplexPair(*evaluate(expr, p).to_cd())
+    return ComplexPair(*_run(expr, p.to_cd()))
 
 
 def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:

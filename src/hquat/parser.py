@@ -6,7 +6,9 @@ non-negative integers only and implicit multiplication is not supported
 ("2p" is an error).  The literals i, j, k build quaternion-constant leaves;
 they are admitted for counterexample workflows and mark the tree as carrying
 a non-real constant.  :func:`parse` rejects a tree deeper than
-``_DEPTH_LIMIT`` levels, so that the recursive walks over it stay bounded.
+:data:`hquat.functions.MAX_DEPTH` levels with a ParseError, and
+:func:`format_expr` rejects one built in code with ValueError, so that the
+recursive walks over it stay bounded.
 
 A unary minus folds into a real literal ("-2" is the constant -2); applied
 to anything else it desugars to multiplication by -1, since the tree has no
@@ -21,6 +23,7 @@ from typing import NamedTuple
 
 from .functions import (
     HEADS,
+    MAX_DEPTH,
     Add,
     Div,
     FuncExpr,
@@ -31,6 +34,7 @@ from .functions import (
     RealConst,
     Sub,
     Var,
+    descend,
 )
 from .quaternion import I, J, K
 
@@ -44,8 +48,6 @@ GRAMMAR = """\
           | ("exp"|"sin"|"cos") "(" expr ")" | ("i"|"j"|"k") ;
   real   := decimal literal with optional fraction and exponent ;
 """
-
-_DEPTH_LIMIT = 256
 
 # One token per match; any other character is a "bad" one.
 _TOKEN_RE = re.compile(
@@ -110,8 +112,8 @@ class _Parser:
 
     def _enter(self) -> None:
         self.depth += 1
-        if self.depth > _DEPTH_LIMIT:
-            raise ParseError(self.peek().pos, f"nesting depth <= {_DEPTH_LIMIT}", "deeper nesting")
+        if self.depth > MAX_DEPTH:
+            raise ParseError(self.peek().pos, f"nesting depth <= {MAX_DEPTH}", "deeper nesting")
 
     def expr(self) -> FuncExpr:
         self._enter()
@@ -193,13 +195,13 @@ def parse(src: str) -> FuncExpr:
         raise ParseError(tok.pos, "an operator or end of input", tok.describe())
     # A chain p+p+...+p is built in a loop, out of the recursion bound's sight.
     # A tree has no more levels than tokens, so only a long text is walked.
-    if len(parser.tokens) > _DEPTH_LIMIT:
+    if len(parser.tokens) > MAX_DEPTH:
         level, depth = [node], 0
         while level:
             depth += 1
             level = [c for n in level for c in vars(n).values() if isinstance(c, FuncExpr)]
-        if depth > _DEPTH_LIMIT:
-            raise ParseError(tok.pos, f"tree depth <= {_DEPTH_LIMIT}", f"depth {depth}")
+        if depth > MAX_DEPTH:
+            raise ParseError(tok.pos, f"tree depth <= {MAX_DEPTH}", f"depth {depth}")
     return node
 
 
@@ -235,14 +237,15 @@ def _level(expr: FuncExpr) -> int:
     return _LEVEL_ATOM
 
 
-def _render(expr: FuncExpr, min_level: int) -> str:
-    s = _render_raw(expr)
+def _render(expr: FuncExpr, min_level: int, depth: int) -> str:
+    s = _render_raw(expr, depth)
     if _level(expr) < min_level:
         return f"({s})"
     return s
 
 
-def _render_raw(expr: FuncExpr) -> str:
+def _render_raw(expr: FuncExpr, depth: int) -> str:
+    depth = descend(depth)
     if isinstance(expr, Var):
         return "p"
     if isinstance(expr, RealConst):
@@ -253,23 +256,23 @@ def _render_raw(expr: FuncExpr) -> str:
                 return name
         raise ValueError(f"quaternion constant {expr.value} is not expressible (only i, j, k are)")
     if _is_neg_sugar(expr):
-        return "-" + _render(expr.rhs, _LEVEL_NEG)
+        return "-" + _render(expr.rhs, _LEVEL_NEG, depth)
     if isinstance(expr, Add):
-        return f"{_render(expr.lhs, _LEVEL_ADD)}+{_render(expr.rhs, _LEVEL_ADD + 1)}"
+        return f"{_render(expr.lhs, _LEVEL_ADD, depth)}+{_render(expr.rhs, _LEVEL_ADD + 1, depth)}"
     if isinstance(expr, Sub):
-        return f"{_render(expr.lhs, _LEVEL_ADD)}-{_render(expr.rhs, _LEVEL_ADD + 1)}"
+        return f"{_render(expr.lhs, _LEVEL_ADD, depth)}-{_render(expr.rhs, _LEVEL_ADD + 1, depth)}"
     if isinstance(expr, Mul):
-        return f"{_render(expr.lhs, _LEVEL_MUL)}*{_render(expr.rhs, _LEVEL_MUL + 1)}"
+        return f"{_render(expr.lhs, _LEVEL_MUL, depth)}*{_render(expr.rhs, _LEVEL_MUL + 1, depth)}"
     if isinstance(expr, Div):
-        return f"{_render(expr.lhs, _LEVEL_MUL)}/{_render(expr.rhs, _LEVEL_MUL + 1)}"
+        return f"{_render(expr.lhs, _LEVEL_MUL, depth)}/{_render(expr.rhs, _LEVEL_MUL + 1, depth)}"
     if isinstance(expr, IntPow):
-        return f"{_render(expr.base, _LEVEL_NEG)}^{expr.exponent}"
+        return f"{_render(expr.base, _LEVEL_NEG, depth)}^{expr.exponent}"
     head = HEADS.get(type(expr))
     if head is not None:
-        return f"{head.text}({_render_raw(expr.arg)})"
+        return f"{head.text}({_render_raw(expr.arg, depth)})"
     raise TypeError(f"cannot format node {expr!r}")
 
 
 def format_expr(expr: FuncExpr) -> str:
     """Canonical text form; parse(format_expr(t)) is structurally t."""
-    return _render_raw(expr)
+    return _render_raw(expr, 0)

@@ -71,8 +71,9 @@ def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
     h = step * max(1.0, p.norm())
     d = []
     for e in (ONE, I, J, K):
-        hi = phi_components(f, p + e * h)
-        lo = phi_components(f, p - e * h)
+        # the sums of p + e*h and p - e*h, each point built once
+        hi = phi_components(f, Quaternion(p.x + e.x * h, p.y + e.y * h, p.z + e.z * h, p.u + e.u * h))
+        lo = phi_components(f, Quaternion(p.x - e.x * h, p.y - e.y * h, p.z - e.z * h, p.u - e.u * h))
         d.append(((hi.phi1 - lo.phi1) / (2.0 * h), (hi.phi2 - lo.phi2) / (2.0 * h)))
     (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = d
     return PartialsTable(

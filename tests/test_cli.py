@@ -12,8 +12,7 @@ import pytest
 import hquat
 from hquat import Quaternion, format_expr
 from hquat.cli import MAX_GRID, main, sample_ball
-from hquat.functions import MAX_EXPONENT
-from hquat.parser import _DEPTH_LIMIT
+from hquat.functions import MAX_DEPTH, MAX_EXPONENT
 from test_parser import _random_tree
 
 
@@ -279,6 +278,14 @@ def test_check_inputs_name_only_inputs_used(capsys):
     assert list(rep["inputs"]) == ["expr", "tol", "step", *sampled, "nonreal_constant"]
 
 
+def test_commute_inputs_name_only_inputs_used(capsys):
+    exprs = ["--expr", "p", "--expr", "2*p"]
+    _, rep, _ = run_json(capsys, ["commute", *exprs, "--point", "1", "0", "0", "0"])
+    assert list(rep["inputs"]) == ["expr_f", "expr_g", "tol"]
+    _, rep, _ = run_json(capsys, ["commute", *exprs, "--grid", "2"])
+    assert list(rep["inputs"]) == ["expr_f", "expr_g", "tol", "grid", "radius", "seed"]
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, ["eval", "--expr", "2p", "--point", "0", "0", "0", "0"])
     assert code == 2
@@ -434,7 +441,7 @@ def test_tree_depth_is_bounded(capsys, sub):
     # bound, and the recursive walks over it ended in RecursionError
     code, _, err = run_cli(capsys, sub + ["--expr", "+".join(["p"] * 1000)] + point)
     assert code == 2 and "tree depth <= 256" in err
-    at_limit = "+".join(["p"] * _DEPTH_LIMIT)  # _DEPTH_LIMIT levels
+    at_limit = "+".join(["p"] * MAX_DEPTH)  # MAX_DEPTH levels
     code, rep, _ = run_json(capsys, sub + ["--expr", at_limit] + point)
     assert code == 0 and rep["inputs"]["expr"] == at_limit
 

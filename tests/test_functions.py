@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 from typing import NamedTuple
 
@@ -11,6 +13,7 @@ from hquat import (
     Div,
     EvaluationOverflowError,
     Exp,
+    FuncExpr,
     I,
     J,
     K,
@@ -35,7 +38,8 @@ from hquat import (
     phi_components,
     product_cd,
 )
-from hquat.functions import HEADS, ComplexPair
+from hquat import functions
+from hquat.functions import HEADS, MAX_DEPTH, ComplexPair
 from test_parser import _random_tree
 
 
@@ -239,6 +243,78 @@ def test_pair_kernel_matches_reference_walk():
             got = _outcome(evaluate, tree, p)
             # repr is bitwise on the components, sign of zero included
             assert repr(got) == repr(want), (tree, p)
+
+
+def _node_count(expr):
+    return 1 + sum(_node_count(c) for c in vars(expr).values() if isinstance(c, FuncExpr))
+
+
+def test_tree_is_compiled_once(monkeypatch):
+    compiled = []
+    original = functions._compile
+
+    def counted(expr, depth):
+        compiled.append(expr)
+        return original(expr, depth)
+
+    # the compile step recurses through the module global, so every node counts
+    monkeypatch.setattr(functions, "_compile", counted)
+    tree = parse("sin(p)*cos(p)+p^3/(1+p)")
+    rng = random.Random(24)
+    values = []
+    for _ in range(50):
+        p = random_quat(rng)
+        values.append((evaluate(tree, p), phi_components(tree, p)))
+    assert len(compiled) == _node_count(tree)
+    assert all(repr(ComplexPair(*v.to_cd())) == repr(phi) for v, phi in values)
+
+
+def test_equal_trees_evaluate_alike_and_keep_eq_hash_repr():
+    rng = random.Random(25)
+    for _ in range(200):
+        tree = _random_tree(rng, 0)
+        twin = copy.deepcopy(tree)
+        assert twin == tree and twin is not tree
+        before = (hash(tree), repr(tree))
+        for span in (0.5, 3.0):
+            p = random_quat(rng, span)
+            assert repr(_outcome(evaluate, tree, p)) == repr(_outcome(evaluate, twin, p)), (tree, p)
+        # the cached compiled function is no field: eq, hash and repr ignore it
+        assert twin == tree and (hash(tree), repr(tree)) == before
+
+
+def test_evaluated_tree_pickles_and_copies_without_its_compiled_function():
+    rng = random.Random(26)
+    for _ in range(100):
+        tree = _random_tree(rng, 0)
+        p = random_quat(rng)
+        want = _outcome(evaluate, tree, p)
+        for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+            assert clone == tree and "_compiled" not in vars(clone)
+            assert repr(_outcome(evaluate, clone, p)) == repr(want), (tree, p)
+
+
+def _chain(levels):
+    """p+p+...+p built in code: ``levels`` levels, the leftmost p the deepest."""
+    tree = P
+    for _ in range(levels - 1):
+        tree = Add(tree, P)
+    return tree
+
+
+def test_depth_of_trees_built_in_code_is_bounded():
+    walks = (lambda t: evaluate(t, ONE), lambda t: phi_components(t, ONE), format_expr, has_nonreal_constant)
+    for levels in (2000, MAX_DEPTH + 1):
+        deep = _chain(levels)
+        for walk in walks:
+            # a RecursionError before the bound was added
+            with pytest.raises(ValueError, match=f"tree depth exceeds {MAX_DEPTH} levels"):
+                walk(deep)
+    at_limit = _chain(MAX_DEPTH)
+    assert evaluate(at_limit, ONE) == Quaternion.from_real(MAX_DEPTH)
+    assert phi_components(at_limit, ONE) == ComplexPair(MAX_DEPTH + 0j, 0j)
+    assert parse(format_expr(at_limit)) == at_limit
+    assert not has_nonreal_constant(at_limit)
 
 
 @pytest.mark.parametrize("text, node, fn", [("exp", Exp, cmath.exp), ("sin", Sin, cmath.sin), ("cos", Cos, cmath.cos)])

@@ -22,7 +22,7 @@ from hquat import (
     has_nonreal_constant,
     parse,
 )
-from hquat.parser import _DEPTH_LIMIT
+from hquat.functions import MAX_DEPTH
 
 
 def test_grammar_examples():
@@ -180,9 +180,9 @@ def test_depth_limit():
     with pytest.raises(ParseError):
         parse("(" * 200 + "p" + ")" * 200)
     # a chain has no recursion to bound; its tree's levels are counted
-    assert parse("*".join(["p"] * _DEPTH_LIMIT)) is not None
-    with pytest.raises(ParseError, match=f"depth {_DEPTH_LIMIT + 1} "):
-        parse("*".join(["p"] * (_DEPTH_LIMIT + 1)))
+    assert parse("*".join(["p"] * MAX_DEPTH)) is not None
+    with pytest.raises(ParseError, match=f"depth {MAX_DEPTH + 1} "):
+        parse("*".join(["p"] * (MAX_DEPTH + 1)))
     with pytest.raises(ParseError):
         parse("-".join(["exp(p)"] * 3000))
 

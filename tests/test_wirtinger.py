@@ -5,8 +5,11 @@ import pytest
 
 from hquat import (
     Add,
+    I,
     IntPow,
+    K,
     Mul,
+    ONE,
     P,
     QuatConst,
     Quaternion,
@@ -21,7 +24,7 @@ from hquat import (
     parse,
     partials,
 )
-from hquat import wirtinger
+from hquat import functions, wirtinger
 from hquat.wirtinger import InvalidPointError
 from test_parser import _random_tree
 
@@ -118,6 +121,21 @@ def test_smallest_step_still_moves_every_component():
         t = partials(P, p, step=eps)
         assert t.dphi1_da + t.dphi1_dabar != 0.0 and t.dphi1_dabar - t.dphi1_da != 0.0
         assert t.dphi2_db + t.dphi2_dbbar != 0.0 and t.dphi2_dbbar - t.dphi2_db != 0.0
+
+
+def test_stepped_points_are_the_quaternion_sums_bitwise(monkeypatch):
+    # partials builds p +- e*h in one construction; the components must be
+    # the very sums of Quaternion arithmetic, sign of zero included
+    seen = _count_calls(monkeypatch, "phi_components")
+    rng = random.Random(33)
+    for _ in range(300):
+        p = Quaternion(*[rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0), -rng.uniform(0, 1e-300))) for _ in range(4)])
+        step = rng.choice((1e-5, 2.220446049250313e-16, 0.5))
+        seen.clear()
+        t = partials(P, p, step)
+        h = t.step
+        want = [q for e in (ONE, I, J, K) for q in (p + e * h, p - e * h)]
+        assert [repr(q) for _, q in seen] == [repr(q) for q in want], p
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +337,15 @@ def test_derivatives_reject_bad_step(step):
                 kth_derivative(P, p, k, step=step)
 
 
-def _count_calls(monkeypatch, name):
-    original = getattr(wirtinger, name)
+def _count_calls(monkeypatch, name, module=wirtinger):
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(wirtinger, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -345,8 +363,10 @@ def test_evaluation_counts(monkeypatch):
         assert (len(evals), len(phis)) == (2**k, 0)
 
     evals.clear()
+    # phi_components runs the compiled tree itself, not functions.evaluate
+    inner_evals = _count_calls(monkeypatch, "evaluate", functions)
     check_holomorphy(tree, Quaternion(0.3, 0.0, 0.2, -0.1))
-    assert (len(evals), len(phis)) == (0, 16)
+    assert (len(evals), len(phis), len(inner_evals)) == (0, 16, 0)
 
 
 def test_full_derivative_is_the_wirtinger_sum_on_random_trees():
