@@ -6,6 +6,11 @@ output format is a single JSON document with fixed field order
 produce byte-identical documents.  Text output is human-oriented and not a
 stability contract.
 
+:func:`main` builds its parser anew on every call, with arguments only for
+the subcommand its first argument names (for all six when it names none,
+as with ``--help`` or ``--version``); help, usage and error text do not
+depend on which arguments were built.
+
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 evaluation
 error, 4 non-real coefficient.
 """
@@ -275,7 +280,71 @@ def grid_size(text: str) -> int:
     return value
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def _eval_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--expr", required=True)
+    sp.add_argument("--point", nargs=4, type=float, required=True, metavar=("X", "Y", "Z", "U"))
+
+
+def _sampling_args(sp: argparse.ArgumentParser, grid_help: str | None) -> None:
+    """``--point``, or a ``--grid`` drawn from the ``--radius`` ball with ``--seed``."""
+    sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
+    sp.add_argument("--grid", type=grid_size, default=20, help=grid_help)
+    sp.add_argument("--radius", type=float, default=2.0)
+    sp.add_argument("--seed", type=int, default=0)
+
+
+def _check_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--expr", required=True)
+    _sampling_args(sp, "number of sampled point pairs")
+    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--step", type=float, default=1e-5)
+
+
+def _extraction_args(sp: argparse.ArgumentParser, n: int, n_help: str | None) -> None:
+    sp.add_argument("--expr", required=True)
+    sp.add_argument("--n", type=int, default=n, help=n_help)
+    sp.add_argument("--rho", type=float, default=0.8)
+    sp.add_argument("--samples", type=int, default=None)
+
+
+def _series_args(sp: argparse.ArgumentParser) -> None:
+    _extraction_args(sp, 8, "highest coefficient index")
+
+
+def _derive_args(sp: argparse.ArgumentParser) -> None:
+    _eval_args(sp)
+    sp.add_argument("--k", type=positive_int, default=1)
+    sp.add_argument("--step", type=float, default=1e-5)
+
+
+def _radius_args(sp: argparse.ArgumentParser) -> None:
+    _extraction_args(sp, 24, None)
+
+
+def _commute_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--expr", action="append", required=True, help="give twice: f and g")
+    _sampling_args(sp, None)
+    sp.add_argument("--tol", type=float, default=1e-9)
+
+
+# name -> (help, adds the subcommand's own arguments, handler)
+SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable[[argparse.Namespace], Report]]] = {
+    "eval": ("evaluate an expression at a point", _eval_args, _cmd_eval),
+    "check": ("holomorphy residuals on the y=0 slice plus auxiliary identities", _check_args, _cmd_check),
+    "series": ("Maclaurin coefficients by circle sampling", _series_args, _cmd_series),
+    "derive": ("k-th full quaternionic derivative", _derive_args, _cmd_derive),
+    "radius": ("ratio-test radius of the extracted series", _radius_args, _cmd_radius),
+    "commute": ("commutator residual of two expressions", _commute_args, _cmd_commute),
+}
+
+
+def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The hquat parser, with arguments only for ``command`` when it names a
+    subcommand and for every subcommand otherwise.
+
+    All subcommands are registered either way, so the main usage line, the
+    main help and argparse's invalid-choice error name each of them.
+    """
     parser = argparse.ArgumentParser(
         prog="hquat",
         description="Quaternionic holomorphic function toolkit",
@@ -290,62 +359,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hquat {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--format", choices=("text", "machine"), default="text")
-        sp.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
-
-    sp = sub.add_parser("eval", help="evaluate an expression at a point")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--point", nargs=4, type=float, required=True, metavar=("X", "Y", "Z", "U"))
-    common(sp)
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("check", help="holomorphy residuals on the y=0 slice plus auxiliary identities")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--grid", type=grid_size, default=20, help="number of sampled point pairs")
-    sp.add_argument("--radius", type=float, default=2.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--step", type=float, default=1e-5)
-    common(sp)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("series", help="Maclaurin coefficients by circle sampling")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--n", type=int, default=8, help="highest coefficient index")
-    sp.add_argument("--rho", type=float, default=0.8)
-    sp.add_argument("--samples", type=int, default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_series)
-
-    sp = sub.add_parser("derive", help="k-th full quaternionic derivative")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--point", nargs=4, type=float, required=True, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--k", type=positive_int, default=1)
-    sp.add_argument("--step", type=float, default=1e-5)
-    common(sp)
-    sp.set_defaults(func=_cmd_derive)
-
-    sp = sub.add_parser("radius", help="ratio-test radius of the extracted series")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--n", type=int, default=24)
-    sp.add_argument("--rho", type=float, default=0.8)
-    sp.add_argument("--samples", type=int, default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_radius)
-
-    sp = sub.add_parser("commute", help="commutator residual of two expressions")
-    sp.add_argument("--expr", action="append", required=True, help="give twice: f and g")
-    sp.add_argument("--point", nargs=4, type=float, default=None, metavar=("X", "Y", "Z", "U"))
-    sp.add_argument("--grid", type=grid_size, default=20)
-    sp.add_argument("--radius", type=float, default=2.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    common(sp)
-    sp.set_defaults(func=_cmd_commute)
-
+    for name, (help_text, add_arguments, handler) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if command == name or command not in SUBCOMMANDS:
+            add_arguments(sp)
+            sp.add_argument("--format", choices=("text", "machine"), default="text")
+            sp.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
+            sp.set_defaults(func=handler)
     return parser
 
 
@@ -356,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for arg in given:
         value = next(given, None) if arg == "--expr" else None
         argv.append(arg if value is None else f"--expr={value}")
-    parser = build_arg_parser()
+    parser = build_arg_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         code, inputs, results, text = args.func(args)

@@ -54,11 +54,18 @@ def cd_inverse(p: Pair) -> Pair:
 
     Raises ZeroDivisorError when the squared norm falls below INVERSE_EPS
     scaled by the largest component magnitude (guards 0/0, not accuracy).
+    When |p|**2 overflows (|p| above about 1.3e154), p/scale is inverted
+    instead and the result divided by scale, the largest component
+    magnitude, so the inverse is not flushed to zero.
     """
     a, b = p
     x, y, z, u = a.real, a.imag, b.real, b.imag
     n2 = x * x + y * y + z * z + u * u
     scale = max(abs(x), abs(y), abs(z), abs(u), 1.0)
+    if n2 == math.inf:
+        x, y, z, u = x / scale, y / scale, z / scale, u / scale
+        n2 = x * x + y * y + z * z + u * u  # in [1, 4]
+        return complex(x / n2 / scale, -y / n2 / scale), complex(-z / n2 / scale, -u / n2 / scale)
     if n2 <= INVERSE_EPS * scale:
         raise ZeroDivisorError(f"quaternion too close to zero to invert: |p|^2 = {n2!r}")
     return complex(x / n2, -y / n2), complex(-z / n2, -u / n2)
@@ -112,7 +119,11 @@ class Quaternion:
         return self.x * self.x + self.y * self.y + self.z * self.z + self.u * self.u
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        """|p|; math.hypot where norm_sq overflows (|p| above about 1.3e154)."""
+        n2 = self.norm_sq()
+        if n2 == math.inf:
+            return math.hypot(self.x, self.y, self.z, self.u)
+        return math.sqrt(n2)
 
     __abs__ = norm
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import hquat
-from hquat import Quaternion, format_expr
-from hquat.cli import MAX_GRID, main, sample_ball
+from hquat import Quaternion, cli, format_expr
+from hquat.cli import MAX_GRID, SUBCOMMANDS, main, sample_ball
 from hquat.functions import MAX_DEPTH, MAX_EXPONENT
 from test_parser import _random_tree
 
@@ -278,6 +279,23 @@ def test_check_inputs_name_only_inputs_used(capsys):
     assert list(rep["inputs"]) == ["expr", "tol", "step", *sampled, "nonreal_constant"]
 
 
+def test_commute_past_the_square_overflow_is_judged(capsys):
+    # |f(p)|^2 overflowed above |f(p)| ~ 1.3e154: the residual read inf and
+    # passed its infinite limit, although p and j*p do not commute
+    code, rep, _ = run_json(capsys, ["commute", "--expr", "p*1e200", "--expr", "j*p", "--grid", "2", "--radius", "1.5"])
+    assert code == 1 and not rep["results"]["pass"]
+    assert 1e200 < rep["results"]["max_residual"] < math.inf
+    code, rep, _ = run_json(capsys, ["commute", "--expr", "p*1e200", "--expr", "p", "--grid", "2", "--radius", "1.5"])
+    assert code == 0 and rep["results"]["pass"]
+    assert rep["results"]["max_residual"] < math.inf
+
+
+def test_eval_inverse_past_the_square_overflow(capsys):
+    # |p|^2 = inf made the inverse of p a silent 0
+    code, rep, _ = run_json(capsys, ["eval", "--expr", "1/p", "--point", "1e155", "0", "0", "0"])
+    assert code == 0 and rep["results"]["value"] == [1e-155, 0.0, 0.0, 0.0]
+
+
 def test_commute_inputs_name_only_inputs_used(capsys):
     exprs = ["--expr", "p", "--expr", "2*p"]
     _, rep, _ = run_json(capsys, ["commute", *exprs, "--point", "1", "0", "0", "0"])
@@ -506,3 +524,64 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(tmp_path, capsys):
             code = repr(exc)
         capsys.readouterr()
         assert code in (0, 1, 2, 3, 4), (argv, code)
+
+
+def _exit(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return f"SystemExit({exc.code})"
+
+
+# help, bare, dangling --expr and unknown option for each subcommand, one
+# library ValueError (reported through the main parser's usage) for each,
+# and the argv that name no subcommand
+_PARSER_PROBES = [[name, *tail] for name in SUBCOMMANDS for tail in (["-h"], [], ["--expr"], ["--bogus"])] + [
+    ["eval", "--expr", "p", "--point", "nan", "0", "0", "0"],
+    ["check", "--expr", "exp(p)", "--radius", "nan"],
+    ["series", "--expr", "p", "--rho", "nan"],
+    ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "5"],
+    ["radius", "--expr", "p", "--rho", "nan"],
+    ["commute", "--expr", "sin(p)"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus"],
+]
+
+
+def test_lazy_parser_says_what_the_full_parser_says(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(2024)
+    corpus = [_fuzz_argv(rng, tmp_path) for _ in range(600)] + _PARSER_PROBES
+    lazy = []
+    for argv in corpus:
+        lazy.append((_exit(argv), *capsys.readouterr()))
+    build = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda command: build())
+    for argv, seen in zip(corpus, lazy):
+        assert (_exit(argv), *capsys.readouterr()) == seen, argv
+
+
+def _bare_subcommands(parser):
+    """Names of the subparsers that hold no argument but -h."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(action.choices) == list(SUBCOMMANDS)
+    return {name for name, sp in action.choices.items() if sp.format_usage() == f"usage: hquat {name} [-h]\n"}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_a_named_subcommand_builds_only_its_own_arguments(capsys, monkeypatch, name):
+    built = []
+    build = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda command: built.append(build(command)) or built[-1])
+    with pytest.raises(SystemExit):
+        main([name, "-h"])
+    capsys.readouterr()
+    [parser] = built
+    assert _bare_subcommands(parser) == set(SUBCOMMANDS) - {name}
+
+
+@pytest.mark.parametrize("command", [None, "-h", "--version", "bogus"])
+def test_no_subcommand_named_builds_every_subcommand(command):
+    assert _bare_subcommands(cli.build_arg_parser(command)) == set()

@@ -116,6 +116,21 @@ def test_inverse():
         ONE / 0.0
 
 
+def test_norm_and_inverse_past_the_square_overflow():
+    # |p|^2 overflows above |p| ~ 1.3e154; the norm read inf and the
+    # inverse conj(p)/inf a silent 0
+    assert Quaternion(3 * 2.0**600, 0, -4 * 2.0**600, 0).norm() == 5 * 2.0**600
+    assert Quaternion(1e155, 0, 0, 0).inverse() == Quaternion(1e-155, 0, 0, 0)
+    assert Quaternion(1e300, 1e300, 0, 0).inverse() == Quaternion(5e-301, -5e-301, 0, 0)
+    assert Quaternion(*[2.0**1020] * 4).norm() == 2.0**1021
+    big = Quaternion(*[1.7e308] * 4)
+    assert (big * big.inverse()).isclose(ONE, rel_tol=0, abs_tol=1e-15)
+    rng = random.Random(11)
+    for _ in range(200):
+        p = random_quat(rng, span=1e300)
+        assert (p * p.inverse()).isclose(ONE, rel_tol=0, abs_tol=1e-12)
+
+
 def test_cd_round_trip_bit_exact():
     cd = Quaternion(1, 2, 3, 4).to_cd()
     assert cd == CayleyDickson(complex(1, 2), complex(3, 4))
