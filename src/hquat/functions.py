@@ -23,9 +23,10 @@ the whole tree; it is not a dataclass field, so ``==``, ``hash`` and
 pickles and copies.  Every node checks its pair for finiteness (every
 product of an integer power, too) and raises EvaluationOverflowError on inf
 or nan; a check on the final value alone would miss an overflow that a
-later node hides, e.g. exp(-inf) = 0.  Only :func:`evaluate` builds a
-:class:`~hquat.quaternion.Quaternion`, from the final pair;
-:func:`phi_components` is the same pair as a :class:`ComplexPair`.
+later node hides, e.g. exp(-inf) = 0.  The only
+:class:`~hquat.quaternion.Quaternion` an evaluation builds is the result of
+:func:`evaluate`, made straight from the final pair's four components;
+:func:`phi_components` returns that pair as a :class:`ComplexPair`.
 
 A tree deeper than :data:`MAX_DEPTH` levels is rejected with ValueError by
 every recursive walk over it (compiling, :func:`has_nonreal_constant`,
@@ -234,7 +235,8 @@ def evaluate(expr: FuncExpr, p: Quaternion) -> Quaternion:
     EvaluationOverflowError when intermediates leave the double range, and
     ValueError for a tree deeper than MAX_DEPTH levels.
     """
-    return Quaternion.from_cd(*_run(expr, p.to_cd()))
+    a, b = _run(expr, p.to_cd())
+    return Quaternion(a.real, a.imag, b.real, b.imag)
 
 
 def _run(expr: FuncExpr, p: Pair) -> Pair:
@@ -323,7 +325,7 @@ class ComplexPair(NamedTuple):
 
 def phi_components(expr: FuncExpr, p: Quaternion) -> ComplexPair:
     """Doubling components of the function value at p."""
-    return ComplexPair(*_run(expr, p.to_cd()))
+    return tuple.__new__(ComplexPair, _run(expr, p.to_cd()))
 
 
 def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:

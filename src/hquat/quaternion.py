@@ -14,12 +14,18 @@ so the tree evaluator in :mod:`hquat.functions` uses them without building a
 :class:`Quaternion` per intermediate.
 
 All values are immutable and every operation is a pure function, so they can
-be shared freely between threads.
+be shared freely between threads.  A :class:`Quaternion` is validated once
+per construction, by the constructor, :meth:`Quaternion.from_cd`, arithmetic
+and :func:`dataclasses.replace` alike: ``__init__`` stores the four
+components and calls ``__post_init__``, the one per-construction hook, which
+returns at once for four finite ``float`` values and otherwise converts with
+``float()`` and rejects a non-finite component by name.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +44,8 @@ class CayleyDickson(NamedTuple):
 # Raw doubling pair (a, b), the value a + b*j; CayleyDickson is its named form.
 Pair = tuple[complex, complex]
 
-# Zero-divisor threshold of cd_inverse, relative to the largest component.
-INVERSE_EPS = 1e-300
+# Smallest normal double: below it |p|**2 has lost precision or reads 0.
+_TINY = sys.float_info.min
 
 
 def cd_mul(p: Pair, q: Pair) -> Pair:
@@ -52,26 +58,28 @@ def cd_mul(p: Pair, q: Pair) -> Pair:
 def cd_inverse(p: Pair) -> Pair:
     """Inverse conj(p)/|p|**2 of a doubling pair.
 
-    Raises ZeroDivisorError when the squared norm falls below INVERSE_EPS
-    scaled by the largest component magnitude (guards 0/0, not accuracy).
-    When |p|**2 overflows (|p| above about 1.3e154), p/scale is inverted
-    instead and the result divided by scale, the largest component
-    magnitude, so the inverse is not flushed to zero.
+    When |p|**2 leaves the normal range, overflowing (|p| above about
+    1.3e154) or underflowing (|p| below about 1.5e-154), p/scale is inverted
+    instead and the result divided by scale, the largest component magnitude,
+    so the inverse is neither flushed to zero nor lost to underflow.  Raises
+    ZeroDivisorError when p is zero or 1/|p| overflows (|p| below about
+    5.6e-309).
     """
     a, b = p
     x, y, z, u = a.real, a.imag, b.real, b.imag
     n2 = x * x + y * y + z * z + u * u
-    scale = max(abs(x), abs(y), abs(z), abs(u), 1.0)
-    if n2 == math.inf:
+    if _TINY <= n2 < math.inf:
+        return complex(x / n2, -y / n2), complex(-z / n2, -u / n2)
+    scale = max(abs(x), abs(y), abs(z), abs(u))
+    if scale > 0.0:
         x, y, z, u = x / scale, y / scale, z / scale, u / scale
-        n2 = x * x + y * y + z * z + u * u  # in [1, 4]
-        return complex(x / n2 / scale, -y / n2 / scale), complex(-z / n2 / scale, -u / n2 / scale)
-    if n2 <= INVERSE_EPS * scale:
-        raise ZeroDivisorError(f"quaternion too close to zero to invert: |p|^2 = {n2!r}")
-    return complex(x / n2, -y / n2), complex(-z / n2, -u / n2)
+        s2 = x * x + y * y + z * z + u * u  # in [1, 4]
+        if 1.0 / (scale * math.sqrt(s2)) < math.inf:
+            return complex(x / s2 / scale, -y / s2 / scale), complex(-z / s2 / scale, -u / s2 / scale)
+    raise ZeroDivisorError(f"quaternion too close to zero to invert: |p|^2 = {n2!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Quaternion:
     """Quaternion x + y*i + z*j + u*k with finite double-precision components."""
 
@@ -80,24 +88,32 @@ class Quaternion:
     z: float = 0.0
     u: float = 0.0
 
+    def __init__(self, x: float = 0.0, y: float = 0.0, z: float = 0.0, u: float = 0.0) -> None:
+        fields = self.__dict__
+        fields["x"] = x
+        fields["y"] = y
+        fields["z"] = z
+        fields["u"] = u
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        x = float(self.x)
+        x, y, z, u = self.x, self.y, self.z, self.u
+        # x - x is 0.0 for a finite float and nan for inf or nan
+        if type(x) is type(y) is type(z) is type(u) is float and (x - x) + (y - y) + (z - z) + (u - u) == 0.0:
+            return
+        x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"non-finite quaternion component x={x!r}")
-        y = float(self.y)
+        y = float(y)
         if not math.isfinite(y):
             raise ValueError(f"non-finite quaternion component y={y!r}")
-        z = float(self.z)
+        z = float(z)
         if not math.isfinite(z):
             raise ValueError(f"non-finite quaternion component z={z!r}")
-        u = float(self.u)
+        u = float(u)
         if not math.isfinite(u):
             raise ValueError(f"non-finite quaternion component u={u!r}")
-        set_field = object.__setattr__
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
-        set_field(self, "u", u)
+        self.__dict__.update(x=x, y=y, z=z, u=u)
 
     @classmethod
     def from_real(cls, r: float) -> Quaternion:
@@ -110,7 +126,7 @@ class Quaternion:
 
     def to_cd(self) -> CayleyDickson:
         """Split into the doubling form a = x + y*i, b = z + u*i."""
-        return CayleyDickson(complex(self.x, self.y), complex(self.z, self.u))
+        return tuple.__new__(CayleyDickson, (complex(self.x, self.y), complex(self.z, self.u)))
 
     def conjugate(self) -> Quaternion:
         return Quaternion(self.x, -self.y, -self.z, -self.u)
@@ -119,11 +135,12 @@ class Quaternion:
         return self.x * self.x + self.y * self.y + self.z * self.z + self.u * self.u
 
     def norm(self) -> float:
-        """|p|; math.hypot where norm_sq overflows (|p| above about 1.3e154)."""
+        """|p|; math.hypot where norm_sq leaves the normal range, overflowing
+        (|p| above about 1.3e154) or underflowing (below about 1.5e-154)."""
         n2 = self.norm_sq()
-        if n2 == math.inf:
-            return math.hypot(self.x, self.y, self.z, self.u)
-        return math.sqrt(n2)
+        if _TINY <= n2 < math.inf:
+            return math.sqrt(n2)
+        return math.hypot(self.x, self.y, self.z, self.u)
 
     __abs__ = norm
 

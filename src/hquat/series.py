@@ -446,12 +446,11 @@ def maclaurin_extraction(
     roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
     first: list[complex] = []
     second: list[complex] = []
-    vmax = 0.0
     for w in roots:
-        a, b = evaluate(f, Quaternion(rho * w.real, -rho * w.imag, 0.0, 0.0)).to_cd()
-        vmax = max(vmax, abs(a), abs(b))
-        first.append(a)
-        second.append(b)
+        q = evaluate(f, Quaternion(rho * w.real, -rho * w.imag, 0.0, 0.0))
+        first.append(complex(q.x, q.y))
+        second.append(complex(q.z, q.u))
+    vmax = max(max(map(abs, first)), max(map(abs, second)))
     # b vanishes on the slice for every real-coefficient function; otherwise
     # a left constant can move conj(a)-terms to the negative frequencies of b
     second_conj = [b.conjugate() for b in second] if any(second) else None

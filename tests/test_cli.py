@@ -296,6 +296,24 @@ def test_eval_inverse_past_the_square_overflow(capsys):
     assert code == 0 and rep["results"]["value"] == [1e-155, 0.0, 0.0, 0.0]
 
 
+def test_eval_inverse_past_the_square_underflow(capsys):
+    # |p|^2 underflowed below the zero-divisor guard: 1/p at 1e-155 exited 3
+    for point, inverse in (
+        (["1e-155", "0", "0", "0"], [1e155, 0.0, 0.0, 0.0]),
+        (["1e-300", "0", "0", "0"], [1.0 / 1e-300, 0.0, 0.0, 0.0]),
+        (["0", "0", "2e-200", "0"], [0.0, 0.0, -5e199, 0.0]),
+    ):
+        code, rep, _ = run_json(capsys, ["eval", "--expr", "1/p", "--point", *point])
+        assert code == 0 and rep["results"]["value"] == inverse
+    code, out, _ = run_cli(capsys, ["eval", "--expr", "1/p", "--point", "1e-155", "0", "0", "0", "--format", "text"])
+    assert code == 0 and "= 1e+155 + 0i + 0j + 0k" in out
+    # zero, and a point so close to it that 1/|p| overflows, stay evaluation errors
+    for x in ("3e-309", "0"):
+        code, out, err = run_cli(capsys, ["eval", "--expr", "1/p", "--point", x, "0", "0", "0"])
+        assert code == 3 and out == ""
+        assert err == "hquat: evaluation error: quaternion too close to zero to invert: |p|^2 = 0.0\n"
+
+
 def test_commute_inputs_name_only_inputs_used(capsys):
     exprs = ["--expr", "p", "--expr", "2*p"]
     _, rep, _ = run_json(capsys, ["commute", *exprs, "--point", "1", "0", "0", "0"])

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
-from hquat import CayleyDickson, I, J, K, ONE, Quaternion, ZERO, ZeroDivisorError
+from hquat import CayleyDickson, I, J, K, ONE, Quaternion, ZERO, ZeroDivisorError, evaluate, parse
 
 
 def random_quat(rng, span=10.0):
@@ -134,6 +137,8 @@ def test_norm_and_inverse_past_the_square_overflow():
 def test_cd_round_trip_bit_exact():
     cd = Quaternion(1, 2, 3, 4).to_cd()
     assert cd == CayleyDickson(complex(1, 2), complex(3, 4))
+    assert type(cd) is CayleyDickson and (cd.a, cd.b) == (1 + 2j, 3 + 4j) and len(cd) == 2
+    assert cd._replace(b=0j) == CayleyDickson(1 + 2j, 0j)
     assert Quaternion.from_cd(0j, 0j) == ZERO
     rng = random.Random(8)
     for _ in range(500):
@@ -181,7 +186,155 @@ def test_constructor_rejects_nonfinite():
         Quaternion(0, 1, math.nan, math.inf)
 
 
+class _Half(float):
+    pass
+
+
 def test_constructor_stores_floats():
     q = Quaternion(1, True, 2.5, -0.0)
     assert [type(c) for c in (q.x, q.y, q.z, q.u)] == [float] * 4
     assert (q.x, q.y, q.z, math.copysign(1.0, q.u)) == (1.0, 1.0, 2.5, -1.0)
+    # float subclasses are stored as exact floats, on every construction path
+    q = Quaternion(3, False, _Half(0.5), -0.0)
+    assert [type(c) for c in (q.x, q.y, q.z, q.u)] == [float] * 4
+    assert (q.x, q.y, q.z) == (3.0, 0.0, 0.5)
+    assert math.copysign(1.0, Quaternion(-0.0, -0.0, -0.0, -0.0).x) == -1.0
+    assert type(Quaternion(x=_Half(2.0)).x) is float
+    assert type(dataclasses.replace(ONE, y=_Half(1.0)).y) is float
+    assert Quaternion(2**60, 0, 0, 0).x == float(2**60)
+    with pytest.raises(ValueError, match="component x=inf"):
+        Quaternion(_Half("inf"), 0, 0, 0)
+    with pytest.raises(TypeError):
+        Quaternion(None, 0, 0, 0)
+    with pytest.raises(OverflowError):
+        Quaternion(10**400, 0, 0, 0)
+    # finite components whose sum overflows are still accepted
+    assert Quaternion(*[1.7e308] * 4).x == 1.7e308
+
+
+def test_norm_and_inverse_past_the_square_underflow():
+    # |p|^2 underflows below |p| ~ 1.5e-154; the norm read 0 and the inverse
+    # was rejected as a zero divisor although 1/|p| is representable
+    assert Quaternion(3e-170, 0, 4e-170, 0).norm() == math.hypot(3e-170, 4e-170)
+    assert Quaternion(0, 3 * 2.0**-600, 0, -4 * 2.0**-600).norm() == 5 * 2.0**-600
+    assert Quaternion(*[2.0**-1060] * 4).norm() == 2.0**-1059
+    assert Quaternion(1e-155, 0, 0, 0).inverse() == Quaternion(1e155, 0, 0, 0)
+    assert Quaternion(1e-300, 0, 0, 0).inverse() == Quaternion(1.0 / 1e-300, 0, 0, 0)
+    assert Quaternion(0, 0, 2.0**-1000, 0).inverse() == Quaternion(0, 0, -(2.0**1000), 0)
+    tiny = Quaternion(1e-300, -2e-300, 3e-300, 4e-300)
+    assert (tiny * tiny.inverse()).isclose(ONE, rel_tol=0, abs_tol=1e-15)
+    rng = random.Random(12)
+    for _ in range(200):
+        p = random_quat(rng, span=1e-300)
+        assert (p * p.inverse()).isclose(ONE, rel_tol=0, abs_tol=1e-12)
+    # zero, and |p| so small that 1/|p| overflows (below about 5.6e-309)
+    for p in (ZERO, Quaternion(3e-309, 0, 0, 0), Quaternion(0, 0, 0, -5e-324), Quaternion(*[1.5e-309] * 4)):
+        with pytest.raises(ZeroDivisorError, match="too close to zero"):
+            p.inverse()
+    assert Quaternion(6e-309, 0, 0, 0).inverse().x == 1.0 / 6e-309
+
+
+def test_norm_and_inverse_in_range_keep_the_plain_formula():
+    rng = random.Random(13)
+    for _ in range(500):
+        span = 10.0 ** rng.randint(-150, 150)
+        p = random_quat(rng, span)
+        x, y, z, u = p.x, p.y, p.z, p.u
+        n2 = x * x + y * y + z * z + u * u
+        assert p.norm() == math.sqrt(n2)
+        assert p.inverse() == Quaternion(x / n2, -y / n2, -z / n2, -u / n2)
+
+
+# ---------------------------------------------------------------------------
+# the value contract of the hand-written constructor
+# ---------------------------------------------------------------------------
+
+
+def test_quaternion_is_frozen():
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    for name in "xyzu":
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, name, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.extra = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del q.x
+    assert q == Quaternion(1.0, 2.0, 3.0, 4.0)
+
+
+def test_keyword_construction_defaults_and_replace():
+    assert Quaternion(u=4, y=2) == Quaternion(0.0, 2.0, 0.0, 4.0)
+    assert Quaternion() == ZERO
+    assert Quaternion(1.5) == Quaternion.from_real(1.5)
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    r = dataclasses.replace(q, z=-1)
+    assert r == Quaternion(1.0, 2.0, -1.0, 4.0) and type(r.z) is float
+    with pytest.raises(ValueError, match="non-finite quaternion component y=inf"):
+        dataclasses.replace(q, y=math.inf)
+    with pytest.raises(TypeError):
+        Quaternion(1.0, 2.0, 3.0, 4.0, 5.0)
+    with pytest.raises(TypeError):
+        Quaternion(w=1.0)
+    assert [f.name for f in dataclasses.fields(Quaternion)] == ["x", "y", "z", "u"]
+    assert dataclasses.astuple(q) == (1.0, 2.0, 3.0, 4.0)
+
+
+def test_eq_hash_repr_are_by_value():
+    q = Quaternion(1.0, -2.0, 0.5, 4.0)
+    same = Quaternion(1, -2, 0.5, 4)
+    assert q == same and hash(q) == hash(same) == hash((1.0, -2.0, 0.5, 4.0))
+    assert q != Quaternion(1.0, -2.0, 0.5, 4.5)
+    assert Quaternion(0.0, 0, 0, 0) == Quaternion(-0.0, 0, 0, 0)
+    assert (q == (1.0, -2.0, 0.5, 4.0)) is False
+    assert repr(q) == "Quaternion(x=1.0, y=-2.0, z=0.5, u=4.0)"
+    assert len({q, same, Quaternion(1, -2, 0.5, 4.0)}) == 1
+
+
+def test_pickle_and_copy_round_trips():
+    q = Quaternion(1e-300, -0.0, 2.5, -1e300)
+    for other in (
+        pickle.loads(pickle.dumps(q)),
+        pickle.loads(pickle.dumps(q, protocol=0)),
+        copy.copy(q),
+        copy.deepcopy(q),
+    ):
+        assert other == q and type(other) is Quaternion
+        assert vars(other) == vars(q)
+        assert math.copysign(1.0, other.y) == -1.0
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    calls = []
+    original = Quaternion.__dict__["__post_init__"]
+
+    def counted(q):
+        calls.append(q)
+        original(q)
+
+    monkeypatch.setattr(Quaternion, "__post_init__", counted)
+    p = Quaternion(1.0, 2.0, 3.0, 4.0)
+    q = Quaternion(u=1, x=2)
+    assert len(calls) == 2 and calls[0] is p and calls[1] is q
+    for make in (
+        lambda: Quaternion.from_cd(1 + 2j, 3 + 4j),
+        lambda: Quaternion.from_real(2),
+        lambda: dataclasses.replace(p, z=0.0),
+        lambda: p + q,
+        lambda: p - 1.0,
+        lambda: p * 2.0,
+        lambda: p * q,
+        lambda: -p,
+        lambda: p.conjugate(),
+        lambda: p.inverse(),
+        lambda: evaluate(parse("exp(p)*p + 1/p"), p),
+    ):
+        calls.clear()
+        value = make()
+        assert len(calls) == 1 and calls[0] is value
+    calls.clear()
+    p / q  # the inverse of q, then the product
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(ValueError):
+        Quaternion(math.nan, 0, 0, 0)
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import random
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from hquat import (
     J,
+    MaclaurinExtraction,
     MajorantViolatedError,
     NonRealCoefficientError,
     PowerSeries,
@@ -377,10 +379,53 @@ def test_extraction_evaluates_each_sample_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(series_module, "evaluate", counted)
-    for n, samples, N in ((9, None, 80), (17, 200, 200), (0, None, 64), (4, 21, 21)):
+    for n, samples, N in ((9, None, 80), (17, 200, 200), (0, None, 64), (4, 21, 21), (64, 1024, 1024)):
         calls.clear()
         assert maclaurin_extraction(parse("j*exp(p)"), n, samples=samples).samples == N
         assert len(calls) == N
+
+
+def _boxed_extraction(f, n, rho, N):
+    """maclaurin_extraction with the per-sample loop it had before the
+    samples were read off the evaluated Quaternion: a to_cd view of each
+    value and a running Python max."""
+    roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
+    first, second = [], []
+    vmax = 0.0
+    for w in roots:
+        a, b = evaluate(f, Quaternion(rho * w.real, -rho * w.imag, 0.0, 0.0)).to_cd()
+        vmax = max(vmax, abs(a), abs(b))
+        first.append(a)
+        second.append(b)
+    second_conj = [b.conjugate() for b in second] if any(second) else None
+    table = roots * series_module._TWIDDLE_COPIES
+    noise_unit = math.sqrt(N) * 2.220446049250313e-16 * vmax
+    coeffs, residues, floors = [], [], []
+    for k in range(n + 1):
+        row = series_module._twiddle_row(table, N, k) if k else [1.0 + 0.0j] * N
+        scale = 1.0 / (N * rho**k)
+        c1 = sum(map(operator.mul, first, row), 0.0j) * scale
+        coeffs.append(c1.real)
+        parts = [c1.imag]
+        if second_conj is not None:
+            parts.append(abs(sum(map(operator.mul, second, row), 0.0j) * scale))
+            if k:
+                parts.append(abs(sum(map(operator.mul, second_conj, row), 0.0j) * scale))
+        residues.append(math.hypot(*parts))
+        floors.append(noise_unit / rho**k)
+    return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors))
+
+
+@pytest.mark.parametrize("expr", ["exp(p)", "sin(p)*cos(p)", "1/(1-p)", "j*p"])
+def test_extraction_is_bitwise_the_boxed_sample_loop(expr):
+    f = parse(expr)
+    for n, N in ((17, 144), (9, 80), (64, 1024)):
+        want = _boxed_extraction(f, n, 0.8, N)
+        for got in (maclaurin_extraction(f, n, 0.8, N), maclaurin_extraction(f, n, 0.8, None if N == 80 else N)):
+            assert got == want
+            assert repr(got) == repr(want)  # signed zeros too
+    if expr == "j*p":
+        assert any(want.nonreal_residues) and want.first_nonreal() == 1
 
 
 def test_extraction_preconditions():
