@@ -15,7 +15,9 @@ Convergence machinery:
   function to the complex plane (z = u = 0) on a circle and taking discrete
   Fourier coefficients.  Coefficients of a holomorphic series are real, so
   any imaginary or second-component residue above tolerance signals a
-  non-holomorphic input.
+  non-holomorphic input.  The first n+1 Fourier coefficients of the N
+  samples come from a radix-2 decimation in frequency pruned to those
+  outputs, about N*log2(n) multiply-adds in place of N*(n+1) direct ones.
 """
 
 from __future__ import annotations
@@ -364,8 +366,8 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
 # Largest non-real residue of an extracted coefficient still taken as real.
 NONREAL_TOL = 1e-8
 
-# Most work one extraction may do, in Fourier terms: samples*(n+1), plus 128
-# per sample for its evaluation (one evaluation costs about 100 terms).
+# Bound on one extraction's inputs, in nominal Fourier terms: samples*(n+1)
+# (the pruned kernel does fewer), plus 128 per sample for its evaluation.
 MAX_EXTRACTION_TERMS = 2**24
 
 
@@ -374,8 +376,9 @@ class MaclaurinExtraction:
     """Raw circle-sampling output: real parts and non-real residues.
 
     ``noise_floors[k]`` estimates the rounding noise of coefficient k
-    (machine epsilon times the largest sampled magnitude, amplified by the
-    1/rho^k rescaling); extracted values at or below it carry no signal.
+    (sqrt(N) times machine epsilon times the largest sampled magnitude,
+    amplified by the 1/rho^k rescaling); extracted values at or below it
+    carry no signal.
     """
 
     coeffs: tuple[float, ...]
@@ -396,20 +399,26 @@ class MaclaurinExtraction:
         return tuple(vals)
 
 
-# Copies of the N roots of unity that twiddle rows are sliced from: row k
-# takes about k/4 slices, where an n-fold table would hold n*N references.
-_TWIDDLE_COPIES = 4
+def _dft_head(x: list[complex], roots: list[complex], need: int) -> list[complex]:
+    """The first `need` >= 1 DFT outputs sum_m x[m] roots[k*m mod L], with
+    L = len(x) and roots[j] = e^{-2 pi i j/L}.
 
-
-def _twiddle_row(table: list[complex], N: int, k: int) -> list[complex]:
-    """[roots[k*m mod N] for m < N] for k >= 1, where table repeats the N roots."""
-    row: list[complex] = []
-    start = 0
-    while len(row) < N:
-        piece = table[start : start + k * (N - len(row)) : k]
-        row += piece
-        start = (start + k * len(piece)) % N
-    return row
+    An even list that needs more than 4 outputs is split in half (radix-2
+    decimation in frequency): the folded sums x[m] + x[m+L/2] give the even
+    outputs and the twisted differences (x[m] - x[m+L/2]) roots[m] the odd
+    ones, about L*log2(need) terms in all.  Other lists are summed directly,
+    twiddle row k chained from the k strided slices roots[(-b*L) mod k::k].
+    """
+    L = len(x)
+    if L % 2 or need <= 4:
+        rows = (itertools.chain.from_iterable(roots[-b * L % k :: k] for b in range(k)) for k in range(1, need))
+        return [sum(x, 0.0j)] + [sum(map(operator.mul, x, row), 0.0j) for row in rows]
+    h = L // 2
+    head, tail, half = x[:h], x[h:], roots[::2]
+    out: list[complex] = [0.0j] * need
+    out[::2] = _dft_head(list(map(operator.add, head, tail)), half, (need + 1) // 2)
+    out[1::2] = _dft_head(list(map(operator.mul, map(operator.sub, head, tail), roots)), half, need // 2)
+    return out
 
 
 def maclaurin_extraction(
@@ -455,22 +464,20 @@ def maclaurin_extraction(
     # a left constant can move conj(a)-terms to the negative frequencies of b
     second_conj = [b.conjugate() for b in second] if any(second) else None
 
-    table = roots * _TWIDDLE_COPIES
     noise_unit = math.sqrt(N) * 2.220446049250313e-16 * vmax
+    sums = [_dft_head(first, roots, n + 1)]
+    if second_conj is not None:
+        sums += [_dft_head(second, roots, n + 1), _dft_head(second_conj, roots, n + 1)]
     coeffs: list[float] = []
     residues: list[float] = []
     floors: list[float] = []
-    for k in range(n + 1):
-        row = _twiddle_row(table, N, k) if k else [1.0 + 0.0j] * N
+    for k, column in enumerate(zip(*sums)):
         scale = 1.0 / (N * rho**k)
-        c1 = sum(map(operator.mul, first, row), 0.0j) * scale
+        c1 = column[0] * scale
         coeffs.append(c1.real)
-        parts = [c1.imag]
-        if second_conj is not None:
-            parts.append(abs(sum(map(operator.mul, second, row), 0.0j) * scale))
-            if k:  # frequency -k: sum of b*conj(row) = conj(sum of conj(b)*row)
-                parts.append(abs(sum(map(operator.mul, second_conj, row), 0.0j) * scale))
-        residues.append(math.hypot(*parts))
+        # the sum of conj(b) at k is the conjugate of b's at frequency -k
+        parts = [abs(s * scale) for s in column[1 : 3 if k else 2]]
+        residues.append(math.hypot(c1.imag, *parts))
         floors.append(noise_unit / rho**k)
     return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors))
 

@@ -385,10 +385,22 @@ def test_extraction_evaluates_each_sample_once(monkeypatch):
         assert len(calls) == N
 
 
+def _old_twiddle_row(table, N, k):
+    """[roots[k*m mod N] for m < N] for k >= 1, sliced from a table that
+    repeats the N roots 4 times: the row slicer of the direct sums."""
+    row = []
+    start = 0
+    while len(row) < N:
+        piece = table[start : start + k * (N - len(row)) : k]
+        row += piece
+        start = (start + k * len(piece)) % N
+    return row
+
+
 def _boxed_extraction(f, n, rho, N):
-    """maclaurin_extraction with the per-sample loop it had before the
-    samples were read off the evaluated Quaternion: a to_cd view of each
-    value and a running Python max."""
+    """maclaurin_extraction as it was before the radix-2 kernel: a to_cd view
+    of each sample, a running Python max, and n+1 direct N-term sums over
+    twiddle rows.  Returns the extraction and vmax."""
     roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
     first, second = [], []
     vmax = 0.0
@@ -398,11 +410,11 @@ def _boxed_extraction(f, n, rho, N):
         first.append(a)
         second.append(b)
     second_conj = [b.conjugate() for b in second] if any(second) else None
-    table = roots * series_module._TWIDDLE_COPIES
+    table = roots * 4
     noise_unit = math.sqrt(N) * 2.220446049250313e-16 * vmax
     coeffs, residues, floors = [], [], []
     for k in range(n + 1):
-        row = series_module._twiddle_row(table, N, k) if k else [1.0 + 0.0j] * N
+        row = _old_twiddle_row(table, N, k) if k else [1.0 + 0.0j] * N
         scale = 1.0 / (N * rho**k)
         c1 = sum(map(operator.mul, first, row), 0.0j) * scale
         coeffs.append(c1.real)
@@ -413,19 +425,71 @@ def _boxed_extraction(f, n, rho, N):
                 parts.append(abs(sum(map(operator.mul, second_conj, row), 0.0j) * scale))
         residues.append(math.hypot(*parts))
         floors.append(noise_unit / rho**k)
-    return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors))
+    return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors)), vmax
 
 
 @pytest.mark.parametrize("expr", ["exp(p)", "sin(p)*cos(p)", "1/(1-p)", "j*p"])
 def test_extraction_is_bitwise_the_boxed_sample_loop(expr):
+    # the samples, and so vmax and the noise floors, are bitwise the old
+    # loop's; the sums take a new order, within the reference bound
+    eps = 2.220446049250313e-16
     f = parse(expr)
     for n, N in ((17, 144), (9, 80), (64, 1024)):
-        want = _boxed_extraction(f, n, 0.8, N)
+        want, vmax = _boxed_extraction(f, n, 0.8, N)
         for got in (maclaurin_extraction(f, n, 0.8, N), maclaurin_extraction(f, n, 0.8, None if N == 80 else N)):
-            assert got == want
-            assert repr(got) == repr(want)  # signed zeros too
+            assert (got.samples, got.rho) == (want.samples, want.rho)
+            assert repr(got.noise_floors) == repr(want.noise_floors)  # signed zeros too
+            assert got.first_nonreal() == want.first_nonreal()
+            for k in range(n + 1):
+                tol = 4 * N * eps * vmax / 0.8**k
+                assert abs(got.coeffs[k] - want.coeffs[k]) <= tol, (k, got.coeffs[k], want.coeffs[k])
+                assert abs(got.nonreal_residues[k] - want.nonreal_residues[k]) <= tol, k
     if expr == "j*p":
         assert any(want.nonreal_residues) and want.first_nonreal() == 1
+
+
+def _direct_dft(x, need):
+    """sum_m x[m] e^{-2 pi i k m/L} for k < need, one twiddle per term, with
+    k*m reduced mod L in integers."""
+    L = len(x)
+    return [sum(v * cmath.exp(complex(0.0, -2.0 * math.pi * (k * m % L) / L)) for m, v in enumerate(x)) for k in range(need)]
+
+
+def test_dft_kernel_matches_direct_dft_at_every_length():
+    eps = 2.220446049250313e-16
+    rng = random.Random(1965)
+    for L in range(1, 131):  # odd, 2^a * odd and powers of two
+        roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / L)) for j in range(L)]
+        x = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(L)]
+        vmax = max(map(abs, x))
+        for need in sorted({1, 2, 3, 5, L // 4} - {0}):
+            got = series_module._dft_head(x, roots, need)
+            want = _direct_dft(x, need)
+            assert len(got) == need
+            for k in range(need):
+                assert abs(got[k] - want[k]) <= 4 * L * eps * vmax, (L, need, k)
+
+
+@pytest.mark.parametrize(
+    "expr", ["exp(p)", "sin(p)", "cos(p)", "sin(p)*cos(p)", "1/(1-p)", "j*p", "(p-i*p*i)/2"]
+)
+def test_extraction_matches_reference_dft_deep_decimation(expr, monkeypatch):
+    # N = 1024 is halved up to 5 times before the leaves, 8(n+1) reaches an
+    # odd leaf after 3 halvings, and an odd N is summed directly at the top
+    for n, odd in ((17, 1), (32, 3), (64, 5)):
+        for N in (8 * (n + 1), 1024, 4 * (n + 1) + odd):
+            assert _assert_matches_reference(parse(expr), n, 0.8, N)
+    # j*p has a second component on the slice, so b and conj(b) take their
+    # own spectra; (p-i*p*i)/2 equals a on the slice and takes one
+    kernel, tops = series_module._dft_head, []
+
+    def counted(x, roots, need):
+        tops.append(len(x))
+        return kernel(x, roots, need)
+
+    monkeypatch.setattr(series_module, "_dft_head", counted)
+    maclaurin_extraction(parse(expr), 17, 0.8, 144)
+    assert tops.count(144) == (3 if expr == "j*p" else 1)
 
 
 def test_extraction_preconditions():
