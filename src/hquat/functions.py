@@ -28,10 +28,12 @@ later node hides, e.g. exp(-inf) = 0.  The only
 :func:`evaluate`, made straight from the final pair's four components;
 :func:`phi_components` returns that pair as a :class:`ComplexPair`.
 
-A tree deeper than :data:`MAX_DEPTH` levels is rejected with ValueError by
-every recursive walk over it (compiling, :func:`has_nonreal_constant`,
-:func:`hquat.parser.format_expr`), which count levels through
-:func:`descend`; :func:`hquat.parser.parse` applies the same bound.
+Each node records its tree's depth in levels once, when it is built, as
+``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
+:func:`has_nonreal_constant`, :func:`hquat.parser.format_expr`) starts with
+:func:`check_depth`, which rejects a root deeper than :data:`MAX_DEPTH`
+levels with ValueError, so the recursion below it stays bounded however the
+tree was made; :func:`hquat.parser.parse` reads the same depth.
 """
 
 from __future__ import annotations
@@ -57,9 +59,17 @@ class FuncExpr:
     """Base class for nodes of a quaternionic function expression."""
 
     __slots__ = ()
+    # levels of the tree rooted here, set by __post_init__ when a node is
+    # built; RealConst, whose own hook does not chain to it, keeps this 1
+    _depth = 1
+
+    def __post_init__(self) -> None:
+        depths = [c._depth for c in vars(self).values() if isinstance(c, FuncExpr)]
+        object.__setattr__(self, "_depth", 1 + max(depths, default=0))
 
     def __getstate__(self) -> dict:
-        # the compiled function is a cache of this object; closures do not pickle
+        # the compiled function is a cache of this object; closures do not
+        # pickle.  _depth stays: unpickling does not run __post_init__
         state = dict(vars(self))
         state.pop("_compiled", None)
         return state
@@ -120,15 +130,11 @@ MAX_EXPONENT = 1024
 MAX_DEPTH = 256
 
 
-def descend(depth: int) -> int:
-    """The level below ``depth``; ValueError when it would pass MAX_DEPTH.
-
-    Each recursive walk over a tree steps down through this, so its
-    recursion stays bounded whether the tree was parsed or built in code.
-    """
-    if depth >= MAX_DEPTH:
+def check_depth(expr: FuncExpr) -> FuncExpr:
+    """expr itself; ValueError when its tree is deeper than MAX_DEPTH levels."""
+    if expr._depth > MAX_DEPTH:
         raise ValueError(f"tree depth exceeds {MAX_DEPTH} levels")
-    return depth + 1
+    return expr
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,7 @@ class IntPow(FuncExpr):
     def __post_init__(self) -> None:
         if not isinstance(self.exponent, int) or not 0 <= self.exponent <= MAX_EXPONENT:
             raise ValueError(f"integer power exponent must be in [0, {MAX_EXPONENT}], got {self.exponent!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -171,21 +178,14 @@ HEADS: dict[type[FuncExpr], Head] = {
 
 def has_nonreal_constant(expr: FuncExpr) -> bool:
     """True when the tree contains a quaternion constant with i/j/k parts."""
-    return _nonreal(expr, 0)
+    return _nonreal(check_depth(expr))
 
 
-def _nonreal(expr: FuncExpr, depth: int) -> bool:
-    depth = descend(depth)
+def _nonreal(expr: FuncExpr) -> bool:
     if isinstance(expr, QuatConst):
         q = expr.value
         return q.y != 0.0 or q.z != 0.0 or q.u != 0.0
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return _nonreal(expr.lhs, depth) or _nonreal(expr.rhs, depth)
-    if isinstance(expr, IntPow):
-        return _nonreal(expr.base, depth)
-    if type(expr) in HEADS:
-        return _nonreal(expr.arg, depth)
-    return False
+    return any(_nonreal(c) for c in vars(expr).values() if isinstance(c, FuncExpr))
 
 
 def conjugate_expr() -> FuncExpr:
@@ -246,7 +246,7 @@ def _run(expr: FuncExpr, p: Pair) -> Pair:
     try:
         fn = expr._compiled
     except AttributeError:
-        fn = _compile(expr, 0)
+        fn = _compile(check_depth(expr))
         object.__setattr__(expr, "_compiled", fn)
     try:
         return fn(p)
@@ -265,17 +265,16 @@ def _finite(q: Pair) -> Pair:
 _ONE: Pair = (1 + 0j, 0j)
 
 
-def _compile(expr: FuncExpr, depth: int) -> Callable[[Pair], Pair]:
+def _compile(expr: FuncExpr) -> Callable[[Pair], Pair]:
     """The function p -> value of expr at p, as closures over the compiled
     children; they evaluate lhs before rhs and check every node's pair."""
-    depth = descend(depth)
     if isinstance(expr, Var):
         return lambda p: p
     if isinstance(expr, (RealConst, QuatConst)):
         value = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
         return lambda p: value
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        lhs, rhs = _compile(expr.lhs, depth), _compile(expr.rhs, depth)
+        lhs, rhs = _compile(expr.lhs), _compile(expr.rhs)
         if isinstance(expr, Add):
 
             def add(p: Pair) -> Pair:
@@ -294,7 +293,7 @@ def _compile(expr: FuncExpr, depth: int) -> Callable[[Pair], Pair]:
             return lambda p: _finite(cd_mul(lhs(p), rhs(p)))
         return lambda p: _finite(cd_mul(lhs(p), cd_inverse(rhs(p))))
     if isinstance(expr, IntPow):
-        base, exponent = _compile(expr.base, depth), expr.exponent
+        base, exponent = _compile(expr.base), expr.exponent
 
         def power(p: Pair) -> Pair:
             b = base(p)
@@ -306,7 +305,7 @@ def _compile(expr: FuncExpr, depth: int) -> Callable[[Pair], Pair]:
         return power
     head = HEADS.get(type(expr))
     if head is not None:
-        arg, fn = _compile(expr.arg, depth), head.fn
+        arg, fn = _compile(expr.arg), head.fn
         return lambda p: _finite(_lift(fn, arg(p)))
     raise TypeError(f"unknown expression node {expr!r}")
 

@@ -5,10 +5,11 @@ left with the usual precedence (+,- < *,/ < ^ < unary -); exponents are
 non-negative integers only and implicit multiplication is not supported
 ("2p" is an error).  The literals i, j, k build quaternion-constant leaves;
 they are admitted for counterexample workflows and mark the tree as carrying
-a non-real constant.  :func:`parse` rejects a tree deeper than
-:data:`hquat.functions.MAX_DEPTH` levels with a ParseError, and
-:func:`format_expr` rejects one built in code with ValueError, so that the
-recursive walks over it stay bounded.
+a non-real constant.  :func:`parse` bounds its own recursion on nesting
+and rejects a tree deeper than :data:`hquat.functions.MAX_DEPTH` levels,
+such as a long chain p+p+...+p, with a ParseError; it reads the depth that
+each node records when built, as :func:`format_expr` does through
+:func:`hquat.functions.check_depth` (ValueError) for a tree built in code.
 
 A unary minus folds into a real literal ("-2" is the constant -2); applied
 to anything else it desugars to multiplication by -1, since the tree has no
@@ -34,7 +35,7 @@ from .functions import (
     RealConst,
     Sub,
     Var,
-    descend,
+    check_depth,
 )
 from .quaternion import I, J, K
 
@@ -194,14 +195,8 @@ def parse(src: str) -> FuncExpr:
     if tok.kind != "end":
         raise ParseError(tok.pos, "an operator or end of input", tok.describe())
     # A chain p+p+...+p is built in a loop, out of the recursion bound's sight.
-    # A tree has no more levels than tokens, so only a long text is walked.
-    if len(parser.tokens) > MAX_DEPTH:
-        level, depth = [node], 0
-        while level:
-            depth += 1
-            level = [c for n in level for c in vars(n).values() if isinstance(c, FuncExpr)]
-        if depth > MAX_DEPTH:
-            raise ParseError(tok.pos, f"tree depth <= {MAX_DEPTH}", f"depth {depth}")
+    if node._depth > MAX_DEPTH:
+        raise ParseError(tok.pos, f"tree depth <= {MAX_DEPTH}", f"depth {node._depth}")
     return node
 
 
@@ -237,15 +232,14 @@ def _level(expr: FuncExpr) -> int:
     return _LEVEL_ATOM
 
 
-def _render(expr: FuncExpr, min_level: int, depth: int) -> str:
-    s = _render_raw(expr, depth)
+def _render(expr: FuncExpr, min_level: int) -> str:
+    s = _render_raw(expr)
     if _level(expr) < min_level:
         return f"({s})"
     return s
 
 
-def _render_raw(expr: FuncExpr, depth: int) -> str:
-    depth = descend(depth)
+def _render_raw(expr: FuncExpr) -> str:
     if isinstance(expr, Var):
         return "p"
     if isinstance(expr, RealConst):
@@ -256,23 +250,23 @@ def _render_raw(expr: FuncExpr, depth: int) -> str:
                 return name
         raise ValueError(f"quaternion constant {expr.value} is not expressible (only i, j, k are)")
     if _is_neg_sugar(expr):
-        return "-" + _render(expr.rhs, _LEVEL_NEG, depth)
+        return "-" + _render(expr.rhs, _LEVEL_NEG)
     if isinstance(expr, Add):
-        return f"{_render(expr.lhs, _LEVEL_ADD, depth)}+{_render(expr.rhs, _LEVEL_ADD + 1, depth)}"
+        return f"{_render(expr.lhs, _LEVEL_ADD)}+{_render(expr.rhs, _LEVEL_ADD + 1)}"
     if isinstance(expr, Sub):
-        return f"{_render(expr.lhs, _LEVEL_ADD, depth)}-{_render(expr.rhs, _LEVEL_ADD + 1, depth)}"
+        return f"{_render(expr.lhs, _LEVEL_ADD)}-{_render(expr.rhs, _LEVEL_ADD + 1)}"
     if isinstance(expr, Mul):
-        return f"{_render(expr.lhs, _LEVEL_MUL, depth)}*{_render(expr.rhs, _LEVEL_MUL + 1, depth)}"
+        return f"{_render(expr.lhs, _LEVEL_MUL)}*{_render(expr.rhs, _LEVEL_MUL + 1)}"
     if isinstance(expr, Div):
-        return f"{_render(expr.lhs, _LEVEL_MUL, depth)}/{_render(expr.rhs, _LEVEL_MUL + 1, depth)}"
+        return f"{_render(expr.lhs, _LEVEL_MUL)}/{_render(expr.rhs, _LEVEL_MUL + 1)}"
     if isinstance(expr, IntPow):
-        return f"{_render(expr.base, _LEVEL_NEG, depth)}^{expr.exponent}"
+        return f"{_render(expr.base, _LEVEL_NEG)}^{expr.exponent}"
     head = HEADS.get(type(expr))
     if head is not None:
-        return f"{head.text}({_render_raw(expr.arg, depth)})"
+        return f"{head.text}({_render_raw(expr.arg)})"
     raise TypeError(f"cannot format node {expr!r}")
 
 
 def format_expr(expr: FuncExpr) -> str:
     """Canonical text form; parse(format_expr(t)) is structurally t."""
-    return _render_raw(expr, 0)
+    return _render_raw(check_depth(expr))

@@ -101,19 +101,12 @@ class Quaternion:
         # x - x is 0.0 for a finite float and nan for inf or nan
         if type(x) is type(y) is type(z) is type(u) is float and (x - x) + (y - y) + (z - z) + (u - u) == 0.0:
             return
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite quaternion component x={x!r}")
-        y = float(y)
-        if not math.isfinite(y):
-            raise ValueError(f"non-finite quaternion component y={y!r}")
-        z = float(z)
-        if not math.isfinite(z):
-            raise ValueError(f"non-finite quaternion component z={z!r}")
-        u = float(u)
-        if not math.isfinite(u):
-            raise ValueError(f"non-finite quaternion component u={u!r}")
-        self.__dict__.update(x=x, y=y, z=z, u=u)
+        fields = self.__dict__
+        for name in "xyzu":
+            value = float(fields[name])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite quaternion component {name}={value!r}")
+            fields[name] = value
 
     @classmethod
     def from_real(cls, r: float) -> Quaternion:

@@ -33,9 +33,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .functions import FuncExpr, evaluate, phi_components
-from .quaternion import I, J, K, ONE, Quaternion
+from .functions import EvaluationOverflowError, FuncExpr, evaluate, phi_components
+from .quaternion import I, J, K, ONE, ZERO, Quaternion
 from .series import NonRealCoefficientError, maclaurin_coeffs
 
 
@@ -180,9 +181,19 @@ def _nested_dx(f: FuncExpr, p: Quaternion, k: int, h: float) -> Quaternion:
     if k == 0:
         return evaluate(f, p)
     e = Quaternion(h, 0.0, 0.0, 0.0)
-    hi = _nested_dx(f, p + e, k - 1, h)
-    lo = _nested_dx(f, p - e, k - 1, h)
-    return (hi - lo) * (0.5 / h)
+    hi = _nested_dx(f, _in_range(lambda: p + e), k - 1, h)
+    lo = _nested_dx(f, _in_range(lambda: p - e), k - 1, h)
+    return _in_range(lambda: (hi - lo) * (0.5 / h))
+
+
+def _in_range(arithmetic: Callable[[], Quaternion]) -> Quaternion:
+    """The Quaternion that ``arithmetic()`` makes from finite operands;
+    EvaluationOverflowError where the constructor rejects a component that
+    left the double range."""
+    try:
+        return arithmetic()
+    except ValueError as exc:
+        raise EvaluationOverflowError(f"difference stencil overflows: {exc}") from exc
 
 
 def full_derivative(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> Quaternion:
@@ -223,7 +234,7 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
     _check_step(step)
     if k == 0:
         return DerivativeResult(evaluate(f, p), 0, "exact", None, 0.0, False)
-    if p.norm_sq() == 0.0:
+    if p == ZERO:
         try:
             ser = maclaurin_coeffs(f, n=k)
         except NonRealCoefficientError:

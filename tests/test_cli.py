@@ -203,6 +203,29 @@ def test_commute_product_overflow_is_eval_error(capsys, exprs, point):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["--expr", "1e308*sin(1e6*p)", "--point", "0.3", "0", "0", "0"],
+        ["--expr", "1e308*sin(1e6*p)", "--point", "0.3", "0", "0", "0", "--k", "2"],
+        ["--expr", "p", "--point", "1.79769e308", "0", "0", "0"],
+    ],
+)
+def test_derive_stencil_overflow_is_eval_error(capsys, argv):
+    # the difference quotient (or the shifted point) overflowed in the
+    # Quaternion constructor, a ValueError that ended in exit 2 as a usage error
+    code, out, err = run_cli(capsys, ["derive"] + argv)
+    assert code == 3 and out == ""
+    assert "evaluation error" in err and "usage" not in err
+
+
+def test_derive_nonreal_coefficient_exit_code(capsys):
+    # the origin takes the series route, which rejects the coefficient of i*p
+    code, out, err = run_cli(capsys, ["derive", "--expr", "i*p", "--point", "0", "0", "0", "0"])
+    assert code == 4 and out == ""
+    assert "non-real coefficient" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["series", "--expr", "exp(p)", "--n", "100000"],
         ["series", "--expr", "exp(p)", "--n", "100000", "--rho", "1"],
         ["radius", "--expr", "exp(p)", "--n", "1", "--samples", "1000000000"],

@@ -253,9 +253,9 @@ def test_tree_is_compiled_once(monkeypatch):
     compiled = []
     original = functions._compile
 
-    def counted(expr, depth):
+    def counted(expr):
         compiled.append(expr)
-        return original(expr, depth)
+        return original(expr)
 
     # the compile step recurses through the module global, so every node counts
     monkeypatch.setattr(functions, "_compile", counted)
@@ -315,6 +315,17 @@ def test_depth_of_trees_built_in_code_is_bounded():
     assert phi_components(at_limit, ONE) == ComplexPair(MAX_DEPTH + 0j, 0j)
     assert parse(format_expr(at_limit)) == at_limit
     assert not has_nonreal_constant(at_limit)
+
+
+def test_depth_is_recorded_once_and_survives_pickles_and_copies():
+    assert P._depth == RealConst(2.0)._depth == 1
+    assert parse("sin(p^2)*(1+p)")._depth == 4
+    tree = _chain(100)
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+        assert clone == tree and clone._depth == 100 and "_depth" not in repr(clone)
+    deep = pickle.loads(pickle.dumps(_chain(MAX_DEPTH + 1)))
+    with pytest.raises(ValueError, match=f"tree depth exceeds {MAX_DEPTH} levels"):
+        evaluate(deep, ONE)
 
 
 @pytest.mark.parametrize("text, node, fn", [("exp", Exp, cmath.exp), ("sin", Sin, cmath.sin), ("cos", Cos, cmath.cos)])

@@ -25,6 +25,7 @@ from hquat import (
     partials,
 )
 from hquat import functions, wirtinger
+from hquat.functions import EvaluationOverflowError
 from hquat.wirtinger import InvalidPointError
 from test_parser import _random_tree
 
@@ -303,6 +304,27 @@ def test_kth_paths_agree_where_both_apply():
     stencil2 = kth_derivative(tree, Quaternion.from_real(x), 2)
     assert (stencil2.value - Quaternion.from_real(math.exp(x))).norm() <= 1e-4
     assert not stencil2.accuracy_warning
+
+
+def test_kth_series_route_is_taken_at_zero_only():
+    tree = parse("exp(p)")
+    # |p|^2 underflows to 0 here, yet p is not the origin
+    r = kth_derivative(tree, Quaternion(1e-300, 0.0, 0.0, 0.0), 2)
+    assert r.method == "stencil" and abs(r.value.x - 1.0) <= 1e-4
+    for zero in (Quaternion(0.0, 0.0, 0.0, 0.0), Quaternion(-0.0, 0.0, 0.0, 0.0)):
+        assert kth_derivative(tree, zero, 2).method == "series"
+
+
+def test_full_derivative_overflow_is_evaluation_error():
+    tree = parse("1e308*sin(1e6*p)")
+    p = Quaternion(0.3, 0.0, 0.0, 0.0)
+    with pytest.raises(EvaluationOverflowError):
+        full_derivative(tree, p)
+    # a finite quotient keeps its bits: the one central difference, as written
+    tree = parse("1e300*sin(p)")
+    e = Quaternion(1e-5, 0.0, 0.0, 0.0)
+    want = (evaluate(tree, p + e) - evaluate(tree, p - e)) * (0.5 / 1e-5)
+    assert repr(full_derivative(tree, p)) == repr(want)
 
 
 def test_kth_power_rule_away_from_origin():
