@@ -13,20 +13,21 @@ by r.  In particular exp(p) = e^x * (cos V + r sin V), and sin/cos follow
 from the exponential the same way as over the complex numbers.
 
 There is one evaluator.  It compiles each tree once into nested closures
-on raw doubling pairs (a, b) of complex numbers, the value a + b*j: + and -
-act componentwise, * and / use :func:`hquat.quaternion.cd_mul` and
-:func:`hquat.quaternion.cd_inverse`, and the heads apply the lift above to
-the pair.  The compiled function is cached on the root node object as the
-attribute ``_compiled``, not by value, since the frozen-dataclass hash walks
-the whole tree; it is not a dataclass field, so ``==``, ``hash`` and
-``repr`` ignore it, and :meth:`FuncExpr.__getstate__` leaves it out of
-pickles and copies.  Every node checks its pair for finiteness (every
-product of an integer power, too) and raises EvaluationOverflowError on inf
-or nan; a check on the final value alone would miss an overflow that a
-later node hides, e.g. exp(-inf) = 0.  The only
-:class:`~hquat.quaternion.Quaternion` an evaluation builds is the result of
-:func:`evaluate`, made straight from the final pair's four components;
-:func:`phi_components` returns that pair as a :class:`ComplexPair`.
+on raw doubling pairs (a, b) of complex numbers, the value a + b*j: the
+binary nodes apply their pair operation from :data:`BINARY`, the table that
+also gives the parser and the formatter each operator's text and precedence,
+and the heads apply the lift above to the pair.  The compiled function is
+cached on the root node object as the attribute ``_compiled``, not by
+value, since the frozen-dataclass hash walks the whole tree; it is not a
+dataclass field, so ``==``, ``hash`` and ``repr`` ignore it, and
+:meth:`FuncExpr.__getstate__` leaves it out of pickles and copies.  Every
+node checks its pair for finiteness (every product of an integer power,
+too) and raises EvaluationOverflowError on inf or nan; a check on the final
+value alone would miss an overflow that a later node hides, e.g.
+exp(-inf) = 0.  The only :class:`~hquat.quaternion.Quaternion` an
+evaluation builds is the result of :func:`evaluate`, made straight from the
+final pair's four components; :func:`phi_components` returns that pair as a
+:class:`ComplexPair`.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -176,6 +177,17 @@ HEADS: dict[type[FuncExpr], Head] = {
 }
 
 
+# The one table of binary operators, by node class: the text, the precedence
+# level (+,- bind looser than *,/) and the operation on two doubling pairs.
+Binary = NamedTuple("Binary", [("text", str), ("level", int), ("fn", Callable[[Pair, Pair], Pair])])
+BINARY: dict[type[FuncExpr], Binary] = {
+    Add: Binary("+", 1, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    Sub: Binary("-", 1, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    Mul: Binary("*", 2, cd_mul),
+    Div: Binary("/", 2, lambda x, y: cd_mul(x, cd_inverse(y))),
+}
+
+
 def has_nonreal_constant(expr: FuncExpr) -> bool:
     """True when the tree contains a quaternion constant with i/j/k parts."""
     return _nonreal(check_depth(expr))
@@ -273,25 +285,10 @@ def _compile(expr: FuncExpr) -> Callable[[Pair], Pair]:
     if isinstance(expr, (RealConst, QuatConst)):
         value = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
         return lambda p: value
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        lhs, rhs = _compile(expr.lhs), _compile(expr.rhs)
-        if isinstance(expr, Add):
-
-            def add(p: Pair) -> Pair:
-                (a1, b1), (a2, b2) = lhs(p), rhs(p)
-                return _finite((a1 + a2, b1 + b2))
-
-            return add
-        if isinstance(expr, Sub):
-
-            def sub(p: Pair) -> Pair:
-                (a1, b1), (a2, b2) = lhs(p), rhs(p)
-                return _finite((a1 - a2, b1 - b2))
-
-            return sub
-        if isinstance(expr, Mul):
-            return lambda p: _finite(cd_mul(lhs(p), rhs(p)))
-        return lambda p: _finite(cd_mul(lhs(p), cd_inverse(rhs(p))))
+    op = BINARY.get(type(expr))
+    if op is not None:
+        lhs, rhs, fn = _compile(expr.lhs), _compile(expr.rhs), op.fn
+        return lambda p: _finite(fn(lhs(p), rhs(p)))
     if isinstance(expr, IntPow):
         base, exponent = _compile(expr.base), expr.exponent
 

@@ -1,15 +1,17 @@
 """Parser and canonical formatter for quaternionic function expressions.
 
-The grammar is :data:`GRAMMAR`, in ASCII.  Binary operators associate to the
-left with the usual precedence (+,- < *,/ < ^ < unary -); exponents are
-non-negative integers only and implicit multiplication is not supported
-("2p" is an error).  The literals i, j, k build quaternion-constant leaves;
-they are admitted for counterexample workflows and mark the tree as carrying
-a non-real constant.  :func:`parse` bounds its own recursion on nesting
-and rejects a tree deeper than :data:`hquat.functions.MAX_DEPTH` levels,
-such as a long chain p+p+...+p, with a ParseError; it reads the depth that
-each node records when built, as :func:`format_expr` does through
-:func:`hquat.functions.check_depth` (ValueError) for a tree built in code.
+The grammar is :data:`GRAMMAR`, in ASCII.  The binary operators, their text
+and their precedence levels are the rows of :data:`hquat.functions.BINARY`
+(+,- < *,/); all associate to the left and bind looser than ^, which binds
+looser than unary -.  Exponents are non-negative integers only and implicit
+multiplication is not supported ("2p" is an error).  The literals i, j, k
+build quaternion-constant leaves; they are admitted for counterexample
+workflows and mark the tree as carrying a non-real constant.  :func:`parse`
+bounds its own recursion on nesting and rejects a tree deeper than
+:data:`hquat.functions.MAX_DEPTH` levels, such as a long chain p+p+...+p,
+with a ParseError; it reads the depth that each node records when built, as
+:func:`format_expr` does through :func:`hquat.functions.check_depth`
+(ValueError) for a tree built in code.
 
 A unary minus folds into a real literal ("-2" is the constant -2); applied
 to anything else it desugars to multiplication by -1, since the tree has no
@@ -23,17 +25,15 @@ import re
 from typing import NamedTuple
 
 from .functions import (
+    BINARY,
     HEADS,
     MAX_DEPTH,
-    Add,
-    Div,
     FuncExpr,
     IntPow,
     Mul,
     P,
     QuatConst,
     RealConst,
-    Sub,
     Var,
     check_depth,
 )
@@ -58,6 +58,13 @@ _TOKEN_RE = re.compile(
 _UINT_RE = re.compile(r"\d+\Z")
 
 _UNIT_CONSTS = {"i": I, "j": J, "k": K}
+
+# Binary operator text -> node class; the class's BINARY row gives its level.
+_BINARY_NODES = {op.text: node for node, op in BINARY.items()}
+# Precedence levels above the binary ones: ^, unary minus, atoms.
+_LEVEL_POW = 3
+_LEVEL_NEG = 4
+_LEVEL_ATOM = 5
 
 
 class ParseError(ValueError):
@@ -119,21 +126,18 @@ class _Parser:
     def expr(self) -> FuncExpr:
         self._enter()
         try:
-            node = self.term()
-            while self.peek().kind in ("+", "-"):
-                op = self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-            return node
+            return self.binary(1)
         finally:
             self.depth -= 1
 
-    def term(self) -> FuncExpr:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.factor()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+    def binary(self, level: int) -> FuncExpr:
+        """A left-associative chain of the operators of precedence ``level``
+        over chains one level tighter, or over factors past the last level."""
+        tighter = level + 1
+        node = self.binary(tighter) if tighter < _LEVEL_POW else self.factor()
+        while (cls := _BINARY_NODES.get(self.peek().kind)) is not None and BINARY[cls].level == level:
+            self.advance()
+            node = cls(node, self.binary(tighter) if tighter < _LEVEL_POW else self.factor())
         return node
 
     def factor(self) -> FuncExpr:
@@ -204,12 +208,6 @@ def parse(src: str) -> FuncExpr:
 # Canonical formatting
 # ---------------------------------------------------------------------------
 
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_POW = 3
-_LEVEL_NEG = 4
-_LEVEL_ATOM = 5
-
 
 def _is_neg_sugar(expr: FuncExpr) -> bool:
     return (
@@ -220,53 +218,35 @@ def _is_neg_sugar(expr: FuncExpr) -> bool:
     )
 
 
-def _level(expr: FuncExpr) -> int:
-    if _is_neg_sugar(expr):
-        return _LEVEL_NEG
-    if isinstance(expr, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(expr, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(expr, IntPow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
-
-
 def _render(expr: FuncExpr, min_level: int) -> str:
-    s = _render_raw(expr)
-    if _level(expr) < min_level:
-        return f"({s})"
-    return s
+    s, level = _render_raw(expr)
+    return f"({s})" if level < min_level else s
 
 
-def _render_raw(expr: FuncExpr) -> str:
+def _render_raw(expr: FuncExpr) -> tuple[str, int]:
+    """The canonical text of expr, unparenthesised, and its precedence level."""
     if isinstance(expr, Var):
-        return "p"
+        return "p", _LEVEL_ATOM
     if isinstance(expr, RealConst):
-        return repr(expr.value)
+        return repr(expr.value), _LEVEL_ATOM
     if isinstance(expr, QuatConst):
         for name, unit in _UNIT_CONSTS.items():
             if expr.value == unit:
-                return name
+                return name, _LEVEL_ATOM
         raise ValueError(f"quaternion constant {expr.value} is not expressible (only i, j, k are)")
     if _is_neg_sugar(expr):
-        return "-" + _render(expr.rhs, _LEVEL_NEG)
-    if isinstance(expr, Add):
-        return f"{_render(expr.lhs, _LEVEL_ADD)}+{_render(expr.rhs, _LEVEL_ADD + 1)}"
-    if isinstance(expr, Sub):
-        return f"{_render(expr.lhs, _LEVEL_ADD)}-{_render(expr.rhs, _LEVEL_ADD + 1)}"
-    if isinstance(expr, Mul):
-        return f"{_render(expr.lhs, _LEVEL_MUL)}*{_render(expr.rhs, _LEVEL_MUL + 1)}"
-    if isinstance(expr, Div):
-        return f"{_render(expr.lhs, _LEVEL_MUL)}/{_render(expr.rhs, _LEVEL_MUL + 1)}"
+        return "-" + _render(expr.rhs, _LEVEL_NEG), _LEVEL_NEG
+    op = BINARY.get(type(expr))
+    if op is not None:
+        return f"{_render(expr.lhs, op.level)}{op.text}{_render(expr.rhs, op.level + 1)}", op.level
     if isinstance(expr, IntPow):
-        return f"{_render(expr.base, _LEVEL_NEG)}^{expr.exponent}"
+        return f"{_render(expr.base, _LEVEL_NEG)}^{expr.exponent}", _LEVEL_POW
     head = HEADS.get(type(expr))
     if head is not None:
-        return f"{head.text}({_render_raw(expr.arg)})"
+        return f"{head.text}({_render_raw(expr.arg)[0]})", _LEVEL_ATOM
     raise TypeError(f"cannot format node {expr!r}")
 
 
 def format_expr(expr: FuncExpr) -> str:
     """Canonical text form; parse(format_expr(t)) is structurally t."""
-    return _render_raw(check_depth(expr))
+    return _render_raw(check_depth(expr))[0]

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .functions import FuncExpr, evaluate
+from .functions import EvaluationOverflowError, FuncExpr, evaluate
 from .quaternion import ONE, ZERO, Quaternion
 
 
@@ -434,6 +434,8 @@ def maclaurin_extraction(
     coefficient.  The residue of index k collects the imaginary part of the
     first doubling component and the magnitudes of the second one at the
     frequencies k and -k.  Each of the N samples is evaluated once.
+    EvaluationOverflowError when a coefficient, residue or noise floor
+    leaves the double range.
     """
     if n < 0:
         raise ValueError("coefficient count must be >= 0")
@@ -479,6 +481,8 @@ def maclaurin_extraction(
         parts = [abs(s * scale) for s in column[1 : 3 if k else 2]]
         residues.append(math.hypot(c1.imag, *parts))
         floors.append(noise_unit / rho**k)
+    if not all(map(math.isfinite, itertools.chain(coeffs, residues, floors))):
+        raise EvaluationOverflowError(f"coefficients from {N} samples at rho = {rho!r} leave the double range")
     return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors))
 
 

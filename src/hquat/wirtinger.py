@@ -30,6 +30,7 @@ origin, "stencil", k nested x-differences, elsewhere).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -67,7 +68,8 @@ def _check_step(step: float) -> None:
 
 
 def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
-    """Central-difference Wirtinger partials with step scaled by max(1, |p|)."""
+    """Central-difference Wirtinger partials with step scaled by max(1, |p|);
+    EvaluationOverflowError when a quotient or a partial leaves the double range."""
     _check_step(step)
     h = step * max(1.0, p.norm())
     d = []
@@ -77,7 +79,7 @@ def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
         lo = phi_components(f, Quaternion(p.x - e.x * h, p.y - e.y * h, p.z - e.z * h, p.u - e.u * h))
         d.append(((hi.phi1 - lo.phi1) / (2.0 * h), (hi.phi2 - lo.phi2) / (2.0 * h)))
     (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = d
-    return PartialsTable(
+    table = PartialsTable(
         dphi1_da=(dx1 - 1j * dy1) / 2.0,
         dphi1_dabar=(dx1 + 1j * dy1) / 2.0,
         dphi1_db=(dz1 - 1j * du1) / 2.0,
@@ -89,6 +91,11 @@ def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
         step=h,
         point=p,
     )
+    # an overflowing quotient leaves a non-finite partial, as does a sum of two
+    # finite quotients that overflows
+    if not all(cmath.isfinite(v) for v in vars(table).values() if isinstance(v, complex)):
+        raise EvaluationOverflowError(f"difference stencil overflows at {p!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,8 @@ def check_holomorphy(
 
     ``point`` must lie on the y = 0 slice (exactly); ``aux_point`` may be any
     quaternion and defaults to ``point`` with y replaced by 0.5.
+    EvaluationOverflowError when a partial or a residual leaves the double
+    range.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -168,11 +177,15 @@ def check_holomorphy(
         aux_point = replace(point, y=0.5)
     t_main = partials(f, point, step)
     t_aux = partials(f, aux_point, step)
+    try:
+        main, aux = _main_residuals(t_main), _aux_residuals(t_aux)
+    except OverflowError as exc:  # abs() of a finite complex past the double range
+        raise EvaluationOverflowError(f"holomorphy residual overflows: {exc}") from exc
     return HolomorphyReport(
         point=point,
         aux_point=aux_point,
-        main_residuals=_main_residuals(t_main),
-        aux_residuals=_aux_residuals(t_aux),
+        main_residuals=main,
+        aux_residuals=aux,
         tolerance=tol,
     )
 

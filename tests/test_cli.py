@@ -84,6 +84,18 @@ def test_check_overflow_in_phi_is_eval_error(capsys):
     assert "evaluation error" in err
 
 
+@pytest.mark.parametrize(
+    "expr, x", [("1.5e303/(p-0.3)", "0.3000000001"), ("1.7e308*(i*p)", "0"), ("0.852e308*(1+i)*p*i", "0")]
+)
+def test_check_stencil_overflow_is_eval_error(capsys, expr, x):
+    # an overflowing difference quotient or partial printed NaN or Infinity,
+    # which is not JSON, and exited 1 as a failed check; an overflowing
+    # residual ended in an OverflowError traceback
+    code, out, err = run_cli(capsys, ["check", "--expr", expr, "--point", x, "0", "0", "0", "--format", "machine"])
+    assert code == 3 and out == ""
+    assert "evaluation error" in err
+
+
 @pytest.mark.parametrize("expr, x", [("exp(0-p^400)", "10"), ("exp(0-p^2)", "1e200")])
 def test_eval_overflow_hidden_by_later_node_exit_code(capsys, expr, x):
     # the power overflows; exp of the resulting -inf would be a finite 0
@@ -221,6 +233,23 @@ def test_derive_nonreal_coefficient_exit_code(capsys):
     code, out, err = run_cli(capsys, ["derive", "--expr", "i*p", "--point", "0", "0", "0", "0"])
     assert code == 4 and out == ""
     assert "non-real coefficient" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--expr", "1.7e308+0*p"],
+        ["radius", "--expr", "1.7e308+0*p"],
+        ["derive", "--expr", "1.7e308+0*p", "--point", "0", "0", "0", "0"],
+        ["series", "--expr", "1e300+0*p", "--n", "10", "--rho", "1e-30"],
+    ],
+)
+def test_extraction_overflow_is_eval_error(capsys, argv):
+    # the circle sums overflowed: series and radius exited 2 as a usage error,
+    # derive 4 on a nan residue, and the small circle 4 on an inf residue
+    code, out, err = run_cli(capsys, argv + ["--format", "machine"])
+    assert code == 3 and out == ""
+    assert "evaluation error" in err and "leave the double range" in err
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,15 @@ def test_overflow_hidden_by_later_node_is_reported(template, power, x):
         evaluate(parse(template.format(power)), Quaternion.from_real(x))
 
 
+@pytest.mark.parametrize("node", list(functions.BINARY))
+def test_each_binary_node_evaluates_lhs_before_rhs(node):
+    overflow, zero_divisor = parse("exp(1000)"), parse("1/(0*p)")
+    with pytest.raises(EvaluationOverflowError):
+        evaluate(node(overflow, zero_divisor), ONE)
+    with pytest.raises(ZeroDivisorError):
+        evaluate(node(zero_divisor, overflow), ONE)
+
+
 def _reference_lift(fn, q):
     x, v, r = polar(q)
     w = fn(complex(x, v))

@@ -22,7 +22,8 @@ from hquat import (
     has_nonreal_constant,
     parse,
 )
-from hquat.functions import MAX_DEPTH
+from hquat.functions import BINARY, HEADS, MAX_DEPTH
+from hquat.parser import GRAMMAR
 
 
 def test_grammar_examples():
@@ -48,6 +49,15 @@ def test_precedence_and_associativity():
     assert parse("-2") == RealConst(-2.0)
     assert parse("--2") == RealConst(2.0)
     assert parse("-2^2") == IntPow(RealConst(-2.0), 2)
+
+
+def test_grammar_and_parser_follow_the_operator_and_head_tables():
+    assert set(BINARY) == {Add, Sub, Mul, Div}
+    for node, op in BINARY.items():
+        assert f'"{op.text}"' in GRAMMAR
+        assert parse(f"p{op.text}p") == node(P, P)
+    for head in HEADS.values():
+        assert f'"{head.text}"' in GRAMMAR
 
 
 def test_whitespace_insensitive():

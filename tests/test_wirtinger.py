@@ -327,6 +327,24 @@ def test_full_derivative_overflow_is_evaluation_error():
     assert repr(full_derivative(tree, p)) == repr(want)
 
 
+def test_holomorphy_stencil_overflow_is_evaluation_error():
+    # the difference quotients overflowed to inf: the main residuals read
+    # (nan, 0.0, nan, 0.0) and the check failed as if f were not holomorphic
+    tree = parse("1.2e308*sin(100000*p)")
+    with pytest.raises(EvaluationOverflowError, match="difference stencil overflows"):
+        partials(tree, ZERO)
+    with pytest.raises(EvaluationOverflowError):
+        check_holomorphy(tree, ZERO, aux_point=Quaternion(0.1, 0.0, 0.0, 0.0))
+    # finite quotients whose sum dx - i*dy overflowed: partials read nan+infj
+    with pytest.raises(EvaluationOverflowError, match="difference stencil overflows"):
+        partials(parse("1.7e308*(i*p)"), ZERO)
+    # finite partials whose residual's abs() raised OverflowError, a traceback
+    tree = parse("0.852e308*(1+i)*p*i")
+    partials(tree, ZERO)
+    with pytest.raises(EvaluationOverflowError, match="holomorphy residual overflows"):
+        check_holomorphy(tree, ZERO)
+
+
 def test_kth_power_rule_away_from_origin():
     rng = random.Random(31)
     for _ in range(10):
