@@ -3,8 +3,10 @@
 Subcommands: eval | check | series | derive | radius | commute.  The machine
 output format is a single JSON document with fixed field order
 (tool, version, subcommand, inputs, results); identical inputs and seed
-produce byte-identical documents.  Text output is human-oriented and not a
-stability contract.
+produce byte-identical documents.  :func:`to_json` writes it directly,
+byte-identical to ``json.dumps(document, indent=2)``.  Text output is
+human-oriented and not a stability contract; each subcommand returns it as
+a renderer that :func:`main` calls only for ``--format text``.
 
 :func:`main` builds its parser anew on every call, with arguments only for
 the subcommand its first argument names (for all six when it names none,
@@ -18,10 +20,10 @@ error, 4 non-real coefficient.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import __version__
@@ -81,12 +83,56 @@ def _cplx(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
+def to_json(o, pad: str = "") -> str:
+    """``json.dumps(o, indent=2)``, byte for byte, for a document of dicts with
+    str keys, lists, str, int, float, bool and None; ``pad`` is the indent of
+    the line ``o`` starts on.
+
+    json's own encoder runs in pure Python whenever ``indent`` is set; this one
+    joins each list of floats in one C-level pass through ``float.__repr__``.
+    NaN and the infinities are spelled as json spells them.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(o) is dict:
+        if not o:
+            return "{}"
+        body = sep.join([encode_basestring_ascii(k) + ": " + to_json(v, inner) for k, v in o.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if type(o) is list:
+        if not o:
+            return "[]"
+        try:  # TypeError unless every item is a float
+            body = sep.join(map(float.__repr__, o))
+            if not all(map(math.isfinite, o)):
+                raise TypeError
+        except TypeError:
+            body = sep.join([to_json(v, inner) for v in o])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if type(o) is float:
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+    if type(o) is str:
+        return encode_basestring_ascii(o)
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if o is None:
+        return "null"
+    if type(o) is int:
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-# What a subcommand returns: exit code, machine-output inputs and results, text
-Report = tuple[int, dict, dict, str]
+# What a subcommand returns: exit code, machine-output inputs and results, and
+# the text report's renderer, called only for --format text
+Report = tuple[int, dict, dict, Callable[[], str]]
 
 
 def _cmd_eval(args: argparse.Namespace) -> Report:
@@ -97,7 +143,7 @@ def _cmd_eval(args: argparse.Namespace) -> Report:
     canonical = format_expr(expr)
     inputs = {"expr": canonical, "point": _quat(point)}
     results = {"value": _quat(value), "cd_a": _cplx(a), "cd_b": _cplx(b)}
-    return EXIT_OK, inputs, results, f"{canonical} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
+    return EXIT_OK, inputs, results, lambda: f"{canonical} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
 
 
 def _points(args: argparse.Namespace, draw: Callable[[random.Random], tuple]) -> list[tuple]:
@@ -130,14 +176,18 @@ def _cmd_check(args: argparse.Namespace) -> Report:
     if args.point is None:
         inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
     inputs["nonreal_constant"] = has_nonreal_constant(expr)
-    lines = [f"holomorphy check of {inputs['expr']} (tol {args.tol:g})"]
-    for row in rows:
-        mr = " ".join(f"{r:.3e}" for r in row["main_residuals"])
-        ar = " ".join(f"{r:.3e}" for r in row["aux_residuals"])
-        lines.append(f"  point {row['point']}  main [{mr}]  aux [{ar}]  {'pass' if row['pass'] else 'FAIL'}")
-    lines.append("PASS" if all_pass else "FAIL")
+
+    def text() -> str:
+        lines = [f"holomorphy check of {inputs['expr']} (tol {args.tol:g})"]
+        for row in rows:
+            mr = " ".join(f"{r:.3e}" for r in row["main_residuals"])
+            ar = " ".join(f"{r:.3e}" for r in row["aux_residuals"])
+            lines.append(f"  point {row['point']}  main [{mr}]  aux [{ar}]  {'pass' if row['pass'] else 'FAIL'}")
+        lines.append("PASS" if all_pass else "FAIL")
+        return "\n".join(lines) + "\n"
+
     code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
-    return code, inputs, {"points": rows, "pass": all_pass}, "\n".join(lines) + "\n"
+    return code, inputs, {"points": rows, "pass": all_pass}, text
 
 
 def _radius_results(ext) -> dict:
@@ -185,19 +235,23 @@ def _cmd_series(args: argparse.Namespace) -> Report:
         "radius_estimate": _radius_results(ext),
         "general_term": rule_result,
     }
-    lines = [f"series coefficients of {canonical} (rho {ext.rho:g}, {ext.samples} samples)"]
-    for l, (c, res) in enumerate(zip(ext.coeffs, ext.nonreal_residues)):
-        lines.append(f"  r[{l:2d}] = {c: .15g}   (nonreal residue {res:.2e})")
-    rr = results["radius_estimate"]
-    if rr.get("radius_is_infinite"):
-        lines.append(f"radius: infinite (L estimate {rr['L_estimate']:.2e})")
-    elif rr.get("radius") is not None:
-        lines.append(f"radius: {rr['radius']:.12g}")
-    if rule_result is not None:
-        lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
-    if not real:
-        lines.append(f"NON-REAL COEFFICIENTS: max residue {worst:.3e}")
-    return (EXIT_OK if real else EXIT_NONREAL), inputs, results, "\n".join(lines) + "\n"
+
+    def text() -> str:
+        lines = [f"series coefficients of {canonical} (rho {ext.rho:g}, {ext.samples} samples)"]
+        for l, (c, res) in enumerate(zip(ext.coeffs, ext.nonreal_residues)):
+            lines.append(f"  r[{l:2d}] = {c: .15g}   (nonreal residue {res:.2e})")
+        rr = results["radius_estimate"]
+        if rr.get("radius_is_infinite"):
+            lines.append(f"radius: infinite (L estimate {rr['L_estimate']:.2e})")
+        elif rr.get("radius") is not None:
+            lines.append(f"radius: {rr['radius']:.12g}")
+        if rule_result is not None:
+            lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
+        if not real:
+            lines.append(f"NON-REAL COEFFICIENTS: max residue {worst:.3e}")
+        return "\n".join(lines) + "\n"
+
+    return (EXIT_OK if real else EXIT_NONREAL), inputs, results, text
 
 
 def _cmd_derive(args: argparse.Namespace) -> Report:
@@ -212,9 +266,13 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
         "truncation_estimate": res.truncation_estimate,
         "accuracy_warning": res.accuracy_warning,
     }
-    text = f"derivative order {args.k} of {canonical} at ({point}) = {res.value}\n  method: {res.method}\n"
-    if res.accuracy_warning:
-        text += f"  warning: estimated truncation error {res.truncation_estimate:.2e} exceeds 1e-4\n"
+
+    def text() -> str:
+        head = f"derivative order {args.k} of {canonical} at ({point}) = {res.value}\n  method: {res.method}\n"
+        if res.accuracy_warning:
+            head += f"  warning: estimated truncation error {res.truncation_estimate:.2e} exceeds 1e-4\n"
+        return head
+
     return EXIT_OK, inputs, results, text
 
 
@@ -222,12 +280,14 @@ def _cmd_radius(args: argparse.Namespace) -> Report:
     ext, inputs, worst, real = _extract(args)
     results = _radius_results(ext)
     results["max_nonreal_residue"] = worst
-    if results.get("radius_is_infinite"):
-        text = f"radius of {inputs['expr']}: infinite (L estimate {results['L_estimate']:.2e}, monotone decreasing evidence over {results['n_used']} ratios)\n"
-    elif results.get("radius") is not None:
-        text = f"radius of {inputs['expr']}: {results['radius']:.12g}\n"
-    else:
-        text = f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"
+
+    def text() -> str:
+        if results.get("radius_is_infinite"):
+            return f"radius of {inputs['expr']}: infinite (L estimate {results['L_estimate']:.2e}, monotone decreasing evidence over {results['n_used']} ratios)\n"
+        if results.get("radius") is not None:
+            return f"radius of {inputs['expr']}: {results['radius']:.12g}\n"
+        return f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"
+
     return (EXIT_OK if real else EXIT_NONREAL), inputs, results, text
 
 
@@ -253,10 +313,13 @@ def _cmd_commute(args: argparse.Namespace) -> Report:
     inputs = {"expr_f": format_expr(f), "expr_g": format_expr(g), "tol": args.tol}
     if args.point is None:
         inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
-    text = (
-        f"commutator of {inputs['expr_f']} and {inputs['expr_g']}: max residual {worst:.3e} "
-        f"over {len(rows)} points -> {'PASS' if all_pass else 'FAIL'}\n"
-    )
+
+    def text() -> str:
+        return (
+            f"commutator of {inputs['expr_f']} and {inputs['expr_g']}: max residual {worst:.3e} "
+            f"over {len(rows)} points -> {'PASS' if all_pass else 'FAIL'}\n"
+        )
+
     code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
     return code, inputs, {"points": rows, "max_residual": worst, "pass": all_pass}, text
 
@@ -379,10 +442,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_arg_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
-        code, inputs, results, text = args.func(args)
+        code, inputs, results, render = args.func(args)
         if args.format == "machine":
             report = {"tool": "hquat", "version": __version__, "subcommand": args.subcommand, "inputs": inputs, "results": results}
-            text = json.dumps(report, indent=2) + "\n"
+            text = to_json(report) + "\n"
+        else:
+            text = render()
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -79,23 +79,22 @@ def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
         lo = phi_components(f, Quaternion(p.x - e.x * h, p.y - e.y * h, p.z - e.z * h, p.u - e.u * h))
         d.append(((hi.phi1 - lo.phi1) / (2.0 * h), (hi.phi2 - lo.phi2) / (2.0 * h)))
     (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = d
-    table = PartialsTable(
-        dphi1_da=(dx1 - 1j * dy1) / 2.0,
-        dphi1_dabar=(dx1 + 1j * dy1) / 2.0,
-        dphi1_db=(dz1 - 1j * du1) / 2.0,
-        dphi1_dbbar=(dz1 + 1j * du1) / 2.0,
-        dphi2_da=(dx2 - 1j * dy2) / 2.0,
-        dphi2_dabar=(dx2 + 1j * dy2) / 2.0,
-        dphi2_db=(dz2 - 1j * du2) / 2.0,
-        dphi2_dbbar=(dz2 + 1j * du2) / 2.0,
-        step=h,
-        point=p,
+    # in PartialsTable's field order: da, dabar, db, dbbar of phi1, then of phi2
+    values = (
+        (dx1 - 1j * dy1) / 2.0,
+        (dx1 + 1j * dy1) / 2.0,
+        (dz1 - 1j * du1) / 2.0,
+        (dz1 + 1j * du1) / 2.0,
+        (dx2 - 1j * dy2) / 2.0,
+        (dx2 + 1j * dy2) / 2.0,
+        (dz2 - 1j * du2) / 2.0,
+        (dz2 + 1j * du2) / 2.0,
     )
     # an overflowing quotient leaves a non-finite partial, as does a sum of two
     # finite quotients that overflows
-    if not all(cmath.isfinite(v) for v in vars(table).values() if isinstance(v, complex)):
+    if not all(map(cmath.isfinite, values)):
         raise EvaluationOverflowError(f"difference stencil overflows at {p!r}")
-    return table
+    return PartialsTable(*values, step=h, point=p)
 
 
 @dataclass(frozen=True)
@@ -241,6 +240,8 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
     ``step**(1/k) * max(1, |p|)`` (2^k evaluations, k <= 4), elsewhere.  The
     truncation estimate is the leading stencil error term k*h^2/6 scaled by
     the result magnitude; the accuracy warning is set when it exceeds 1e-4.
+    EvaluationOverflowError when a stencil value or that estimate leaves the
+    double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -262,4 +263,6 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
     h = step ** (1.0 / k) * max(1.0, p.norm())
     value = _nested_dx(f, p, k, h)
     est = k * h * h / 6.0 * max(1.0, value.norm())
+    if not math.isfinite(est):
+        raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")
     return DerivativeResult(value, k, "stencil", h, est, est > _ACCURACY_FLAG_THRESHOLD)

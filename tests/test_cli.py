@@ -52,6 +52,62 @@ def test_machine_format_is_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--expr", "exp(p)*sin(p)", "--point", "0.3", "0.1", "-0.2", "0.4"],
+        ["check", "--expr", "sin(p)*cos(p)", "--grid", "16", "--radius", "2"],
+        ["series", "--expr", "exp(p)", "--n", "64", "--samples", "1024"],
+        ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0.1", "0", "--k", "3"],
+        ["radius", "--expr", "p"],  # inconclusive: the results carry a note
+        ["commute", "--expr", "exp(p)", "--expr", "cos(p)", "--grid", "8"],
+    ],
+)
+def test_machine_output_is_json_dumps_with_indent_2(capsys, argv):
+    code, out, _ = run_cli(capsys, argv + ["--format", "machine"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_to_json_spells_every_value_as_json_dumps():
+    doc = {
+        "floats": [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1, -2.5],
+        "nonfinite": [1.0, math.nan, math.inf, -math.inf],
+        "ints": [0, -3, 12345678901234567890],
+        "mixed": [1, -0.0, True, False, None, "s", math.inf, [], {}],
+        "scalars": {"int": 7, "float": 1e-7, "nan": math.nan, "true": True, "false": False, "none": None},
+        "empty_list": [],
+        "empty_dict": {},
+        "rows": [{"a": [1.0, 2.0], "b": {"c": [[], [0.5]]}}, {}],
+        "strings": ['quote " and backslash \\', "control \x00\x1f\n\t\r\b\f\x7f", "non-ASCII \u00e9 \u2202 \U0001d573", ""],
+        'key with "quotes", \\ and \u00e9': "value",
+    }
+    assert cli.to_json(doc) == json.dumps(doc, indent=2)
+    for scalar in (math.nan, -math.inf, 5e-324, -0.0, 3, True, None, "\u00e9", [], {}):
+        assert cli.to_json(scalar) == json.dumps(scalar, indent=2)
+    with pytest.raises(TypeError):
+        cli.to_json({"tuple": (1.0,)})
+
+
+# One fixed input per subcommand and its text report, byte for byte.  Text is
+# not a stability contract: a deliberate change to a report rewrites its file.
+GOLDEN_TEXT = {
+    "eval": ["eval", "--expr", "exp(p)*sin(p)", "--point", "0.3", "0.1", "-0.2", "0.4"],
+    "check": ["check", "--expr", "sin(p)", "--grid", "3", "--seed", "7"],
+    "series": ["series", "--expr", "sin(p)", "--n", "6"],
+    "derive": ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0.1", "0", "--k", "3"],
+    "radius": ["radius", "--expr", "1/(1-p)"],
+    "commute": ["commute", "--expr", "exp(p)", "--expr", "cos(p)", "--grid", "8"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TEXT))
+def test_text_report_matches_its_golden_file(capsys, name):
+    code, out, _ = run_cli(capsys, GOLDEN_TEXT[name])
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
+
+
 def test_check_pass_and_fail_exit_codes(capsys):
     code, rep, _ = run_json(capsys, ["check", "--expr", "exp(p)", "--grid", "5"])
     assert code == 0 and rep["results"]["pass"]
@@ -218,11 +274,14 @@ def test_commute_product_overflow_is_eval_error(capsys, exprs, point):
         ["--expr", "1e308*sin(1e6*p)", "--point", "0.3", "0", "0", "0"],
         ["--expr", "1e308*sin(1e6*p)", "--point", "0.3", "0", "0", "0", "--k", "2"],
         ["--expr", "p", "--point", "1.79769e308", "0", "0", "0"],
+        ["--expr", "1e154*(1*p)-i*(1*p)*i", "--point", "1e154", "0", "1e154", "0", "--format", "machine"],
     ],
 )
 def test_derive_stencil_overflow_is_eval_error(capsys, argv):
     # the difference quotient (or the shifted point) overflowed in the
-    # Quaternion constructor, a ValueError that ended in exit 2 as a usage error
+    # Quaternion constructor, a ValueError that ended in exit 2 as a usage
+    # error; the overflowing truncation estimate of the last case was printed
+    # as Infinity, which is not JSON, with exit 0
     code, out, err = run_cli(capsys, ["derive"] + argv)
     assert code == 3 and out == ""
     assert "evaluation error" in err and "usage" not in err

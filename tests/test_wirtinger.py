@@ -327,6 +327,18 @@ def test_full_derivative_overflow_is_evaluation_error():
     assert repr(full_derivative(tree, p)) == repr(want)
 
 
+def test_truncation_estimate_overflow_is_evaluation_error():
+    # k*h^2/6*max(1, |value|) overflowed to inf beside a finite value, which
+    # the machine output spelled as the invalid JSON constant Infinity
+    tree = parse("1e154*(1*p)-i*(1*p)*i")
+    p = Quaternion(1e154, 0.0, 1e154, 0.0)
+    with pytest.raises(EvaluationOverflowError, match="truncation estimate"):
+        kth_derivative(tree, p, 1)
+    # where h^2*|value| stays in range, so does the estimate
+    r = kth_derivative(tree, Quaternion(1e80, 0.0, 1e80, 0.0), 1)
+    assert math.isfinite(r.truncation_estimate) and r.accuracy_warning
+
+
 def test_holomorphy_stencil_overflow_is_evaluation_error():
     # the difference quotients overflowed to inf: the main residuals read
     # (nan, 0.0, nan, 0.0) and the check failed as if f were not holomorphic
