@@ -22,10 +22,15 @@ arbitrary points without that restriction and are reported separately.
 The full quaternionic derivative (the one uniting the left and right
 derivatives) has components phi1' = da(phi1) + dabar(phi1) and likewise for
 phi2.  Since d/da + d/d(conj a) = d/dx for any function, psi' = d(psi)/dx,
-and every derivative is taken along x without forming the partials:
-:func:`full_derivative` is one central difference, and :func:`kth_derivative`
-picks its route from the input alone ("exact" at k = 0, "series" at the
-origin, "stencil", k nested x-differences, elsewhere).
+and every derivative is taken along x without forming the partials.
+
+Partials and derivatives share one central difference: :func:`_step` gives
+h = step**(1/k) * max(1, |p|), :func:`_stepped` the points p +- e*h (hi is
+evaluated first), and :func:`_quotient` (hi - lo)/(2h) on doubling pairs.
+:func:`partials` steps along 1, i, j, k; :func:`full_derivative` is one step
+along x, and :func:`kth_derivative` picks its route from the input alone
+("exact" at k = 0, "series" at the origin, "stencil", k nested x-differences,
+elsewhere).
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .functions import EvaluationOverflowError, FuncExpr, evaluate, phi_components
-from .quaternion import I, J, K, ONE, ZERO, Quaternion
+from .quaternion import I, J, K, ONE, ZERO, Pair, Quaternion
 from .series import NonRealCoefficientError, maclaurin_coeffs
 
 
@@ -61,23 +65,57 @@ class PartialsTable:
     point: Quaternion
 
 
-def _check_step(step: float) -> None:
-    # h = step*max(1, |p|) >= eps*|c| for every component c, so c +- h != c
+_MAX_STENCIL_ORDER = 4
+
+
+def _step(step: float, p: Quaternion, k: int = 1) -> float:
+    """Per-level step h = step**(1/k) * max(1, |p|) of k nested differences;
+    k = 0 (no stencil) only validates ``step``.  EvaluationOverflowError when
+    the width 2h leaves the double range."""
+    # h >= step*max(1, |p|) >= eps*|c| for every component c, so c +- h != c
     if not sys.float_info.epsilon <= step < math.inf:
         raise ValueError("step must be finite and at least machine epsilon (2.2e-16)")
+    if k == 0:
+        return 0.0
+    if k > _MAX_STENCIL_ORDER:
+        raise ValueError(f"stencil route supports k <= {_MAX_STENCIL_ORDER}, got {k}")
+    h = step ** (1.0 / k) * max(1.0, p.norm())
+    if not 2.0 * h < math.inf:  # a width of inf would turn every quotient into 0
+        raise EvaluationOverflowError(f"difference stencil overflows: width 2h is infinite at h = {h!r}")
+    return h
+
+
+def _stepped(p: Quaternion, e: Quaternion, h: float) -> tuple[Quaternion, Quaternion]:
+    """The stepped points p + e*h and p - e*h, each sum formed once;
+    EvaluationOverflowError where a component leaves the double range."""
+    try:
+        hi = Quaternion(p.x + e.x * h, p.y + e.y * h, p.z + e.z * h, p.u + e.u * h)
+        return hi, Quaternion(p.x - e.x * h, p.y - e.y * h, p.z - e.z * h, p.u - e.u * h)
+    except ValueError as exc:
+        raise EvaluationOverflowError(f"difference stencil overflows: {exc}") from exc
+
+
+def _quotient(hi: Pair, lo: Pair, h: float) -> Pair:
+    """(hi - lo)/(2h) on doubling pairs, hi/(2h) - lo/(2h) where a plain
+    difference overflows; EvaluationOverflowError for a non-finite quotient."""
+    w = 2.0 * h
+    (a1, b1), (a2, b2) = hi, lo
+    da, db = a1 - a2, b1 - b2
+    qa = da / w if cmath.isfinite(da) else a1 / w - a2 / w
+    qb = db / w if cmath.isfinite(db) else b1 / w - b2 / w
+    if not (cmath.isfinite(qa) and cmath.isfinite(qb)):
+        raise EvaluationOverflowError(f"difference stencil overflows: quotient with 2h = {w!r}")
+    return qa, qb
 
 
 def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
     """Central-difference Wirtinger partials with step scaled by max(1, |p|);
-    EvaluationOverflowError when a quotient or a partial leaves the double range."""
-    _check_step(step)
-    h = step * max(1.0, p.norm())
+    EvaluationOverflowError when the stencil or a partial overflows."""
+    h = _step(step, p)
     d = []
     for e in (ONE, I, J, K):
-        # the sums of p + e*h and p - e*h, each point built once
-        hi = phi_components(f, Quaternion(p.x + e.x * h, p.y + e.y * h, p.z + e.z * h, p.u + e.u * h))
-        lo = phi_components(f, Quaternion(p.x - e.x * h, p.y - e.y * h, p.z - e.z * h, p.u - e.u * h))
-        d.append(((hi.phi1 - lo.phi1) / (2.0 * h), (hi.phi2 - lo.phi2) / (2.0 * h)))
+        hi, lo = _stepped(p, e, h)
+        d.append(_quotient(phi_components(f, hi), phi_components(f, lo), h))
     (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = d
     # in PartialsTable's field order: da, dabar, db, dbbar of phi1, then of phi2
     values = (
@@ -90,8 +128,7 @@ def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
         (dz2 - 1j * du2) / 2.0,
         (dz2 + 1j * du2) / 2.0,
     )
-    # an overflowing quotient leaves a non-finite partial, as does a sum of two
-    # finite quotients that overflows
+    # a sum of two finite quotients that overflows leaves a non-finite partial
     if not all(map(cmath.isfinite, values)):
         raise EvaluationOverflowError(f"difference stencil overflows at {p!r}")
     return PartialsTable(*values, step=h, point=p)
@@ -189,30 +226,18 @@ def check_holomorphy(
     )
 
 
-def _nested_dx(f: FuncExpr, p: Quaternion, k: int, h: float) -> Quaternion:
+def _nested_dx(f: FuncExpr, p: Quaternion, k: int, h: float) -> Pair:
+    """k nested x-differences of f at p as a doubling pair (2^k evaluations)."""
     if k == 0:
-        return evaluate(f, p)
-    e = Quaternion(h, 0.0, 0.0, 0.0)
-    hi = _nested_dx(f, _in_range(lambda: p + e), k - 1, h)
-    lo = _nested_dx(f, _in_range(lambda: p - e), k - 1, h)
-    return _in_range(lambda: (hi - lo) * (0.5 / h))
-
-
-def _in_range(arithmetic: Callable[[], Quaternion]) -> Quaternion:
-    """The Quaternion that ``arithmetic()`` makes from finite operands;
-    EvaluationOverflowError where the constructor rejects a component that
-    left the double range."""
-    try:
-        return arithmetic()
-    except ValueError as exc:
-        raise EvaluationOverflowError(f"difference stencil overflows: {exc}") from exc
+        return evaluate(f, p).to_cd()
+    hi, lo = _stepped(p, ONE, h)
+    return _quotient(_nested_dx(f, hi, k - 1, h), _nested_dx(f, lo, k - 1, h), h)
 
 
 def full_derivative(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> Quaternion:
     """Full quaternionic derivative d(psi)/dx: one central difference along x
     with step ``step * max(1, |p|)``, at every point including the origin."""
-    _check_step(step)
-    return _nested_dx(f, p, 1, step * max(1.0, p.norm()))
+    return Quaternion.from_cd(*_nested_dx(f, p, 1, _step(step, p)))
 
 
 @dataclass(frozen=True)
@@ -228,7 +253,6 @@ class DerivativeResult:
 
 
 _ACCURACY_FLAG_THRESHOLD = 1e-4
-_MAX_STENCIL_ORDER = 4
 
 
 def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> DerivativeResult:
@@ -240,12 +264,12 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
     ``step**(1/k) * max(1, |p|)`` (2^k evaluations, k <= 4), elsewhere.  The
     truncation estimate is the leading stencil error term k*h^2/6 scaled by
     the result magnitude; the accuracy warning is set when it exceeds 1e-4.
-    EvaluationOverflowError when a stencil value or that estimate leaves the
-    double range.
+    EvaluationOverflowError when the stencil width, a stepped point, a
+    quotient or that estimate leaves the double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    _check_step(step)
+    h = _step(step, p, 0 if p == ZERO else k)
     if k == 0:
         return DerivativeResult(evaluate(f, p), 0, "exact", None, 0.0, False)
     if p == ZERO:
@@ -258,10 +282,7 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
         value = Quaternion.from_real(ser.coeffs[k] * math.factorial(k))
         return DerivativeResult(value, k, "series", None, 0.0, False)
 
-    if k > _MAX_STENCIL_ORDER:
-        raise ValueError(f"stencil route supports k <= {_MAX_STENCIL_ORDER}, got {k}")
-    h = step ** (1.0 / k) * max(1.0, p.norm())
-    value = _nested_dx(f, p, k, h)
+    value = Quaternion.from_cd(*_nested_dx(f, p, k, h))
     est = k * h * h / 6.0 * max(1.0, value.norm())
     if not math.isfinite(est):
         raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")

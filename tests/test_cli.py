@@ -152,6 +152,25 @@ def test_check_stencil_overflow_is_eval_error(capsys, expr, x):
     assert "evaluation error" in err
 
 
+@pytest.mark.parametrize("point", [["1.79769e308", "0", "0", "0"], ["0", "0", "1.79769e308", "0"]])
+def test_check_stepped_point_overflow_is_eval_error(capsys, point):
+    # p + h overflowed in the Quaternion constructor, a ValueError that ended
+    # in exit 2 as a usage error, while derive at the same point exited 3
+    code, out, err = run_cli(capsys, ["check", "--expr", "p", "--point", *point, "--format", "machine"])
+    assert code == 3 and out == ""
+    assert "evaluation error" in err and "usage" not in err
+
+
+def test_check_infinite_stencil_width_is_eval_error(capsys):
+    # 2h = inf made every quotient read 0, a vacuous PASS with exit 0
+    argv = ["check", "--expr", "0.001*j*p", "--point", "0", "0", "0", "0", "--format", "machine"]
+    code, out, err = run_cli(capsys, argv + ["--step", "1e308"])
+    assert code == 3 and out == ""
+    assert "evaluation error" in err
+    code, _, _ = run_cli(capsys, argv + ["--step", "1e307"])
+    assert code == 1
+
+
 @pytest.mark.parametrize("expr, x", [("exp(0-p^400)", "10"), ("exp(0-p^2)", "1e200")])
 def test_eval_overflow_hidden_by_later_node_exit_code(capsys, expr, x):
     # the power overflows; exp of the resulting -inf would be a finite 0
@@ -285,6 +304,16 @@ def test_derive_stencil_overflow_is_eval_error(capsys, argv):
     code, out, err = run_cli(capsys, ["derive"] + argv)
     assert code == 3 and out == ""
     assert "evaluation error" in err and "usage" not in err
+
+
+def test_derive_overflowing_difference_with_finite_derivative(capsys):
+    # f(p+h) - f(p-h) overflowed and exited 3, although f' is finite
+    argv = ["derive", "--expr", "1.7e308*sin(p)", "--point", "100000", "0", "0", "0"]
+    code, rep, _ = run_json(capsys, argv)
+    assert code == 0
+    assert rep["results"]["method"] == "stencil" and rep["results"]["accuracy_warning"] is True
+    x = rep["results"]["value"][0]
+    assert math.isfinite(x) and -1.8e308 < x < -1e308
 
 
 def test_derive_nonreal_coefficient_exit_code(capsys):

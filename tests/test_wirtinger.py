@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -23,6 +24,7 @@ from hquat import (
     kth_derivative,
     parse,
     partials,
+    phi_components,
 )
 from hquat import functions, wirtinger
 from hquat.functions import EvaluationOverflowError
@@ -355,6 +357,118 @@ def test_holomorphy_stencil_overflow_is_evaluation_error():
     partials(tree, ZERO)
     with pytest.raises(EvaluationOverflowError, match="holomorphy residual overflows"):
         check_holomorphy(tree, ZERO)
+
+
+# ---------------------------------------------------------------------------
+# the one central difference
+# ---------------------------------------------------------------------------
+
+_QUOTIENT_POINTS = [
+    Quaternion(0.0, 0.0, 0.0, 0.0),
+    Quaternion(-0.0, -0.0, -0.0, -0.0),
+    Quaternion(0.3, -0.0, 0.2, -0.1),
+    Quaternion(-0.0, 0.5, 0.0, -0.7),
+    Quaternion(1.25, 0.0, -0.0, 2.5),
+    Quaternion(-3.0, 1e-300, -0.0, 0.0),
+    Quaternion(0.7, -0.4, 0.9, 0.6),
+]
+_QUOTIENT_TREES = ["exp(p)*sin(p)", "p^3 - 2*p + i", "cos(p)*p - j*p", "0*p"]
+
+
+def _central(hi, lo, h):
+    """(hi - lo)/(2h) on two doubling pairs, as the stencil documents it."""
+    return tuple((s - t) / (2.0 * h) for s, t in zip(hi, lo))
+
+
+def _nested_central(tree, p, k, h):
+    if k == 0:
+        return evaluate(tree, p).to_cd()
+    e = Quaternion(h, 0.0, 0.0, 0.0)
+    return _central(_nested_central(tree, p + e, k - 1, h), _nested_central(tree, p - e, k - 1, h), h)
+
+
+def test_partials_are_the_one_quotient_bitwise():
+    for text in _QUOTIENT_TREES:
+        tree = parse(text)
+        for p in _QUOTIENT_POINTS:
+            for step in (1e-5, 1e-3):
+                h = step * max(1.0, p.norm())
+                d = [(phi_components(tree, p + e * h), phi_components(tree, p - e * h)) for e in (ONE, I, J, K)]
+                (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = [_central(hi, lo, h) for hi, lo in d]
+                want = [
+                    (dx1 - 1j * dy1) / 2.0,
+                    (dx1 + 1j * dy1) / 2.0,
+                    (dz1 - 1j * du1) / 2.0,
+                    (dz1 + 1j * du1) / 2.0,
+                    (dx2 - 1j * dy2) / 2.0,
+                    (dx2 + 1j * dy2) / 2.0,
+                    (dz2 - 1j * du2) / 2.0,
+                    (dz2 + 1j * du2) / 2.0,
+                ]
+                t = partials(tree, p, step)
+                got = [t.dphi1_da, t.dphi1_dabar, t.dphi1_db, t.dphi1_dbbar]
+                got += [t.dphi2_da, t.dphi2_dabar, t.dphi2_db, t.dphi2_dbbar]
+                assert repr(got) == repr(want) and t.step == h, (text, p, step)
+
+
+def test_derivatives_are_the_one_quotient_bitwise():
+    for text in _QUOTIENT_TREES:
+        tree = parse(text)
+        for p in _QUOTIENT_POINTS:
+            h = 1e-5 * max(1.0, p.norm())
+            want = Quaternion.from_cd(*_nested_central(tree, p, 1, h))
+            assert repr(full_derivative(tree, p)) == repr(want), (text, p)
+            if p == ZERO:
+                continue
+            for k in range(1, 5):
+                h = 1e-5 ** (1.0 / k) * max(1.0, p.norm())
+                r = kth_derivative(tree, p, k)
+                want = Quaternion.from_cd(*_nested_central(tree, p, k, h))
+                assert repr(r.value) == repr(want) and r.step == h, (text, p, k)
+
+
+def test_overflowing_difference_is_scaled_before_subtracting():
+    # f(p+h) - f(p-h) overflowed and derive exited 3, although
+    # f'(p) = 1.7e308*cos(1e5) = -1.699e308 is finite
+    tree = parse("1.7e308*sin(p)")
+    p = Quaternion(100000.0, 0.0, 0.0, 0.0)
+    h = 1e-5 * p.norm()
+    e = Quaternion(h, 0.0, 0.0, 0.0)
+    (a_hi, b_hi), (a_lo, b_lo) = evaluate(tree, p + e).to_cd(), evaluate(tree, p - e).to_cd()
+    assert not cmath.isfinite(a_hi - a_lo)
+    w = 2.0 * h
+    want = Quaternion.from_cd(a_hi / w - a_lo / w, (b_hi - b_lo) / w)
+    assert repr(full_derivative(tree, p)) == repr(want)
+    r = kth_derivative(tree, p, 1)
+    assert repr(r.value) == repr(want) and r.accuracy_warning
+
+
+def test_infinite_stencil_width_is_evaluation_error():
+    # 2h = inf made every quotient read 0: 0.001*j*p, which fails the check
+    # at --step 1e307, passed it at 1e308
+    tree = parse("0.001*j*p")
+    for call in (
+        lambda: partials(tree, ZERO, step=1e308),
+        lambda: check_holomorphy(tree, ZERO, step=1e308),
+        lambda: full_derivative(tree, ZERO, step=1e308),
+        lambda: kth_derivative(tree, ONE, 1, step=1e308),
+    ):
+        with pytest.raises(EvaluationOverflowError, match="width 2h"):
+            call()
+    assert not check_holomorphy(tree, ZERO, step=1e307).passed
+    # the exact and series routes use no stencil: the step is only validated
+    assert kth_derivative(P, ZERO, 0, step=1e308).method == "exact"
+    assert kth_derivative(P, ZERO, 1, step=1e308).method == "series"
+
+
+def test_stepped_point_past_the_double_range_is_evaluation_error():
+    # p + h overflowed in the Quaternion constructor, a ValueError
+    x_edge, z_edge = Quaternion(1.79769e308, 0.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.79769e308, 0.0)
+    for call in (lambda: partials(P, x_edge), lambda: partials(P, z_edge), lambda: full_derivative(P, x_edge)):
+        with pytest.raises(EvaluationOverflowError, match="difference stencil overflows"):
+            call()
+    # the derivative steps along x only, so z at the edge stays in range
+    assert full_derivative(P, z_edge) == ONE
 
 
 def test_kth_power_rule_away_from_origin():
