@@ -31,6 +31,7 @@ from .functions import EvaluationOverflowError, commutator_norm, evaluate, has_n
 from .parser import GRAMMAR, ParseError, format_expr, parse
 from .quaternion import Quaternion, ZeroDivisorError
 from .series import (
+    DEFAULT_RHO,
     NonRealCoefficientError,
     PowerSeries,
     RatioTestInconclusive,
@@ -43,7 +44,7 @@ from .series import (
     sin_coefficient,
     sin_cos_coefficient,
 )
-from .wirtinger import InvalidPointError, check_holomorphy, kth_derivative
+from .wirtinger import DEFAULT_STEP, DEFAULT_TOL, InvalidPointError, check_holomorphy, kth_derivative
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -359,14 +360,14 @@ def _sampling_args(sp: argparse.ArgumentParser, grid_help: str | None) -> None:
 def _check_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--expr", required=True)
     _sampling_args(sp, "number of sampled point pairs")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--step", type=float, default=1e-5)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
 
 
 def _extraction_args(sp: argparse.ArgumentParser, n: int, n_help: str | None) -> None:
     sp.add_argument("--expr", required=True)
     sp.add_argument("--n", type=int, default=n, help=n_help)
-    sp.add_argument("--rho", type=float, default=0.8)
+    sp.add_argument("--rho", type=float, default=DEFAULT_RHO)
     sp.add_argument("--samples", type=int, default=None)
 
 
@@ -377,7 +378,7 @@ def _series_args(sp: argparse.ArgumentParser) -> None:
 def _derive_args(sp: argparse.ArgumentParser) -> None:
     _eval_args(sp)
     sp.add_argument("--k", type=positive_int, default=1)
-    sp.add_argument("--step", type=float, default=1e-5)
+    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
 
 
 def _radius_args(sp: argparse.ArgumentParser) -> None:

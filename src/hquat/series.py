@@ -1,9 +1,10 @@
 """Quaternionic power series with real coefficients.
 
 A series sum_l r_l p^l is held as a finite coefficient prefix plus an
-optional closed-form rule l -> r_l for the tail.  Powers of one quaternion
-commute with each other and with real scalars, so partial sums can be
-evaluated by Horner's scheme exactly as over the complex numbers.
+optional closed-form rule l -> r_l for the tail.  The coefficients are real,
+so the sum at p = x + V*r (r^2 = -1) is the complex sum at x + iV with i
+replaced by r: partial sums run Horner's scheme in complex arithmetic and
+lift it through :func:`hquat.functions._lift`, as exp, sin and cos are.
 
 Convergence machinery:
 
@@ -29,8 +30,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .functions import EvaluationOverflowError, FuncExpr, evaluate
-from .quaternion import ONE, ZERO, Quaternion
+from .functions import EvaluationOverflowError, FuncExpr, _lift, evaluate
+from .quaternion import ZERO, Quaternion
 
 
 class RatioTestInconclusive(ArithmeticError):
@@ -103,36 +104,35 @@ class PowerSeries:
         return enumerate(map(self.coefficient, range(stop)))
 
     def partial_sum(self, p: Quaternion, n: int) -> Quaternion:
-        """Horner evaluation of sum_{l<=n} r_l p^l."""
-        acc = Quaternion.from_real(self.coefficient(n))
-        for l in range(n - 1, -1, -1):
-            acc = acc * p + self.coefficient(l)
-        return acc
+        """sum_{l<=n} r_l p^l, on the domain of exp, sin and cos: the imaginary
+        part reads 0 where |Im p|^2 underflows (|Im p| below about 2e-162),
+        EvaluationOverflowError where it overflows (above about 1.3e154)."""
+
+        def horner(w: complex) -> complex:
+            acc = complex(self.coefficient(n))
+            for l in range(n - 1, -1, -1):
+                acc = acc * w + self.coefficient(l)
+            return acc
+
+        return Quaternion.from_cd(*_lift(horner, p.to_cd()))
 
     def evaluate(self, p: Quaternion, tol: float = 1e-12, max_terms: int = 200) -> SeriesEvaluation:
-        """Sum terms until |r_l p^l| < tol for 3 consecutive l (term-test
+        """Sum terms until |r_l| |p|^l < tol for 3 consecutive l (term-test
         heuristic), or give up at max_terms / coefficient exhaustion with
-        converged=False and the last partial sum."""
+        converged=False; the value is :meth:`partial_sum` over the terms used."""
         if tol <= 0.0:
             raise ValueError("tolerance must be positive")
-        acc = ZERO
-        power = ONE
         pnorm = p.norm()
         power_mag = 1.0
         streak = 0
         used = 0
         for l, c in self.terms(max_terms):
-            acc = acc + power * c
             used = l + 1
-            if abs(c) * power_mag < tol:
-                streak += 1
-                if streak >= 3:
-                    return SeriesEvaluation(acc, used, True)
-            else:
-                streak = 0
-            power = power * p
+            streak = streak + 1 if abs(c) * power_mag < tol else 0
+            if streak >= 3:
+                break
             power_mag *= pnorm
-        return SeriesEvaluation(acc, used, False)
+        return SeriesEvaluation(self.partial_sum(p, used - 1) if used else ZERO, used, streak >= 3)
 
     def differentiate(self) -> PowerSeries:
         """Termwise derivative: coefficients (l+1) r_{l+1}."""
@@ -366,6 +366,9 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
 # Largest non-real residue of an extracted coefficient still taken as real.
 NONREAL_TOL = 1e-8
 
+# Radius of the sampling circle.
+DEFAULT_RHO = 0.8
+
 # Bound on one extraction's inputs, in nominal Fourier terms: samples*(n+1)
 # (the pruned kernel does fewer), plus 128 per sample for its evaluation.
 MAX_EXTRACTION_TERMS = 2**24
@@ -390,6 +393,15 @@ class MaclaurinExtraction:
     def first_nonreal(self) -> int | None:
         """First index whose non-real residue is not within NONREAL_TOL, else None."""
         return next((k for k, res in enumerate(self.nonreal_residues) if not res <= NONREAL_TOL), None)
+
+    def real_coeffs(self) -> tuple[float, ...]:
+        """The coefficients; NonRealCoefficientError at :meth:`first_nonreal`
+        (the signature of a non-holomorphic input, e.g. a function multiplied
+        by a non-real constant)."""
+        k = self.first_nonreal()
+        if k is not None:
+            raise NonRealCoefficientError(k, self.nonreal_residues[k])
+        return self.coeffs
 
     def denoised_coeffs(self) -> tuple[float, ...]:
         """Coefficients at or below 10x their noise floor zeroed, trailing zeros cut."""
@@ -424,7 +436,7 @@ def _dft_head(x: list[complex], roots: list[complex], need: int) -> list[complex
 def maclaurin_extraction(
     f: FuncExpr,
     n: int,
-    rho: float = 0.8,
+    rho: float = DEFAULT_RHO,
     samples: int | None = None,
 ) -> MaclaurinExtraction:
     """Fourier coefficients of f restricted to the circle |a| = rho, z = u = 0.
@@ -489,20 +501,12 @@ def maclaurin_extraction(
 def maclaurin_coeffs(
     f: FuncExpr,
     n: int,
-    rho: float = 0.8,
+    rho: float = DEFAULT_RHO,
     samples: int | None = None,
 ) -> PowerSeries:
-    """Extract r_0..r_n, enforcing coefficient realness.
-
-    Raises NonRealCoefficientError at :meth:`MaclaurinExtraction.first_nonreal`
-    (the signature of a non-holomorphic input, e.g. a function multiplied by
-    a non-real constant).
-    """
-    ext = maclaurin_extraction(f, n, rho, samples)
-    k = ext.first_nonreal()
-    if k is not None:
-        raise NonRealCoefficientError(k, ext.nonreal_residues[k])
-    return PowerSeries(ext.coeffs)
+    """Extract r_0..r_n, enforcing coefficient realness
+    (:meth:`MaclaurinExtraction.real_coeffs`)."""
+    return PowerSeries(maclaurin_extraction(f, n, rho, samples).real_coeffs())
 
 
 def general_term_check(rule: Callable[[int], float], coeffs: tuple[float, ...] | list[float]) -> int:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 from .functions import EvaluationOverflowError, FuncExpr, evaluate, phi_components
 from .quaternion import I, J, K, ONE, ZERO, Pair, Quaternion
-from .series import NonRealCoefficientError, maclaurin_coeffs
+from .series import maclaurin_extraction
 
 
 class InvalidPointError(ValueError):
@@ -64,6 +64,11 @@ class PartialsTable:
     step: float
     point: Quaternion
 
+
+# Relative step of every central difference, and the largest holomorphy
+# residual that passes.
+DEFAULT_STEP = 1e-5
+DEFAULT_TOL = 1e-6
 
 _MAX_STENCIL_ORDER = 4
 
@@ -108,7 +113,7 @@ def _quotient(hi: Pair, lo: Pair, h: float) -> Pair:
     return qa, qb
 
 
-def partials(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> PartialsTable:
+def partials(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> PartialsTable:
     """Central-difference Wirtinger partials with step scaled by max(1, |p|);
     EvaluationOverflowError when the stencil or a partial overflows."""
     h = _step(step, p)
@@ -194,8 +199,8 @@ def _aux_residuals(t: PartialsTable) -> tuple[float, float, float, float]:
 def check_holomorphy(
     f: FuncExpr,
     point: Quaternion,
-    tol: float = 1e-6,
-    step: float = 1e-5,
+    tol: float = DEFAULT_TOL,
+    step: float = DEFAULT_STEP,
     aux_point: Quaternion | None = None,
 ) -> HolomorphyReport:
     """Evaluate the holomorphy residuals of f.
@@ -234,7 +239,7 @@ def _nested_dx(f: FuncExpr, p: Quaternion, k: int, h: float) -> Pair:
     return _quotient(_nested_dx(f, hi, k - 1, h), _nested_dx(f, lo, k - 1, h), h)
 
 
-def full_derivative(f: FuncExpr, p: Quaternion, step: float = 1e-5) -> Quaternion:
+def full_derivative(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> Quaternion:
     """Full quaternionic derivative d(psi)/dx: one central difference along x
     with step ``step * max(1, |p|)``, at every point including the origin."""
     return Quaternion.from_cd(*_nested_dx(f, p, 1, _step(step, p)))
@@ -255,17 +260,22 @@ class DerivativeResult:
 _ACCURACY_FLAG_THRESHOLD = 1e-4
 
 
-def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> DerivativeResult:
+def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STEP) -> DerivativeResult:
     """k-th full quaternionic derivative d^k(psi)/dx^k of f at p.
 
     The route follows from the input: "exact" evaluation at k = 0; "series",
     k! times the k-th Maclaurin coefficient, at p = 0 (any k); "stencil",
     k nested central differences along x with per-level step
     ``step**(1/k) * max(1, |p|)`` (2^k evaluations, k <= 4), elsewhere.  The
-    truncation estimate is the leading stencil error term k*h^2/6 scaled by
-    the result magnitude; the accuracy warning is set when it exceeds 1e-4.
-    EvaluationOverflowError when the stencil width, a stepped point, a
-    quotient or that estimate leaves the double range.
+    stencil route's truncation estimate is the leading error term k*h^2/6
+    scaled by the result magnitude.  The series route's is k! times the
+    coefficient's noise floor (:class:`hquat.series.MaclaurinExtraction`): it
+    counts the rounding of the samples, not the aliasing of higher
+    coefficients onto k, so 1/(1-p) at k = 4 is off by 1.5e-5 under an
+    estimate of 5e-13.  The accuracy warning is set when the estimate exceeds
+    1e-4.  EvaluationOverflowError when the stencil width, a stepped point, a
+    quotient, k! times a coefficient or either estimate leaves the double
+    range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -274,16 +284,26 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = 1e-5) -> De
         return DerivativeResult(evaluate(f, p), 0, "exact", None, 0.0, False)
     if p == ZERO:
         try:
-            ser = maclaurin_coeffs(f, n=k)
-        except NonRealCoefficientError:
-            raise
+            ext = maclaurin_extraction(f, n=k)
         except ValueError as exc:  # a limit of the extraction, which knows k as n
             raise ValueError(f"derivative order {k} is beyond the series route at p = 0: {exc}") from exc
-        value = Quaternion.from_real(ser.coeffs[k] * math.factorial(k))
-        return DerivativeResult(value, k, "series", None, 0.0, False)
+        value = _times_factorial(k, ext.real_coeffs()[k])
+        est = _times_factorial(k, ext.noise_floors[k])
+        return DerivativeResult(Quaternion.from_real(value), k, "series", None, est, est > _ACCURACY_FLAG_THRESHOLD)
 
     value = Quaternion.from_cd(*_nested_dx(f, p, k, h))
     est = k * h * h / 6.0 * max(1.0, value.norm())
     if not math.isfinite(est):
         raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")
     return DerivativeResult(value, k, "stencil", h, est, est > _ACCURACY_FLAG_THRESHOLD)
+
+
+def _times_factorial(k: int, c: float) -> float:
+    """k!*c rounded once, with the sign of c (also of a zero): k! is not
+    rounded to a double first (it is exact in one only up to k = 22).
+    EvaluationOverflowError past the double range."""
+    num, den = c.as_integer_ratio()
+    try:
+        return math.copysign(num * math.factorial(k) / den, c)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"{k}! * {c!r} leaves the double range") from exc

@@ -208,6 +208,12 @@ def test_series_sin_cos_high_order(capsys):
     assert rep["results"]["general_term"]["matches"]
 
 
+def test_series_text_reports_a_finite_radius(capsys):
+    code, out, _ = run_cli(capsys, ["series", "--expr", "1/(1-p)"])
+    assert code == 0
+    assert out.endswith("\nradius: 1\n")
+
+
 def test_series_nonreal_exit_code(capsys):
     code, rep, _ = run_json(capsys, ["series", "--expr", "j*exp(p)", "--n", "3"])
     assert code == 4
@@ -314,6 +320,23 @@ def test_derive_overflowing_difference_with_finite_derivative(capsys):
     assert rep["results"]["method"] == "stencil" and rep["results"]["accuracy_warning"] is True
     x = rep["results"]["value"][0]
     assert math.isfinite(x) and -1.8e308 < x < -1e308
+
+
+@pytest.mark.parametrize("k", ["171", "172", "400"])
+@pytest.mark.parametrize("expr", ["0*p", "0", "exp(p)*0", "sin(p)*1e-320", "1e-300*p^200"])
+def test_derive_at_the_origin_past_the_largest_double_factorial(capsys, expr, k):
+    # k! was rounded to a double first: OverflowError, a traceback and exit 1
+    code, out, err = run_cli(capsys, ["derive", "--expr", expr, "--point", "0", "0", "0", "0", "--k", k, "--format", "machine"])
+    if code == 3:
+        assert out == "" and "evaluation error" in err and "leaves the double range" in err
+        return
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["method"] == "series"
+    assert all(map(math.isfinite, results["value"] + [results["truncation_estimate"]]))
+    if expr in ("0*p", "0", "exp(p)*0"):
+        assert results["value"] == [0.0, 0.0, 0.0, 0.0]
+        assert results["truncation_estimate"] == 0.0 and results["accuracy_warning"] is False
 
 
 def test_derive_nonreal_coefficient_exit_code(capsys):

@@ -159,6 +159,9 @@ def test_scalar_operations():
         assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
         assert p + 1.5 == Quaternion(p.x + 1.5, p.y, p.z, p.u)
         assert p - p == ZERO
+    q = Quaternion(1.0, -2.0, 3.0, 0.5)
+    assert q / 2.0 == Quaternion(0.5, -1.0, 1.5, 0.25)
+    assert 3 - q == Quaternion(2.0, 2.0, -3.0, -0.5)
 
 
 def test_right_division():

@@ -35,6 +35,8 @@ from hquat import (
     sin_series,
 )
 from hquat import series as series_module
+from hquat.cli import sample_ball
+from hquat.functions import EvaluationOverflowError
 from test_parser import _random_tree
 
 
@@ -88,6 +90,62 @@ def test_evaluate_runs_out_of_coefficients():
     res = s.evaluate(Quaternion.from_real(0.9), tol=1e-12, max_terms=50)
     assert not res.converged
     assert res.terms_used == 3
+
+
+def test_evaluate_rejects_a_tolerance_that_is_not_positive():
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            exp_series().evaluate(ZERO, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("1/(1-p)", 48),
+        ("(p^2+1)/(p^2+4)", 32),
+        ("cos(p)/(p^2+9)", 24),
+        ("exp(sin(p))", 24),
+        ("sin(p)*cos(p)", 24),
+        ("p^3-2*p", 3),
+    ],
+)
+def test_extracted_series_sums_to_the_function_off_the_slice(text, n):
+    # coefficients sampled on the complex slice sum to f at quaternion points
+    f = parse(text)
+    s = maclaurin_coeffs(f, n)
+    rng = random.Random(1601)
+    for _ in range(50):
+        p = sample_ball(rng, 0.5)
+        want = evaluate(f, p)
+        assert (s.partial_sum(p, n) - want).norm() <= 1e-12 * want.norm(), p
+
+
+def test_evaluate_is_the_partial_sum_over_the_terms_used():
+    rng = random.Random(1602)
+    for s in (exp_series(), sin_series(), cos_series(), sin_cos_series(), geometric_series()):
+        for _ in range(20):
+            p = sample_ball(rng, 1.5)
+            res = s.evaluate(p, tol=1e-12, max_terms=200)
+            assert repr(res.value) == repr(s.partial_sum(p, res.terms_used - 1))
+    assert PowerSeries(()).evaluate(Quaternion(1, 2, 3, 4)) == series_module.SeriesEvaluation(ZERO, 0, False)
+
+
+@pytest.mark.parametrize("s, text", [(sin_series(), "sin(p)"), (exp_series(), "exp(p)")])
+def test_series_sums_take_the_domain_of_the_evaluator(s, text):
+    # |Im p|^2 underflows: the imaginary part reads 0, as in evaluate
+    tiny = Quaternion(0.3, 1e-300, 0.0, 0.0)
+    got, want = s.partial_sum(tiny, len(s.coeffs) - 1), evaluate(parse(text), tiny)
+    assert (got.y, got.z, got.u) == (want.y, want.z, want.u) == (0.0, 0.0, 0.0)
+    assert math.isclose(got.x, want.x, rel_tol=1e-15)
+    assert s.evaluate(tiny).value.y == 0.0
+    # |Im p|^2 overflows: an evaluation error for both
+    huge = Quaternion(0.0, 1e160, 0.0, 0.0)
+    with pytest.raises(EvaluationOverflowError):
+        evaluate(parse(text), huge)
+    with pytest.raises(EvaluationOverflowError):
+        s.partial_sum(huge, len(s.coeffs) - 1)
+    with pytest.raises(EvaluationOverflowError):
+        PowerSeries((5.0,)).partial_sum(huge, 0)
 
 
 def test_coefficient_access():
@@ -149,6 +207,8 @@ def test_ratio_test_inconclusive_on_oscillation():
 def test_ratio_test_needs_enough_nonzero_coefficients():
     with pytest.raises(ValueError):
         ratio_test(PowerSeries((1.0, 1.0, 1.0)), n_tail=12)
+    with pytest.raises(ValueError, match="at least 2 trailing ratios"):
+        ratio_test(geometric_series(), n_tail=1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +252,15 @@ def test_m_test_weighs_terms_whose_radius_power_overflows():
     assert exc.value.index == 1  # 1e-300 * 2^1100 = 1.36e31
     cert = m_test(PowerSeries((), generator=lambda l: 1e-320 if l == 1030 else 0.0), 2.0, lambda i: 1.0)
     assert cert.passed  # 1e-320 * 2^1030 = 1.15e-10
+
+
+def test_m_test_preconditions_and_empty_series():
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="ball radius must be positive"):
+            m_test(geometric_series(), radius, lambda i: 1.0)
+    cert = m_test(PowerSeries((0.0, 0.0)), 1.0, lambda i: 1.0)
+    assert not cert.passed and cert.terms_checked == 0
+    assert cert.reason == "no nonzero terms to check"
 
 
 def test_m_test_ends_when_generator_terms_run_out():
@@ -262,6 +331,13 @@ def test_exp_coefficients():
     want = [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 720]
     for got, expect in zip(ser.coeffs, want):
         assert abs(got - expect) <= 1e-10
+
+
+def test_catalog_coefficients_read_zero_past_the_double_range():
+    assert inv_factorial(170) == 1.0 / math.factorial(170) > 0.0
+    assert inv_factorial(171) == 0.0
+    # 4^512 alone is past the double range
+    assert sin_cos_coefficient(1025) == 0.0
 
 
 def test_sin_cos_product_coefficients():

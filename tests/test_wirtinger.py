@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,8 @@ from hquat import (
     evaluate,
     full_derivative,
     kth_derivative,
+    maclaurin_coeffs,
+    maclaurin_extraction,
     parse,
     partials,
     phi_components,
@@ -315,6 +318,26 @@ def test_kth_series_route_is_taken_at_zero_only():
     assert r.method == "stencil" and abs(r.value.x - 1.0) <= 1e-4
     for zero in (Quaternion(0.0, 0.0, 0.0, 0.0), Quaternion(-0.0, 0.0, 0.0, 0.0)):
         assert kth_derivative(tree, zero, 2).method == "series"
+
+
+@pytest.mark.parametrize("text", ["exp(p)", "sin(p)", "cos(p)", "sin(p)*cos(p)", "1/(1-p)"])
+def test_series_route_reports_its_noise(text):
+    tree = parse(text)
+    for k, flagged in ((1, False), (11, False), (13, True), (30, True)):
+        r = kth_derivative(tree, ZERO, k)
+        want = float(Fraction(maclaurin_extraction(tree, k).noise_floors[k]) * math.factorial(k))
+        assert r.method == "series" and r.truncation_estimate == want > 0.0
+        assert r.accuracy_warning is flagged, (k, r.truncation_estimate)
+
+
+@pytest.mark.parametrize("k", [1, 11, 22, 23, 40])
+def test_series_route_rounds_k_factorial_times_the_coefficient_once(k):
+    tree = parse("exp(p)")
+    c = maclaurin_coeffs(tree, k).coeffs[k]
+    want = float(Fraction(c) * math.factorial(k))
+    assert kth_derivative(tree, ZERO, k).value == Quaternion.from_real(want)
+    if k <= 22:  # k! is exact in a double
+        assert want == c * math.factorial(k)
 
 
 def test_full_derivative_overflow_is_evaluation_error():
