@@ -8,10 +8,10 @@ byte-identical to ``json.dumps(document, indent=2)``.  Text output is
 human-oriented and not a stability contract; each subcommand returns it as
 a renderer that :func:`main` calls only for ``--format text``.
 
-:func:`main` builds its parser anew on every call, with arguments only for
-the subcommand its first argument names (for all six when it names none,
-as with ``--help`` or ``--version``); help, usage and error text do not
-depend on which arguments were built.
+:func:`main` builds its parser anew on every call, registering only the
+sub-parser its first argument names (all six when it names none, as with
+``--help`` or ``--version``); help, usage and error text do not depend on
+which sub-parsers were registered.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 evaluation
 error, 4 non-real coefficient.
@@ -67,6 +67,9 @@ def sample_ball(rng: random.Random, radius: float, y_zero: bool = False) -> Quat
     """One uniform point of the closed 4-ball (or its y = 0 slice)."""
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
+    # past about 1.34e154 radius^2 is inf and every point of the cube passes
+    if radius * radius == math.inf:
+        raise ValueError(f"radius must have a finite square (about 1.34e154 at most), got {radius!r}")
     while True:
         x = rng.uniform(-radius, radius)
         y = 0.0 if y_zero else rng.uniform(-radius, radius)
@@ -403,11 +406,14 @@ SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Cal
 
 
 def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The hquat parser, with arguments only for ``command`` when it names a
-    subcommand and for every subcommand otherwise.
+    """The hquat parser: only ``command``'s sub-parser when it names a
+    subcommand, every sub-parser otherwise (``--help``, ``--version``, an
+    unknown name, no arguments).
 
-    All subcommands are registered either way, so the main usage line, the
-    main help and argparse's invalid-choice error name each of them.
+    With a named subcommand the subcommand metavar still lists all six, so
+    the main usage line is the same either way; the main help, the
+    invalid-choice error and the missing-subcommand error only arise when
+    none is named.
     """
     parser = argparse.ArgumentParser(
         prog="hquat",
@@ -422,14 +428,16 @@ def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"hquat {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, add_arguments, handler) in SUBCOMMANDS.items():
+    named = command in SUBCOMMANDS
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in [command] if named else SUBCOMMANDS:
+        help_text, add_arguments, handler = SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
-        if command == name or command not in SUBCOMMANDS:
-            add_arguments(sp)
-            sp.add_argument("--format", choices=("text", "machine"), default="text")
-            sp.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
-            sp.set_defaults(func=handler)
+        add_arguments(sp)
+        sp.add_argument("--format", choices=("text", "machine"), default="text")
+        sp.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
+        sp.set_defaults(func=handler)
     return parser
 
 

@@ -379,7 +379,8 @@ class MaclaurinExtraction:
     """Raw circle-sampling output: real parts and non-real residues.
 
     ``noise_floors[k]`` estimates the rounding noise of coefficient k
-    (sqrt(N) times machine epsilon times the largest sampled magnitude,
+    (sqrt(N) times machine epsilon times the largest sampled magnitude, but
+    at least sqrt(N) times the smallest subnormal unless every sample is 0,
     amplified by the 1/rho^k rescaling); extracted values at or below it
     carry no signal.
     """
@@ -478,7 +479,9 @@ def maclaurin_extraction(
     # a left constant can move conj(a)-terms to the negative frequencies of b
     second_conj = [b.conjugate() for b in second] if any(second) else None
 
-    noise_unit = math.sqrt(N) * 2.220446049250313e-16 * vmax
+    # each sample is rounded to at least the smallest subnormal, 2^-1074, so
+    # the unit does not underflow to 0 unless every sample is exactly 0
+    noise_unit = math.sqrt(N) * max(2.220446049250313e-16 * vmax, 5e-324) if vmax else 0.0
     sums = [_dft_head(first, roots, n + 1)]
     if second_conj is not None:
         sums += [_dft_head(second, roots, n + 1), _dft_head(second_conj, roots, n + 1)]

@@ -339,6 +339,21 @@ def test_derive_at_the_origin_past_the_largest_double_factorial(capsys, expr, k)
         assert results["truncation_estimate"] == 0.0 and results["accuracy_warning"] is False
 
 
+@pytest.mark.parametrize("k", [11, 171, 172, 400])
+def test_derive_at_the_origin_of_subnormal_samples_reports_its_noise(capsys, k):
+    # sqrt(N)*eps*vmax underflowed to 0: k = 171 gave -3.99 and k = 11 gave
+    # 3.9e-316, both for -1e-320, with truncation_estimate 0.0
+    code, out, err = run_cli(capsys, ["derive", "--expr", "sin(p)*1e-320", "--point", "0", "0", "0", "0", "--k", str(k), "--format", "machine"])
+    if code == 3:
+        assert out == "" and "leaves the double range" in err
+        return
+    assert code == 0
+    results = json.loads(out)["results"]
+    exact = [1e-320 * (0, 1, 0, -1)[k % 4], 0.0, 0.0, 0.0]
+    error = max(abs(v - e) for v, e in zip(results["value"], exact))
+    assert error <= results["truncation_estimate"] < math.inf
+
+
 def test_derive_nonreal_coefficient_exit_code(capsys):
     # the origin takes the series route, which rejects the coefficient of i*p
     code, out, err = run_cli(capsys, ["derive", "--expr", "i*p", "--point", "0", "0", "0", "0"])
@@ -561,6 +576,36 @@ def test_bad_radius_is_a_usage_error(capsys, head, radius):
     assert "radius must be positive and finite" in err
 
 
+@pytest.mark.parametrize("radius", ["1.35e154", "1e200", "1e308"])
+@pytest.mark.parametrize("head", [["check", "--expr", "exp(p)"], ["commute", "--expr", "sin(p)", "--expr", "cos(p)"]])
+def test_radius_whose_square_overflows_is_a_usage_error(capsys, head, radius):
+    # radius^2 was inf, so the cube was sampled: 129 of 200 points lay outside
+    # the ball at 1e200 (seed 0), and at 1e308 a point read x=inf
+    err = run_usage_error(capsys, head + ["--grid", "2", "--radius", radius])
+    assert "radius must have a finite square" in err
+
+
+def _cube_rejection_sampler(rng, radius, y_zero=False):
+    """The sampler as it stood before the finite-square rule."""
+    while True:
+        x = rng.uniform(-radius, radius)
+        y = 0.0 if y_zero else rng.uniform(-radius, radius)
+        z = rng.uniform(-radius, radius)
+        u = rng.uniform(-radius, radius)
+        if x * x + y * y + z * z + u * u <= radius * radius:
+            return Quaternion(x, y, z, u)
+
+
+@pytest.mark.parametrize("radius", [1e-100, 0.5, 2.0, 1e100, 1.3e154])
+def test_sample_ball_draws_the_same_points_inside_the_ball(radius):
+    # perfbench replicates the sampler, so accepted radii keep every point
+    for y_zero in (False, True):
+        rng, ref = random.Random(7), random.Random(7)
+        got = [sample_ball(rng, radius, y_zero) for _ in range(200)]
+        assert got == [_cube_rejection_sampler(ref, radius, y_zero) for _ in range(200)]
+        assert all(math.hypot(q.x, q.y, q.z, q.u) <= radius * (1 + 1e-15) for q in got)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -724,6 +769,10 @@ _PARSER_PROBES = [[name, *tail] for name in SUBCOMMANDS for tail in (["-h"], [],
     ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "5"],
     ["radius", "--expr", "p", "--rho", "nan"],
     ["commute", "--expr", "sin(p)"],
+    # after a named subcommand: an argument left for the main parser to
+    # reject in its usage line, and the main parser's own --version
+    ["eval", "--expr", "p", "--point", "1", "2", "3", "4", "extra"],
+    ["eval", "--version"],
     [],
     ["-h"],
     ["--version"],
@@ -744,11 +793,20 @@ def test_lazy_parser_says_what_the_full_parser_says(tmp_path, capsys, monkeypatc
         assert (_exit(argv), *capsys.readouterr()) == seen, argv
 
 
-def _bare_subcommands(parser):
-    """Names of the subparsers that hold no argument but -h."""
+def _registered(parser):
+    """Each registered sub-parser's name, the option strings of its arguments
+    and its handler, in registration order."""
     [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(action.choices) == list(SUBCOMMANDS)
-    return {name for name, sp in action.choices.items() if sp.format_usage() == f"usage: hquat {name} [-h]\n"}
+    return [(name, [a.option_strings for a in sp._actions], sp.get_default("func")) for name, sp in action.choices.items()]
+
+
+def _full(name):
+    """What the sub-parser ``name`` must hold: -h, its own arguments, --format
+    and --out, and its handler."""
+    _, add_arguments, handler = SUBCOMMANDS[name]
+    own = argparse.ArgumentParser(add_help=False)
+    add_arguments(own)
+    return name, [["-h", "--help"], *(a.option_strings for a in own._actions), ["--format"], ["--out"]], handler
 
 
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
@@ -760,9 +818,9 @@ def test_a_named_subcommand_builds_only_its_own_arguments(capsys, monkeypatch, n
         main([name, "-h"])
     capsys.readouterr()
     [parser] = built
-    assert _bare_subcommands(parser) == set(SUBCOMMANDS) - {name}
+    assert _registered(parser) == [_full(name)]
 
 
 @pytest.mark.parametrize("command", [None, "-h", "--version", "bogus"])
 def test_no_subcommand_named_builds_every_subcommand(command):
-    assert _bare_subcommands(cli.build_arg_parser(command)) == set()
+    assert _registered(cli.build_arg_parser(command)) == [_full(name) for name in SUBCOMMANDS]

@@ -461,6 +461,17 @@ def test_extraction_evaluates_each_sample_once(monkeypatch):
         assert len(calls) == N
 
 
+def test_noise_floors_of_subnormal_samples_do_not_underflow():
+    # sqrt(N)*eps*vmax was 0 for subnormal samples, so noise read as signal;
+    # each sample still carries a rounding of about the smallest subnormal
+    for expr in ("sin(p)*1e-320", "exp(p)*1e-310"):
+        ext = maclaurin_extraction(parse(expr), 8)
+        assert ext.noise_floors[0] == math.sqrt(ext.samples) * 5e-324
+        assert all(f > 0.0 for f in ext.noise_floors)
+    for expr in ("0*p", "0", "exp(p)*0"):  # every sample is exactly 0
+        assert maclaurin_extraction(parse(expr), 8).noise_floors == (0.0,) * 9
+
+
 def _old_twiddle_row(table, N, k):
     """[roots[k*m mod N] for m < N] for k >= 1, sliced from a table that
     repeats the N roots 4 times: the row slicer of the direct sums."""
