@@ -5,146 +5,20 @@ evaluation of function trees over one quaternionic variable, numerical
 Wirtinger partials with a generalized Cauchy-Riemann holomorphy check, full
 quaternionic derivatives, and real-coefficient power series with convergence
 tests and Maclaurin coefficient extraction.
+
+Each public name is listed once, in the ``__all__`` of the module that
+defines it, and this package's ``__all__`` joins those five lists.  The
+result records of :mod:`hquat.wirtinger` and :mod:`hquat.series` are
+immutable named tuples.
 """
 
-from .quaternion import (
-    CayleyDickson,
-    I,
-    J,
-    K,
-    ONE,
-    Quaternion,
-    ZERO,
-    ZeroDivisorError,
-)
-from .functions import (
-    Add,
-    ComplexPair,
-    Cos,
-    Div,
-    EvaluationOverflowError,
-    Exp,
-    FuncExpr,
-    IntPow,
-    Mul,
-    P,
-    QuatConst,
-    RealConst,
-    Sin,
-    Sub,
-    Var,
-    commutator_residual,
-    conjugate_expr,
-    evaluate,
-    has_nonreal_constant,
-    phi_components,
-    product_cd,
-)
-from .wirtinger import (
-    DerivativeResult,
-    HolomorphyReport,
-    InvalidPointError,
-    PartialsTable,
-    check_holomorphy,
-    full_derivative,
-    kth_derivative,
-    partials,
-)
-from .series import (
-    ConvergenceReport,
-    MTestCertificate,
-    MaclaurinExtraction,
-    MajorantViolatedError,
-    NonRealCoefficientError,
-    PowerSeries,
-    RatioTestInconclusive,
-    SeriesEvaluation,
-    TermRuleMismatchError,
-    cos_coefficient,
-    cos_series,
-    exp_coefficient,
-    exp_series,
-    general_term_check,
-    geometric_coefficient,
-    geometric_series,
-    inv_factorial,
-    m_test,
-    maclaurin_coeffs,
-    maclaurin_extraction,
-    ratio_test,
-    sin_coefficient,
-    sin_cos_coefficient,
-    sin_cos_series,
-    sin_series,
-)
-from .parser import ParseError, format_expr, parse
+from . import functions, parser, quaternion, series, wirtinger
+from .functions import *
+from .parser import *
+from .quaternion import *
+from .series import *
+from .wirtinger import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Add",
-    "CayleyDickson",
-    "ComplexPair",
-    "ConvergenceReport",
-    "Cos",
-    "DerivativeResult",
-    "Div",
-    "EvaluationOverflowError",
-    "Exp",
-    "FuncExpr",
-    "HolomorphyReport",
-    "I",
-    "IntPow",
-    "InvalidPointError",
-    "J",
-    "K",
-    "MTestCertificate",
-    "MaclaurinExtraction",
-    "MajorantViolatedError",
-    "Mul",
-    "NonRealCoefficientError",
-    "ONE",
-    "P",
-    "ParseError",
-    "PartialsTable",
-    "PowerSeries",
-    "QuatConst",
-    "Quaternion",
-    "RatioTestInconclusive",
-    "RealConst",
-    "SeriesEvaluation",
-    "Sin",
-    "Sub",
-    "TermRuleMismatchError",
-    "Var",
-    "ZERO",
-    "ZeroDivisorError",
-    "check_holomorphy",
-    "commutator_residual",
-    "conjugate_expr",
-    "cos_coefficient",
-    "cos_series",
-    "evaluate",
-    "exp_coefficient",
-    "exp_series",
-    "format_expr",
-    "full_derivative",
-    "general_term_check",
-    "geometric_coefficient",
-    "geometric_series",
-    "has_nonreal_constant",
-    "inv_factorial",
-    "kth_derivative",
-    "m_test",
-    "maclaurin_coeffs",
-    "maclaurin_extraction",
-    "parse",
-    "partials",
-    "phi_components",
-    "product_cd",
-    "ratio_test",
-    "sin_coefficient",
-    "sin_cos_coefficient",
-    "sin_cos_series",
-    "sin_series",
-]
+__all__ = quaternion.__all__ + functions.__all__ + wirtinger.__all__ + series.__all__ + parser.__all__

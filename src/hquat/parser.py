@@ -39,6 +39,12 @@ from .functions import (
 )
 from .quaternion import I, J, K
 
+__all__ = [
+    "ParseError",
+    "format_expr",
+    "parse",
+]
+
 # The grammar in EBNF, as ``hquat --help`` prints it.
 GRAMMAR = """\
   expr   := term (("+"|"-") term)* ;

@@ -29,6 +29,17 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+__all__ = [
+    "CayleyDickson",
+    "I",
+    "J",
+    "K",
+    "ONE",
+    "Quaternion",
+    "ZERO",
+    "ZeroDivisorError",
+]
+
 
 class ZeroDivisorError(ZeroDivisionError):
     """Raised when inverting or dividing by a (numerically) zero quaternion."""

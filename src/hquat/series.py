@@ -24,14 +24,43 @@ Convergence machinery:
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .functions import EvaluationOverflowError, FuncExpr, _lift, evaluate
 from .quaternion import ZERO, Quaternion
+
+__all__ = [
+    "ConvergenceReport",
+    "MTestCertificate",
+    "MaclaurinExtraction",
+    "MajorantViolatedError",
+    "NonRealCoefficientError",
+    "PowerSeries",
+    "RatioTestInconclusive",
+    "SeriesEvaluation",
+    "TermRuleMismatchError",
+    "cos_coefficient",
+    "cos_series",
+    "exp_coefficient",
+    "exp_series",
+    "general_term_check",
+    "geometric_coefficient",
+    "geometric_series",
+    "inv_factorial",
+    "m_test",
+    "maclaurin_coeffs",
+    "maclaurin_extraction",
+    "ratio_test",
+    "sin_coefficient",
+    "sin_cos_coefficient",
+    "sin_cos_series",
+    "sin_series",
+]
 
 
 class RatioTestInconclusive(ArithmeticError):
@@ -69,8 +98,7 @@ class TermRuleMismatchError(ValueError):
         self.actual = actual
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     value: Quaternion
     terms_used: int
     converged: bool
@@ -216,8 +244,7 @@ _INFINITE_RADIUS_L = 1e-8
 _EXTRAPOLATION_HORIZON = 1e12
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Evidence and verdict of the ratio test.
 
     ``ratios`` are per-power magnitude ratios of consecutive nonzero
@@ -239,14 +266,22 @@ class ConvergenceReport:
     n_used: int
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the same on every Python version: sum()
+    compensates its rounding from 3.12 on, so the last digit of a ratio-test
+    estimate or a majorant sum, and of the machine output, would depend on
+    the interpreter."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _fit_loglog(indices: tuple[int, ...], values: tuple[float, ...]) -> tuple[float, float]:
     xs = [math.log(i) for i in indices]
     ys = [math.log(v) for v in values]
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    mx = _sum(xs) / n
+    my = _sum(ys) / n
+    sxx = _sum((x - mx) ** 2 for x in xs)
+    sxy = _sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx if sxx > 0 else 0.0
     intercept = my - slope * mx
     return intercept, slope
@@ -273,7 +308,7 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
     tail_r = tuple(ratios[-n_tail:])
     tail_i = tuple(indices[-n_tail:])
 
-    mean = sum(tail_r) / len(tail_r)
+    mean = _sum(tail_r) / len(tail_r)
     spread = (max(tail_r) - min(tail_r)) / mean if mean > 0 else 0.0
     monotone_dec = all(b <= a * (1.0 + 1e-12) for a, b in zip(tail_r, tail_r[1:]))
     monotone_inc = all(b >= a * (1.0 - 1e-12) for a, b in zip(tail_r, tail_r[1:]))
@@ -310,8 +345,7 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MTestCertificate:
+class MTestCertificate(NamedTuple):
     passed: bool
     terms_checked: int
     ball_radius: float
@@ -353,9 +387,9 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
     tail_ratio = max(tail) if tail else 0.0
     if tail_ratio >= 1.0:
         return MTestCertificate(
-            False, len(ms), ball_radius, tail_ratio, sum(ms), "majorant series fails its ratio test"
+            False, len(ms), ball_radius, tail_ratio, _sum(ms), "majorant series fails its ratio test"
         )
-    return MTestCertificate(True, len(ms), ball_radius, tail_ratio, sum(ms), "majorant summable, all terms bounded")
+    return MTestCertificate(True, len(ms), ball_radius, tail_ratio, _sum(ms), "majorant summable, all terms bounded")
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +408,7 @@ DEFAULT_RHO = 0.8
 MAX_EXTRACTION_TERMS = 2**24
 
 
-@dataclass(frozen=True)
-class MaclaurinExtraction:
+class MaclaurinExtraction(NamedTuple):
     """Raw circle-sampling output: real parts and non-real residues.
 
     ``noise_floors[k]`` estimates the rounding noise of coefficient k

@@ -38,19 +38,30 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .functions import EvaluationOverflowError, FuncExpr, evaluate, phi_components
 from .quaternion import I, J, K, ONE, ZERO, Pair, Quaternion
 from .series import maclaurin_extraction
+
+__all__ = [
+    "DerivativeResult",
+    "HolomorphyReport",
+    "InvalidPointError",
+    "PartialsTable",
+    "check_holomorphy",
+    "full_derivative",
+    "kth_derivative",
+    "partials",
+]
 
 
 class InvalidPointError(ValueError):
     """The main system must be evaluated at a point with y = 0."""
 
 
-@dataclass(frozen=True)
-class PartialsTable:
+class PartialsTable(NamedTuple):
     """Wirtinger partials of phi1 and phi2 at one point."""
 
     dphi1_da: complex
@@ -139,8 +150,7 @@ def partials(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> Partials
     return PartialsTable(*values, step=h, point=p)
 
 
-@dataclass(frozen=True)
-class HolomorphyReport:
+class HolomorphyReport(NamedTuple):
     """Residuals of the main (y = 0) system and the auxiliary identities.
 
     main_residuals, in order:
@@ -245,8 +255,7 @@ def full_derivative(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> Q
     return Quaternion.from_cd(*_nested_dx(f, p, 1, _step(step, p)))
 
 
-@dataclass(frozen=True)
-class DerivativeResult:
+class DerivativeResult(NamedTuple):
     """k-th derivative with the method used and an accuracy estimate."""
 
     value: Quaternion

@@ -89,8 +89,10 @@ def test_to_json_spells_every_value_as_json_dumps():
         cli.to_json({"tuple": (1.0,)})
 
 
-# One fixed input per subcommand and its text report, byte for byte.  Text is
-# not a stability contract: a deliberate change to a report rewrites its file.
+# One fixed input per subcommand and its text and machine reports, byte for
+# byte.  Text is not a stability contract: a deliberate change to a report
+# rewrites its .txt file.  The machine document is one, so its .json file
+# changes only with the document's fields.
 GOLDEN_TEXT = {
     "eval": ["eval", "--expr", "exp(p)*sin(p)", "--point", "0.3", "0.1", "-0.2", "0.4"],
     "check": ["check", "--expr", "sin(p)", "--grid", "3", "--seed", "7"],
@@ -106,6 +108,13 @@ def test_text_report_matches_its_golden_file(capsys, name):
     code, out, _ = run_cli(capsys, GOLDEN_TEXT[name])
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TEXT))
+def test_machine_report_matches_its_golden_file(capsys, name):
+    code, out, _ = run_cli(capsys, GOLDEN_TEXT[name] + ["--format", "machine"])
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / f"{name}.json").read_bytes()
 
 
 def test_check_pass_and_fail_exit_codes(capsys):
@@ -583,6 +592,15 @@ def test_radius_whose_square_overflows_is_a_usage_error(capsys, head, radius):
     # the ball at 1e200 (seed 0), and at 1e308 a point read x=inf
     err = run_usage_error(capsys, head + ["--grid", "2", "--radius", radius])
     assert "radius must have a finite square" in err
+
+
+@pytest.mark.parametrize("radius", ["1e-155", "1e-200", "5e-324"])
+@pytest.mark.parametrize("head", [["check", "--expr", "exp(p)"], ["commute", "--expr", "sin(p)", "--expr", "cos(p)"]])
+def test_radius_whose_square_underflows_is_a_usage_error(capsys, head, radius):
+    # radius^2 was subnormal or 0, so points of the cube passed: 129 of 200
+    # lay outside the ball at 1e-200 (seed 0), 64 of 2000 at 1e-161
+    err = run_usage_error(capsys, head + ["--grid", "2", "--radius", radius])
+    assert "radius must have a normal square" in err
 
 
 def _cube_rejection_sampler(rng, radius, y_zero=False):
