@@ -32,13 +32,12 @@ from .parser import GRAMMAR, ParseError, format_expr, parse
 from .quaternion import Quaternion, ZeroDivisorError
 from .series import (
     DEFAULT_RHO,
+    SIGNAL_FLOORS,
     NonRealCoefficientError,
     PowerSeries,
     RatioTestInconclusive,
-    TermRuleMismatchError,
     cos_coefficient,
     exp_coefficient,
-    general_term_check,
     maclaurin_extraction,
     ratio_test,
     sin_coefficient,
@@ -218,24 +217,21 @@ def _radius_results(ext) -> dict:
 
 def _extract(args: argparse.Namespace):
     """Shared step of series and radius: the extraction, the canonical
-    inputs, the worst non-real residue and whether every coefficient is real."""
+    inputs, the worst non-real residue and the first non-real index."""
     expr = parse(args.expr)
     ext = maclaurin_extraction(expr, args.n, rho=args.rho, samples=args.samples)
     inputs = {"expr": format_expr(expr), "n": args.n, "rho": ext.rho, "samples": ext.samples}
-    return ext, inputs, max(ext.nonreal_residues), ext.first_nonreal() is None
+    return ext, inputs, max(ext.nonreal_residues), ext.first_nonreal()
 
 
 def _cmd_series(args: argparse.Namespace) -> Report:
-    ext, inputs, worst, real = _extract(args)
+    ext, inputs, worst, nonreal = _extract(args)
     canonical = inputs["expr"]
     rule_result = None
-    if canonical in _KNOWN_TERM_RULES and real:
+    if canonical in _KNOWN_TERM_RULES and nonreal is None:
         name, rule = _KNOWN_TERM_RULES[canonical]
-        try:
-            general_term_check(rule, ext.coeffs)
-            rule_result = {"rule": name, "matches": True, "mismatch_index": None}
-        except TermRuleMismatchError as exc:
-            rule_result = {"rule": name, "matches": False, "mismatch_index": exc.index}
+        k = ext.first_mismatch(rule)
+        rule_result = {"rule": name, "matches": k is None, "mismatch_index": k}
     results = {
         "coefficients": list(ext.coeffs),
         "nonreal_residues": list(ext.nonreal_residues),
@@ -255,11 +251,14 @@ def _cmd_series(args: argparse.Namespace) -> Report:
             lines.append(f"radius: {rr['radius']:.12g}")
         if rule_result is not None:
             lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
-        if not real:
-            lines.append(f"NON-REAL COEFFICIENTS: max residue {worst:.3e}")
+        if nonreal is not None:
+            lines.append(
+                f"NON-REAL COEFFICIENTS: max residue {worst:.3e}; first r[{nonreal}], residue "
+                f"{ext.nonreal_residues[nonreal]:.3e} above {SIGNAL_FLOORS:g} noise floors ({ext.threshold(nonreal):.3e})"
+            )
         return "\n".join(lines) + "\n"
 
-    return (EXIT_OK if real else EXIT_NONREAL), inputs, results, text
+    return (EXIT_OK if nonreal is None else EXIT_NONREAL), inputs, results, text
 
 
 def _cmd_derive(args: argparse.Namespace) -> Report:
@@ -285,7 +284,7 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
 
 
 def _cmd_radius(args: argparse.Namespace) -> Report:
-    ext, inputs, worst, real = _extract(args)
+    ext, inputs, worst, nonreal = _extract(args)
     results = _radius_results(ext)
     results["max_nonreal_residue"] = worst
 
@@ -296,7 +295,7 @@ def _cmd_radius(args: argparse.Namespace) -> Report:
             return f"radius of {inputs['expr']}: {results['radius']:.12g}\n"
         return f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"
 
-    return (EXIT_OK if real else EXIT_NONREAL), inputs, results, text
+    return (EXIT_OK if nonreal is None else EXIT_NONREAL), inputs, results, text
 
 
 def _cmd_commute(args: argparse.Namespace) -> Report:

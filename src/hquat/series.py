@@ -15,10 +15,11 @@ Convergence machinery:
 * Maclaurin coefficient extraction by sampling the restriction of the
   function to the complex plane (z = u = 0) on a circle and taking discrete
   Fourier coefficients.  Coefficients of a holomorphic series are real, so
-  any imaginary or second-component residue above tolerance signals a
-  non-holomorphic input.  The first n+1 Fourier coefficients of the N
-  samples come from a radix-2 decimation in frequency pruned to those
-  outputs, about N*log2(n) multiply-adds in place of N*(n+1) direct ones.
+  an imaginary or second-component residue beyond SIGNAL_FLOORS noise
+  floors of its index signals a non-holomorphic input.  The first n+1
+  Fourier coefficients of the N samples come from a radix-2 decimation in
+  frequency pruned to those outputs, about N*log2(n) multiply-adds in place
+  of N*(n+1) direct ones.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ __all__ = [
     "PowerSeries",
     "RatioTestInconclusive",
     "SeriesEvaluation",
-    "TermRuleMismatchError",
     "cos_coefficient",
     "cos_series",
     "exp_coefficient",
     "exp_series",
-    "general_term_check",
     "geometric_coefficient",
     "geometric_series",
     "inv_factorial",
@@ -80,22 +79,12 @@ class MajorantViolatedError(ValueError):
 
 
 class NonRealCoefficientError(ValueError):
-    """Extracted coefficient has a non-real residue above tolerance."""
+    """Extracted coefficient has a non-real residue that is signal, not rounding."""
 
     def __init__(self, index: int, residue: float):
         super().__init__(f"non-real coefficient residue {residue:.3g} at index {index}")
         self.index = index
         self.residue = residue
-
-
-class TermRuleMismatchError(ValueError):
-    """Closed-form term rule disagrees with a coefficient."""
-
-    def __init__(self, index: int, expected: float, actual: float):
-        super().__init__(f"term rule mismatch at index {index}: rule {expected!r}, coefficient {actual!r}")
-        self.index = index
-        self.expected = expected
-        self.actual = actual
 
 
 class SeriesEvaluation(NamedTuple):
@@ -397,8 +386,8 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
 # ---------------------------------------------------------------------------
 
 
-# Largest non-real residue of an extracted coefficient still taken as real.
-NONREAL_TOL = 1e-8
+# A value at index k within this many noise floors of 0 is taken as rounding.
+SIGNAL_FLOORS = 10.0
 
 # Radius of the sampling circle.
 DEFAULT_RHO = 0.8
@@ -414,8 +403,10 @@ class MaclaurinExtraction(NamedTuple):
     ``noise_floors[k]`` estimates the rounding noise of coefficient k
     (sqrt(N) times machine epsilon times the largest sampled magnitude, but
     at least sqrt(N) times the smallest subnormal unless every sample is 0,
-    amplified by the 1/rho^k rescaling); extracted values at or below it
-    carry no signal.
+    amplified by the 1/rho^k rescaling).  Every verdict on the extraction
+    reads one rule, :meth:`is_signal`: a coefficient, a non-real residue or a
+    difference from a closed-form rule at index k counts only beyond
+    :meth:`threshold` (k), SIGNAL_FLOORS noise floors.
     """
 
     coeffs: tuple[float, ...]
@@ -424,9 +415,22 @@ class MaclaurinExtraction(NamedTuple):
     samples: int
     noise_floors: tuple[float, ...]
 
+    def threshold(self, k: int) -> float:
+        """SIGNAL_FLOORS times the noise floor of index k."""
+        return SIGNAL_FLOORS * self.noise_floors[k]
+
+    def is_signal(self, k: int, value: float) -> bool:
+        """Whether ``value`` at index k lies beyond :meth:`threshold` of 0; NaN does."""
+        return not abs(value) <= self.threshold(k)
+
     def first_nonreal(self) -> int | None:
-        """First index whose non-real residue is not within NONREAL_TOL, else None."""
-        return next((k for k, res in enumerate(self.nonreal_residues) if not res <= NONREAL_TOL), None)
+        """First index whose non-real residue is signal, else None."""
+        return next((k for k, res in enumerate(self.nonreal_residues) if self.is_signal(k, res)), None)
+
+    def first_mismatch(self, rule: Callable[[int], float]) -> int | None:
+        """First index k whose coefficient differs from the closed-form
+        ``rule(k)`` by signal, else None."""
+        return next((k for k, c in enumerate(self.coeffs) if self.is_signal(k, c - rule(k))), None)
 
     def real_coeffs(self) -> tuple[float, ...]:
         """The coefficients; NonRealCoefficientError at :meth:`first_nonreal`
@@ -438,8 +442,8 @@ class MaclaurinExtraction(NamedTuple):
         return self.coeffs
 
     def denoised_coeffs(self) -> tuple[float, ...]:
-        """Coefficients at or below 10x their noise floor zeroed, trailing zeros cut."""
-        vals = [0.0 if abs(c) <= 10.0 * f else c for c, f in zip(self.coeffs, self.noise_floors)]
+        """Coefficients that are not signal zeroed, trailing zeros cut."""
+        vals = [c if self.is_signal(k, c) else 0.0 for k, c in enumerate(self.coeffs)]
         while vals and vals[-1] == 0.0:
             vals.pop()
         return tuple(vals)
@@ -543,17 +547,3 @@ def maclaurin_coeffs(
     """Extract r_0..r_n, enforcing coefficient realness
     (:meth:`MaclaurinExtraction.real_coeffs`)."""
     return PowerSeries(maclaurin_extraction(f, n, rho, samples).real_coeffs())
-
-
-def general_term_check(rule: Callable[[int], float], coeffs: tuple[float, ...] | list[float]) -> int:
-    """Verify a closed-form rule l -> r_l against coefficients index by index,
-    to 1e-9 relative with a 1e-12 absolute floor for exact-zero coefficients.
-
-    Returns the number of indices checked; raises TermRuleMismatchError at
-    the first disagreement.
-    """
-    for l, actual in enumerate(coeffs):
-        expected = float(rule(l))
-        if not math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-12):
-            raise TermRuleMismatchError(l, expected, actual)
-    return len(coeffs)

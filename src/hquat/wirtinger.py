@@ -281,10 +281,10 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
     coefficient's noise floor (:class:`hquat.series.MaclaurinExtraction`): it
     counts the rounding of the samples, not the aliasing of higher
     coefficients onto k, so 1/(1-p) at k = 4 is off by 1.5e-5 under an
-    estimate of 5e-13.  The accuracy warning is set when the estimate exceeds
-    1e-4.  EvaluationOverflowError when the stencil width, a stepped point, a
-    quotient, k! times a coefficient or either estimate leaves the double
-    range.
+    estimate of 5e-13.  On either route the accuracy warning is set when the
+    estimate exceeds 1e-4 * max(1, |value|).  EvaluationOverflowError when
+    the stencil width, a stepped point, a quotient, k! times a coefficient or
+    either estimate leaves the double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -296,15 +296,16 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
             ext = maclaurin_extraction(f, n=k)
         except ValueError as exc:  # a limit of the extraction, which knows k as n
             raise ValueError(f"derivative order {k} is beyond the series route at p = 0: {exc}") from exc
-        value = _times_factorial(k, ext.real_coeffs()[k])
+        value = Quaternion.from_real(_times_factorial(k, ext.real_coeffs()[k]))
         est = _times_factorial(k, ext.noise_floors[k])
-        return DerivativeResult(Quaternion.from_real(value), k, "series", None, est, est > _ACCURACY_FLAG_THRESHOLD)
-
-    value = Quaternion.from_cd(*_nested_dx(f, p, k, h))
-    est = k * h * h / 6.0 * max(1.0, value.norm())
-    if not math.isfinite(est):
-        raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")
-    return DerivativeResult(value, k, "stencil", h, est, est > _ACCURACY_FLAG_THRESHOLD)
+        method, h = "series", None
+    else:
+        value = Quaternion.from_cd(*_nested_dx(f, p, k, h))
+        est = k * h * h / 6.0 * max(1.0, value.norm())
+        if not math.isfinite(est):
+            raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")
+        method = "stencil"
+    return DerivativeResult(value, k, method, h, est, est > _ACCURACY_FLAG_THRESHOLD * max(1.0, value.norm()))
 
 
 def _times_factorial(k: int, c: float) -> float:

@@ -238,6 +238,59 @@ def test_series_left_constant_is_nonreal(capsys, expr):
     assert rep["results"]["max_nonreal_residue"] > 0.5
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # every residue within 10 noise floors is rounding, at any scale or order
+        (["series", "--expr", "exp(80)"], 0),
+        (["series", "--expr", "1e200*sin(p)", "--n", "5"], 0),
+        (["series", "--expr", "p", "--n", "100"], 0),
+        (["series", "--expr", "1+0*p", "--n", "100"], 0),
+        (["series", "--expr", "exp(p)", "--n", "100"], 0),
+        (["series", "--expr", "1/(1-p)", "--n", "90"], 0),
+        (["radius", "--expr", "1e300*exp(p)"], 0),
+        (["derive", "--expr", "1e300*exp(p)", "--point", "0", "0", "0", "0", "--k", "3"], 0),
+        # one residue beyond 10 noise floors is non-real, however small
+        (["series", "--expr", "1e-300*i*p", "--n", "3"], 4),
+        (["series", "--expr", "p+1e-9*i"], 4),
+        (["radius", "--expr", "exp(p)+1e-12*k"], 4),
+        (["derive", "--expr", "p+1e-9*i", "--point", "0", "0", "0", "0", "--k", "2"], 4),
+    ],
+)
+def test_nonreal_verdict_reads_the_noise_floors(capsys, argv, want):
+    code, _, err = run_json(capsys, argv)
+    assert code == want, err
+
+
+def test_series_text_names_the_first_nonreal_index_and_its_threshold(capsys):
+    code, out, _ = run_cli(capsys, ["series", "--expr", "p+1e-9*i", "--n", "3"])
+    threshold = hquat.maclaurin_extraction(hquat.parse("p+1e-9*i"), 3).threshold(0)
+    assert code == 4
+    assert out.endswith(
+        f"NON-REAL COEFFICIENTS: max residue 1.000e-09; first r[0], residue 1.000e-09 above 10 noise floors ({threshold:.3e})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--expr", "exp(p)", "--n", "64"],
+        ["--expr", "sin(p)", "--n", "64"],
+        ["--expr", "cos(p)", "--n", "64"],
+        ["--expr", "sin(p)*cos(p)", "--n", "64"],
+        ["--expr", "exp(p)", "--n", "10", "--rho", "0.3"],
+        ["--expr", "cos(p)", "--n", "12", "--rho", "0.25"],
+    ],
+)
+def test_general_term_rule_reads_the_noise_floors(capsys, argv):
+    # the fixed 1e-9 relative and 1e-12 absolute tolerances reported a
+    # mismatch where the floors had grown past them
+    code, rep, _ = run_json(capsys, ["series"] + argv)
+    assert code == 0
+    assert rep["results"]["general_term"]["matches"] is True
+    assert rep["results"]["general_term"]["mismatch_index"] is None
+
+
 def test_derive_first_order(capsys):
     code, rep, _ = run_json(capsys, ["derive", "--expr", "cos(p)", "--point", "0.5", "-0.2", "0.9", "0.1", "--k", "1"])
     assert code == 0

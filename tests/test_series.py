@@ -14,14 +14,12 @@ from hquat import (
     PowerSeries,
     Quaternion,
     RatioTestInconclusive,
-    TermRuleMismatchError,
     ZERO,
     cos_coefficient,
     cos_series,
     evaluate,
     exp_coefficient,
     exp_series,
-    general_term_check,
     geometric_series,
     inv_factorial,
     m_test,
@@ -631,13 +629,33 @@ def test_denoised_coefficients_zero_noise_entries():
 
 def test_rule_checks():
     ext = maclaurin_extraction(parse("sin(p)*cos(p)"), 17, rho=3.0, samples=256)
-    assert general_term_check(sin_cos_coefficient, ext.coeffs) == 18
+    assert ext.first_mismatch(sin_cos_coefficient) is None
 
-    assert general_term_check(exp_coefficient, exp_series(20).coeffs) == 21
+    assert maclaurin_extraction(parse("exp(p)"), 20).first_mismatch(exp_coefficient) is None
 
-    with pytest.raises(TermRuleMismatchError) as exc:
-        general_term_check(lambda l: inv_factorial(l), sin_series(10).coeffs)
-    assert exc.value.index == 0
+    # a wrong rule mismatches at its first wrong coefficient
+    assert maclaurin_extraction(parse("exp(p)"), 10).first_mismatch(sin_coefficient) == 0
+    assert maclaurin_extraction(parse("sin(p)"), 10).first_mismatch(inv_factorial) == 0
+
+
+def test_every_verdict_reads_ten_noise_floors():
+    ext = maclaurin_extraction(parse("exp(p)"), 6)
+    for k in range(7):
+        t = ext.threshold(k)
+        assert t == 10.0 * ext.noise_floors[k] > 0.0
+        assert not ext.is_signal(k, t) and not ext.is_signal(k, -t)
+        assert ext.is_signal(k, math.nextafter(t, math.inf)) and ext.is_signal(k, math.nan)
+    # a rule off by 1.5 thresholds at index 3 mismatches there
+    bumped = lambda l: exp_coefficient(l) + (1.5 * ext.threshold(3) if l == 3 else 0.0)
+    assert ext.first_mismatch(bumped) == 3
+    # the same offset is noise at an index whose threshold is larger
+    late = lambda l: exp_coefficient(l) + (ext.threshold(3) if l == 6 else 0.0)
+    assert ext.first_mismatch(late) is None
+    # a residue is judged by its own index's threshold
+    fake = ext._replace(nonreal_residues=(0.0,) * 6 + (0.9 * ext.threshold(6),))
+    assert fake.first_nonreal() is None
+    fake = ext._replace(nonreal_residues=(0.0,) * 6 + (1.1 * ext.threshold(6),))
+    assert fake.first_nonreal() == 6
 
 
 def test_r17_value():
