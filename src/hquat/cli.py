@@ -43,7 +43,7 @@ from .series import (
     sin_coefficient,
     sin_cos_coefficient,
 )
-from .wirtinger import DEFAULT_STEP, DEFAULT_TOL, InvalidPointError, check_holomorphy, kth_derivative
+from .wirtinger import DEFAULT_STEP, DEFAULT_TOL, InvalidPointError, _accuracy_bound, check_holomorphy, kth_derivative
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -202,13 +202,14 @@ def _radius_results(ext) -> dict:
     nonzero = sum(1 for c in coeffs if c != 0.0)
     series = PowerSeries(coeffs)
     try:
-        rep = ratio_test(series, n_tail=max(2, min(12, nonzero - 1)))
+        rep = ratio_test(series, n_tail=max(3, min(12, nonzero - 1)))
     except (ValueError, RatioTestInconclusive) as exc:
         return {"radius": None, "radius_is_infinite": False, "note": str(exc)}
     return {
         "radius": None if math.isinf(rep.radius) else rep.radius,
         "radius_is_infinite": math.isinf(rep.radius),
         "L_estimate": rep.L_estimate,
+        "L_error": rep.L_error,
         "monotone_decreasing": rep.monotone_decreasing,
         "n_used": rep.n_used,
         "ratios": list(rep.ratios),
@@ -246,9 +247,11 @@ def _cmd_series(args: argparse.Namespace) -> Report:
             lines.append(f"  r[{l:2d}] = {c: .15g}   (nonreal residue {res:.2e})")
         rr = results["radius_estimate"]
         if rr.get("radius_is_infinite"):
-            lines.append(f"radius: infinite (L estimate {rr['L_estimate']:.2e})")
+            lines.append(f"radius: infinite (L estimate within its error bar {rr['L_error']:.2e} of 0)")
         elif rr.get("radius") is not None:
             lines.append(f"radius: {rr['radius']:.12g}")
+        else:
+            lines.append(f"radius: inconclusive ({rr['note']})")
         if rule_result is not None:
             lines.append(f"general term rule ({rule_result['rule']}): " + ("matches" if rule_result["matches"] else f"mismatch at {rule_result['mismatch_index']}"))
         if nonreal is not None:
@@ -277,7 +280,10 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
     def text() -> str:
         head = f"derivative order {args.k} of {canonical} at ({point}) = {res.value}\n  method: {res.method}\n"
         if res.accuracy_warning:
-            head += f"  warning: estimated truncation error {res.truncation_estimate:.2e} exceeds 1e-4\n"
+            head += (
+                f"  warning: estimated truncation error {res.truncation_estimate:.2e} "
+                f"exceeds 1e-4 * max(1, |value|) = {_accuracy_bound(res.value):.2e}\n"
+            )
         return head
 
     return EXIT_OK, inputs, results, text
@@ -290,7 +296,7 @@ def _cmd_radius(args: argparse.Namespace) -> Report:
 
     def text() -> str:
         if results.get("radius_is_infinite"):
-            return f"radius of {inputs['expr']}: infinite (L estimate {results['L_estimate']:.2e}, monotone decreasing evidence over {results['n_used']} ratios)\n"
+            return f"radius of {inputs['expr']}: infinite (L estimate within its error bar {results['L_error']:.2e} of 0 over {results['n_used']} ratios)\n"
         if results.get("radius") is not None:
             return f"radius of {inputs['expr']}: {results['radius']:.12g}\n"
         return f"radius of {inputs['expr']}: inconclusive ({results.get('note')})\n"

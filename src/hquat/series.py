@@ -9,7 +9,8 @@ lift it through :func:`hquat.functions._lift`, as exp, sin and cos are.
 Convergence machinery:
 
 * ratio test over the trailing nonzero coefficients, with zero gaps folded
-  in as per-power block ratios (the g-th root of the ratio across a gap g);
+  in as per-power block ratios (the g-th root of the ratio across a gap g),
+  and their Domb-Sykes line against 1/l, whose intercept is 1/radius;
 * a majorant (M-) test certifying uniform and absolute convergence on a
   closed ball;
 * Maclaurin coefficient extraction by sampling the restriction of the
@@ -63,11 +64,7 @@ __all__ = [
 
 
 class RatioTestInconclusive(ArithmeticError):
-    """Ratio sequence oscillates too much to estimate a limit."""
-
-    def __init__(self, spread: float):
-        super().__init__(f"ratio sequence oscillates beyond 10% relative spread ({spread:.3g})")
-        self.spread = spread
+    """The ratios fix no limit; the message names the bound that failed."""
 
 
 class MajorantViolatedError(ValueError):
@@ -228,20 +225,15 @@ def geometric_series(n: int = 32) -> PowerSeries:
 # Ratio test
 # ---------------------------------------------------------------------------
 
-_FLAT_SPREAD = 0.1
-_INFINITE_RADIUS_L = 1e-8
-_EXTRAPOLATION_HORIZON = 1e12
-
-
 class ConvergenceReport(NamedTuple):
     """Evidence and verdict of the ratio test.
 
     ``ratios`` are per-power magnitude ratios of consecutive nonzero
     coefficients (gap g folded in as a g-th root), at the powers ``indices``.
-    ``L_estimate`` is the estimated limit of that sequence: the tail mean
-    when the tail is flat, otherwise a log-log extrapolation evaluated at a
-    fixed large index.  The radius is 1/L_estimate, reported infinite when
-    the estimate falls below 1e-8 with a monotonically decreasing tail.
+    ``L_estimate`` is the intercept of their least-squares line against 1/l
+    (Domb-Sykes), the limit of the sequence, and ``L_error`` its error bar.
+    The radius is 1/L_estimate; it is infinite, with L_estimate 0, when the
+    intercept is within its error bar of 0.
     """
 
     L_estimate: float
@@ -249,7 +241,7 @@ class ConvergenceReport(NamedTuple):
     radius: float
     term_test_pass: bool
     monotone_decreasing: bool
-    spread: float
+    L_error: float
     ratios: tuple[float, ...]
     indices: tuple[int, ...]
     n_used: int
@@ -263,27 +255,18 @@ def _sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _fit_loglog(indices: tuple[int, ...], values: tuple[float, ...]) -> tuple[float, float]:
-    xs = [math.log(i) for i in indices]
-    ys = [math.log(v) for v in values]
-    n = len(xs)
-    mx = _sum(xs) / n
-    my = _sum(ys) / n
-    sxx = _sum((x - mx) ** 2 for x in xs)
-    sxy = _sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx if sxx > 0 else 0.0
-    intercept = my - slope * mx
-    return intercept, slope
-
-
 def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None) -> ConvergenceReport:
     """Estimate the d'Alembert limit L and the convergence radius 1/L.
 
-    Raises RatioTestInconclusive when the trailing ratios oscillate beyond
-    10% relative spread without a monotone trend.
+    Near a singularity (1 - p/R)^-g the ratios are (1 + (g-1)/l)/R, a line in
+    x = 1/l whose intercept is 1/R (Domb & Sykes 1957).  The intercept's
+    error bar is its standard error with the largest residual standing in
+    for sigma.  Raises RatioTestInconclusive when a ratio or the error bar
+    leaves the double range, when the largest residual exceeds 10% of the
+    largest ratio, or when a nonzero intercept is not within 1e-3 relative.
     """
-    if n_tail < 2:
-        raise ValueError("need at least 2 trailing ratios")
+    if n_tail < 3:
+        raise ValueError("need at least 3 trailing ratios")
     nonzero = [(l, abs(c)) for l, c in s.terms(max(len(s.coeffs), 64)) if c != 0.0]
     if len(nonzero) < n_tail + 1:
         raise ValueError(f"need {n_tail + 1} nonzero coefficients, found {len(nonzero)}")
@@ -296,21 +279,24 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
         indices.append(l2)
     tail_r = tuple(ratios[-n_tail:])
     tail_i = tuple(indices[-n_tail:])
-
-    mean = _sum(tail_r) / len(tail_r)
-    spread = (max(tail_r) - min(tail_r)) / mean if mean > 0 else 0.0
     monotone_dec = all(b <= a * (1.0 + 1e-12) for a, b in zip(tail_r, tail_r[1:]))
-    monotone_inc = all(b >= a * (1.0 - 1e-12) for a, b in zip(tail_r, tail_r[1:]))
 
-    if spread <= _FLAT_SPREAD:
-        L = mean
-    elif monotone_dec or monotone_inc:
-        intercept, slope = _fit_loglog(tail_i, tail_r)
-        L = math.exp(min(700.0, intercept + slope * math.log(_EXTRAPOLATION_HORIZON)))
-    else:
-        raise RatioTestInconclusive(spread)
-
-    radius = math.inf if (L < _INFINITE_RADIUS_L and monotone_dec) else (math.inf if L == 0.0 else 1.0 / L)
+    xs = [1.0 / l for l in tail_i]
+    mx = _sum(xs) / n_tail
+    my = _sum(tail_r) / n_tail
+    sxx = _sum((x - mx) ** 2 for x in xs)
+    slope = _sum((x - mx) * (y - my) for x, y in zip(xs, tail_r)) / sxx
+    L = my - slope * mx
+    worst = max(abs(y - L - slope * x) for x, y in zip(xs, tail_r))
+    err = worst * math.sqrt(1.0 / n_tail + mx * mx / sxx)
+    if not all(map(math.isfinite, (*tail_r, err))):
+        raise RatioTestInconclusive("a ratio or the fit's error bar leaves the double range")
+    if worst > 0.1 * max(tail_r):
+        raise RatioTestInconclusive(f"largest fit residual {worst:.3g} exceeds 10% of the largest ratio {max(tail_r):.3g}")
+    if L <= err:
+        L = 0.0
+    elif err > 1e-3 * L:
+        raise RatioTestInconclusive(f"intercept error bar {err:.3g} exceeds 1e-3 of the intercept {L:.3g}")
 
     pn = point.norm() if point is not None else None
     terms = [c * pn**l for l, c in nonzero[-(n_tail + 1):]] if pn is not None else [c for _, c in nonzero[-(n_tail + 1):]]
@@ -319,13 +305,13 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
     return ConvergenceReport(
         L_estimate=L,
         L_at_point=(L * pn) if pn is not None else None,
-        radius=radius,
+        radius=1.0 / L if L else math.inf,
         term_test_pass=term_test,
         monotone_decreasing=monotone_dec,
-        spread=spread,
+        L_error=err,
         ratios=tail_r,
         indices=tail_i,
-        n_used=len(tail_r),
+        n_used=n_tail,
     )
 
 

@@ -266,7 +266,9 @@ class DerivativeResult(NamedTuple):
     accuracy_warning: bool
 
 
-_ACCURACY_FLAG_THRESHOLD = 1e-4
+def _accuracy_bound(value: Quaternion) -> float:
+    """The truncation estimate above which a derivative is flagged."""
+    return 1e-4 * max(1.0, value.norm())
 
 
 def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STEP) -> DerivativeResult:
@@ -305,7 +307,7 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
         if not math.isfinite(est):
             raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")
         method = "stencil"
-    return DerivativeResult(value, k, method, h, est, est > _ACCURACY_FLAG_THRESHOLD * max(1.0, value.norm()))
+    return DerivativeResult(value, k, method, h, est, est > _accuracy_bound(value))
 
 
 def _times_factorial(k: int, c: float) -> float:

@@ -329,6 +329,44 @@ def test_radius_reports_infinite_for_exp(capsys):
     assert rep["results"]["monotone_decreasing"]
 
 
+# Closed-form radii (math.inf for the entire functions).  The pole of
+# 1/(0.7-p) lies inside the default circle rho = 0.8, so it is not here.
+CLOSED_FORM_RADII = {
+    "exp(p)": math.inf,
+    "sin(p)": math.inf,
+    "cos(p)": math.inf,
+    "sin(p)*cos(p)": math.inf,
+    "1/(1-p)": 1.0,
+    "1/(1-p)^2": 1.0,
+    "1/(1-p)^3": 1.0,
+    "p/(1-p)": 1.0,
+    "exp(p)*(1/(1-p))": 1.0,
+    "1/(1+p^2)": 1.0,
+    "p^3-2*p": math.inf,
+    "sin(p)/(p^2+9)": 3.0,
+    "1/(p^2+4)": 2.0,
+    "exp(p)/(1-p/2)": 2.0,
+    "1/(2-p)+1/(3+p)": 2.0,
+    "1/(1.5+p)^2": 1.5,
+    "cos(p)/(p-2)": 2.0,
+    "exp(p)/(p^2+4)": 2.0,
+}
+
+
+@pytest.mark.parametrize("n", ["8", "24", "32", "64"])
+@pytest.mark.parametrize("expr", list(CLOSED_FORM_RADII))
+def test_radius_is_right_or_inconclusive(capsys, expr, n):
+    code, rep, _ = run_json(capsys, ["radius", "--expr", expr, "--n", n])
+    assert code == 0
+    res, want = rep["results"], CLOSED_FORM_RADII[expr]
+    if res["radius_is_infinite"]:
+        assert want == math.inf
+    elif res["radius"] is not None:
+        assert abs(res["radius"] - want) <= 1e-3 * want
+    else:
+        assert res["note"]
+
+
 def test_commute_holomorphic_pair(capsys):
     code, rep, _ = run_json(capsys, ["commute", "--expr", "sin(p)", "--expr", "cos(p)", "--grid", "10"])
     assert code == 0 and rep["results"]["pass"]

@@ -205,8 +205,14 @@ def test_ratio_test_inconclusive_on_oscillation():
 def test_ratio_test_needs_enough_nonzero_coefficients():
     with pytest.raises(ValueError):
         ratio_test(PowerSeries((1.0, 1.0, 1.0)), n_tail=12)
-    with pytest.raises(ValueError, match="at least 2 trailing ratios"):
-        ratio_test(geometric_series(), n_tail=1)
+    with pytest.raises(ValueError, match="at least 3 trailing ratios"):
+        ratio_test(geometric_series(), n_tail=2)
+
+
+def test_ratio_test_inconclusive_when_a_ratio_leaves_the_double_range():
+    # 1e308 / 5e-324 is inf; a NaN radius would reach the JSON report
+    with pytest.raises(RatioTestInconclusive, match="double range"):
+        ratio_test(PowerSeries((1.0, 1.0, 1.0, 5e-324, 1e308)), n_tail=3)
 
 
 # ---------------------------------------------------------------------------
