@@ -26,8 +26,8 @@ too) and raises EvaluationOverflowError on inf or nan; a check on the final
 value alone would miss an overflow that a later node hides, e.g.
 exp(-inf) = 0.  The only :class:`~hquat.quaternion.Quaternion` an
 evaluation builds is the result of :func:`evaluate`, made straight from the
-final pair's four components; :func:`phi_components` returns that pair as a
-:class:`ComplexPair`.
+final pair's four components; :func:`phi_components` takes a doubling pair
+and returns the final pair as a :class:`ComplexPair`, building none.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -343,9 +343,9 @@ class ComplexPair(NamedTuple):
     phi2: complex
 
 
-def phi_components(expr: FuncExpr, p: Quaternion) -> ComplexPair:
-    """Doubling components of the function value at p."""
-    return tuple.__new__(ComplexPair, _run(expr, p.to_cd()))
+def phi_components(expr: FuncExpr, p: Pair) -> ComplexPair:
+    """Doubling components of the function value at the doubling pair p."""
+    return tuple.__new__(ComplexPair, _run(expr, p))
 
 
 def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:

@@ -298,9 +298,14 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
     elif err > 1e-3 * L:
         raise RatioTestInconclusive(f"intercept error bar {err:.3g} exceeds 1e-3 of the intercept {L:.3g}")
 
+    # terms |r_l| |p|^l in logs (|p|^l may overflow); p^0 = 1 even at p = 0,
+    # where later terms vanish. The tail grows by no more than the slack, and
+    # falls by more than it from first to last, or vanishes
     pn = point.norm() if point is not None else None
-    terms = [c * pn**l for l, c in nonzero[-(n_tail + 1):]] if pn is not None else [c for _, c in nonzero[-(n_tail + 1):]]
-    term_test = all(b <= a * (1.0 + 1e-12) for a, b in zip(terms, terms[1:])) and terms[-1] < terms[0]
+    log_p = 0.0 if pn is None else math.log(pn) if pn else -math.inf
+    logs = [math.log(c) + (l * log_p if l else 0.0) for l, c in nonzero[-(n_tail + 1):]]
+    slack = math.log1p(1e-12)
+    term_test = all(b <= a + slack for a, b in zip(logs, logs[1:])) and (logs[-1] < logs[0] - slack or logs[-1] == -math.inf)
 
     return ConvergenceReport(
         L_estimate=L,

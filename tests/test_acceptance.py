@@ -192,7 +192,7 @@ def test_criterion_7_commutativity():
         re_cs = g.phi1 * f.phi1 - g.phi2 * f.phi2.conjugate()
         im_cs = g.phi2 * f.phi1.conjugate() + g.phi1 * f.phi2
         ok = ok and abs(re_sc - re_cs) <= 1e-9 and abs(im_sc - im_cs) <= 1e-9
-        sc = product_cd(phi_components(SIN, p), phi_components(COS, p))
+        sc = product_cd(phi_components(SIN, p.to_cd()), phi_components(COS, p.to_cd()))
         ok = ok and abs(sc.phi1 - re_sc) <= 1e-9 and abs(sc.phi2 - im_sc) <= 1e-9
         checked += 1
     _verdict(7, f"sin/cos commutator <= 1e-9*(1+|f||g|) (worst {worst:.2e}); jk-kj = 2; closed-form products agree at 20 points", ok)

@@ -273,7 +273,7 @@ def test_tree_is_compiled_once(monkeypatch):
     values = []
     for _ in range(50):
         p = random_quat(rng)
-        values.append((evaluate(tree, p), phi_components(tree, p)))
+        values.append((evaluate(tree, p), phi_components(tree, p.to_cd())))
     assert len(compiled) == _node_count(tree)
     assert all(repr(ComplexPair(*v.to_cd())) == repr(phi) for v, phi in values)
 
@@ -312,7 +312,7 @@ def _chain(levels):
 
 
 def test_depth_of_trees_built_in_code_is_bounded():
-    walks = (lambda t: evaluate(t, ONE), lambda t: phi_components(t, ONE), format_expr, has_nonreal_constant)
+    walks = (lambda t: evaluate(t, ONE), lambda t: phi_components(t, ONE.to_cd()), format_expr, has_nonreal_constant)
     for levels in (2000, MAX_DEPTH + 1):
         deep = _chain(levels)
         for walk in walks:
@@ -321,7 +321,7 @@ def test_depth_of_trees_built_in_code_is_bounded():
                 walk(deep)
     at_limit = _chain(MAX_DEPTH)
     assert evaluate(at_limit, ONE) == Quaternion.from_real(MAX_DEPTH)
-    assert phi_components(at_limit, ONE) == ComplexPair(MAX_DEPTH + 0j, 0j)
+    assert phi_components(at_limit, ONE.to_cd()) == ComplexPair(MAX_DEPTH + 0j, 0j)
     assert parse(format_expr(at_limit)) == at_limit
     assert not has_nonreal_constant(at_limit)
 
@@ -384,7 +384,7 @@ def test_phi_closed_forms_match_evaluation():
         p = random_quat(rng, span=5.0 / 2.0)
         tree, explicit = cases[rng.randrange(3)]
         closed = explicit(p)
-        a, b = phi_components(tree, p)
+        a, b = phi_components(tree, p.to_cd())
         scale = max(1.0, abs(a), abs(b))
         assert abs(closed.phi1 - a) <= 1e-10 * scale
         assert abs(closed.phi2 - b) <= 1e-10 * scale
@@ -395,7 +395,7 @@ def test_phi_closed_forms_near_degenerate_axis():
     for tree, fn in ((parse("exp(p)"), cmath.exp), (parse("sin(p)"), cmath.sin), (parse("cos(p)"), cmath.cos)):
         for v in (0.0, 1e-12, 1e-9, 1e-6, 9.9e-5, 1.1e-4):
             p = Quaternion(0.7, 0.0, v, 0.0)
-            pair = phi_components(tree, p)
+            pair = phi_components(tree, p.to_cd())
             want = fn(complex(0.7, v))
             assert abs(pair.phi1.real - want.real) <= 1e-13
             assert abs(pair.phi2.real - want.imag) <= 1e-13
@@ -408,7 +408,7 @@ def test_phi_reassembly_invariant():
     for tree in trees:
         for _ in range(200):
             p = random_quat(rng)
-            pair = phi_components(tree, p)
+            pair = phi_components(tree, p.to_cd())
             v = evaluate(tree, p)
             rebuilt = Quaternion.from_cd(pair.phi1, pair.phi2)
             assert (rebuilt - v).norm() <= 1e-12 * max(1.0, v.norm())
@@ -480,8 +480,8 @@ def test_product_of_sin_cos_matches_explicit_closed_forms():
     sin_t, cos_t = parse("sin(p)"), parse("cos(p)")
     pts = [Quaternion(0, math.pi / 4, 0, 0), Quaternion(0.8, 0.5, -1.2, 0.4), Quaternion(-1.1, 1.3, 0.2, 0.9)]
     for p in pts:
-        fv = phi_components(sin_t, p)
-        gv = phi_components(cos_t, p)
+        fv = phi_components(sin_t, p.to_cd())
+        gv = phi_components(cos_t, p.to_cd())
         got = product_cd(fv, gv)
         f = _sin_phi_explicit(p)
         g = _cos_phi_explicit(p)

@@ -190,6 +190,22 @@ def test_ratio_test_with_point():
     assert rep.term_test_pass
 
 
+def test_ratio_test_term_test_is_judged_in_logs():
+    # |p|^l left the double range: OverflowError, where the terms grow
+    rep = ratio_test(exp_series(64), point=Quaternion(1e10, 0, 0, 0))
+    assert not rep.term_test_pass
+    # every term underflowed to 0 and read as not falling, where they vanish
+    assert ratio_test(exp_series(64), point=Quaternion(1e-200, 0, 0, 0)).term_test_pass
+    assert ratio_test(exp_series(64), point=ZERO).term_test_pass
+    assert ratio_test(geometric_series(13), point=ZERO).term_test_pass  # p^0 = 1 opens the tail
+    # the terms fall exactly inside the radius, also where they are equal at it
+    two = PowerSeries(tuple(2.0**-l for l in range(40)))
+    cases = [(exp_series(64), math.inf), (sin_series(64), math.inf), (cos_series(64), math.inf), (geometric_series(48), 1.0), (two, 2.0)]
+    for s, radius in cases:
+        for r in (0.1, 0.5, 0.99, 1.0, 1.01, 1.99, 2.0, 2.01, 30.0):
+            assert ratio_test(s, point=Quaternion(0, 0, r, 0)).term_test_pass == (r < radius), (s.coeffs[:3], r)
+
+
 def test_ratio_test_finite_radius_scaled_geometric():
     s = PowerSeries(tuple(2.0**-l for l in range(40)))
     rep = ratio_test(s)

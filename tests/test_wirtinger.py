@@ -31,7 +31,7 @@ from hquat import (
 )
 from hquat import functions, wirtinger
 from hquat.functions import EvaluationOverflowError
-from hquat.wirtinger import InvalidPointError
+from hquat.wirtinger import HolomorphyReport, InvalidPointError
 from test_parser import _random_tree
 
 
@@ -130,8 +130,9 @@ def test_smallest_step_still_moves_every_component():
 
 
 def test_stepped_points_are_the_quaternion_sums_bitwise(monkeypatch):
-    # partials builds p +- e*h in one construction; the components must be
-    # the very sums of Quaternion arithmetic, sign of zero included
+    # partials hands phi_components the pairs p +- e*h without building a
+    # Quaternion; their components must be the very sums of Quaternion
+    # arithmetic, sign of zero and subnormals included
     seen = _count_calls(monkeypatch, "phi_components")
     rng = random.Random(33)
     for _ in range(300):
@@ -140,8 +141,8 @@ def test_stepped_points_are_the_quaternion_sums_bitwise(monkeypatch):
         seen.clear()
         t = partials(P, p, step)
         h = t.step
-        want = [q for e in (ONE, I, J, K) for q in (p + e * h, p - e * h)]
-        assert [repr(q) for _, q in seen] == [repr(q) for q in want], p
+        want = [q.to_cd() for e in (ONE, I, J, K) for q in (p + e * h, p - e * h)]
+        assert [repr(tuple(q)) for _, q in seen] == [repr(tuple(q)) for q in want], p
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,23 @@ def test_counterexamples_fail():
             rep = check_holomorphy(tree, p3, tol=1e-6)
             assert max(rep.main_residuals) > 1e-2
             assert not rep.passed
+
+
+def test_passed_is_every_verdict():
+    # passed compares the largest residual once; each verdict compares one
+    rng = random.Random(26)
+    for _ in range(500):
+        tol = rng.choice((1e-6, 1e-12, 0.5, 5e-324))
+        near = (0.0, tol, math.nextafter(tol, math.inf), math.nextafter(tol, 0.0), tol * rng.uniform(0.0, 2.0), math.inf)
+        main, aux = [tuple(rng.choice(near) for _ in range(4)) for _ in range(2)]
+        rep = HolomorphyReport(ZERO, ONE, main, aux, tol)
+        assert rep.passed == (all(rep.main_verdicts) and all(rep.aux_verdicts)), (main, aux, tol)
+    at = HolomorphyReport(ZERO, ONE, (1e-6,) * 4, (0.0,) * 4, 1e-6)
+    above = at._replace(aux_residuals=(0.0, 0.0, math.nextafter(1e-6, 1.0), 0.0))
+    assert at.passed and not above.passed
+    for tree in (parse("exp(p)"), parse("j*exp(p)"), Mul(QuatConst(J), P)):
+        rep = check_holomorphy(tree, Quaternion(0.5, 0.0, -0.3, 0.8))
+        assert rep.passed == (all(rep.main_verdicts) and all(rep.aux_verdicts))
 
 
 def test_left_j_times_p_fails_only_the_auxiliary_system():
@@ -419,7 +437,7 @@ def test_partials_are_the_one_quotient_bitwise():
         for p in _QUOTIENT_POINTS:
             for step in (1e-5, 1e-3):
                 h = step * max(1.0, p.norm())
-                d = [(phi_components(tree, p + e * h), phi_components(tree, p - e * h)) for e in (ONE, I, J, K)]
+                d = [(phi_components(tree, (p + e * h).to_cd()), phi_components(tree, (p - e * h).to_cd())) for e in (ONE, I, J, K)]
                 (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = [_central(hi, lo, h) for hi, lo in d]
                 want = [
                     (dx1 - 1j * dy1) / 2.0,
@@ -493,6 +511,14 @@ def test_stepped_point_past_the_double_range_is_evaluation_error():
     for call in (lambda: partials(P, x_edge), lambda: partials(P, z_edge), lambda: full_derivative(P, x_edge)):
         with pytest.raises(EvaluationOverflowError, match="difference stencil overflows"):
             call()
+    # p - h past the double range, on the lo side; each message names the component
+    for p, name in ((Quaternion(-1.79769e308, 0.0, 0.0, 0.0), "x"), (Quaternion(0.0, 0.0, 0.0, -1.79769e308), "u")):
+        with pytest.raises(EvaluationOverflowError, match=f"difference stencil overflows: .* {name}=-inf"):
+            partials(P, p)
+    # an aux point whose y step overflows, while the main point's stencil stays in range
+    partials(P, ZERO)
+    with pytest.raises(EvaluationOverflowError, match="difference stencil overflows: .* y=inf"):
+        check_holomorphy(P, ZERO, aux_point=Quaternion(0.0, 1.79769e308, 0.0, 0.0))
     # the derivative steps along x only, so z at the edge stays in range
     assert full_derivative(P, z_edge) == ONE
 
