@@ -20,8 +20,10 @@ error, 4 non-real coefficient.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -198,11 +200,8 @@ def _cmd_check(args: argparse.Namespace) -> Report:
 
 
 def _radius_results(ext) -> dict:
-    coeffs = ext.denoised_coeffs()
-    nonzero = sum(1 for c in coeffs if c != 0.0)
-    series = PowerSeries(coeffs)
     try:
-        rep = ratio_test(series, n_tail=max(3, min(12, nonzero - 1)))
+        rep = ratio_test(PowerSeries(ext.denoised_coeffs()))
     except (ValueError, RatioTestInconclusive) as exc:
         return {"radius": None, "radius_is_infinite": False, "note": str(exc)}
     return {
@@ -450,6 +449,25 @@ def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# argparse's own form of a negative number; it reads any other text that
+# starts with "-" as a flag
+_PLAIN_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _point_value(text: str) -> str:
+    """A --point value as argparse takes it: a finite negative double in
+    another form ("-1e-5") becomes the same double in plain digits."""
+    if text[:1] != "-" or _PLAIN_NEGATIVE.fullmatch(text):
+        return text
+    try:
+        x = float(text)
+    except ValueError:
+        return text
+    from decimal import Decimal  # only this rare form pays for the import
+
+    return f"{Decimal(x):f}" if math.isfinite(x) else text
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # argparse reads the -p of "--expr -p" as a flag, never that of "--expr=-p"
     given = iter(sys.argv[1:] if argv is None else argv)
@@ -457,6 +475,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     for arg in given:
         value = next(given, None) if arg == "--expr" else None
         argv.append(arg if value is None else f"--expr={value}")
+        if arg == "--point":
+            argv += map(_point_value, itertools.islice(given, 4))
     parser = build_arg_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .functions import EvaluationOverflowError, FuncExpr, _lift, evaluate
+from .functions import EvaluationOverflowError, FuncExpr, _finite, _lift, evaluate
 from .quaternion import ZERO, Quaternion
 
 __all__ = [
@@ -128,7 +128,7 @@ class PowerSeries:
                 acc = acc * w + self.coefficient(l)
             return acc
 
-        return Quaternion.from_cd(*_lift(horner, p.to_cd()))
+        return Quaternion.from_cd(*_finite(_lift(horner, p.to_cd())))
 
     def evaluate(self, p: Quaternion, tol: float = 1e-12, max_terms: int = 200) -> SeriesEvaluation:
         """Sum terms until |r_l| |p|^l < tol for 3 consecutive l (term-test
@@ -228,8 +228,9 @@ def geometric_series(n: int = 32) -> PowerSeries:
 class ConvergenceReport(NamedTuple):
     """Evidence and verdict of the ratio test.
 
-    ``ratios`` are per-power magnitude ratios of consecutive nonzero
-    coefficients (gap g folded in as a g-th root), at the powers ``indices``.
+    ``ratios`` are the last ``n_used`` = min(12, nonzero - 1) per-power
+    magnitude ratios of consecutive nonzero coefficients (gap g folded in as
+    a g-th root), at the powers ``indices``.
     ``L_estimate`` is the intercept of their least-squares line against 1/l
     (Domb-Sykes), the limit of the sequence, and ``L_error`` its error bar.
     The radius is 1/L_estimate; it is infinite, with L_estimate 0, when the
@@ -255,21 +256,21 @@ def _sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None) -> ConvergenceReport:
-    """Estimate the d'Alembert limit L and the convergence radius 1/L.
+def ratio_test(s: PowerSeries, point: Quaternion | None = None) -> ConvergenceReport:
+    """Estimate the d'Alembert limit L and the convergence radius 1/L from
+    the last min(12, nonzero - 1) ratios of the nonzero coefficients.
 
     Near a singularity (1 - p/R)^-g the ratios are (1 + (g-1)/l)/R, a line in
     x = 1/l whose intercept is 1/R (Domb & Sykes 1957).  The intercept's
     error bar is its standard error with the largest residual standing in
-    for sigma.  Raises RatioTestInconclusive when a ratio or the error bar
-    leaves the double range, when the largest residual exceeds 10% of the
-    largest ratio, or when a nonzero intercept is not within 1e-3 relative.
+    for sigma.  Raises ValueError below 4 nonzero coefficients, and
+    RatioTestInconclusive when a ratio or the error bar leaves the double
+    range, when the largest residual exceeds 10% of the largest ratio, or
+    when a nonzero intercept is not within 1e-3 relative.
     """
-    if n_tail < 3:
-        raise ValueError("need at least 3 trailing ratios")
     nonzero = [(l, abs(c)) for l, c in s.terms(max(len(s.coeffs), 64)) if c != 0.0]
-    if len(nonzero) < n_tail + 1:
-        raise ValueError(f"need {n_tail + 1} nonzero coefficients, found {len(nonzero)}")
+    if len(nonzero) < 4:
+        raise ValueError(f"need 4 nonzero coefficients, found {len(nonzero)}")
 
     ratios: list[float] = []
     indices: list[int] = []
@@ -277,18 +278,19 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
         gap = l2 - l1
         ratios.append((c2 / c1) ** (1.0 / gap))
         indices.append(l2)
-    tail_r = tuple(ratios[-n_tail:])
-    tail_i = tuple(indices[-n_tail:])
+    tail_r = tuple(ratios[-12:])
+    tail_i = tuple(indices[-12:])
+    n_used = len(tail_r)
     monotone_dec = all(b <= a * (1.0 + 1e-12) for a, b in zip(tail_r, tail_r[1:]))
 
     xs = [1.0 / l for l in tail_i]
-    mx = _sum(xs) / n_tail
-    my = _sum(tail_r) / n_tail
+    mx = _sum(xs) / n_used
+    my = _sum(tail_r) / n_used
     sxx = _sum((x - mx) ** 2 for x in xs)
     slope = _sum((x - mx) * (y - my) for x, y in zip(xs, tail_r)) / sxx
     L = my - slope * mx
     worst = max(abs(y - L - slope * x) for x, y in zip(xs, tail_r))
-    err = worst * math.sqrt(1.0 / n_tail + mx * mx / sxx)
+    err = worst * math.sqrt(1.0 / n_used + mx * mx / sxx)
     if not all(map(math.isfinite, (*tail_r, err))):
         raise RatioTestInconclusive("a ratio or the fit's error bar leaves the double range")
     if worst > 0.1 * max(tail_r):
@@ -303,7 +305,7 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
     # falls by more than it from first to last, or vanishes
     pn = point.norm() if point is not None else None
     log_p = 0.0 if pn is None else math.log(pn) if pn else -math.inf
-    logs = [math.log(c) + (l * log_p if l else 0.0) for l, c in nonzero[-(n_tail + 1):]]
+    logs = [math.log(c) + (l * log_p if l else 0.0) for l, c in nonzero[-(n_used + 1):]]
     slack = math.log1p(1e-12)
     term_test = all(b <= a + slack for a, b in zip(logs, logs[1:])) and (logs[-1] < logs[0] - slack or logs[-1] == -math.inf)
 
@@ -316,7 +318,7 @@ def ratio_test(s: PowerSeries, n_tail: int = 12, point: Quaternion | None = None
         L_error=err,
         ratios=tail_r,
         indices=tail_i,
-        n_used=n_tail,
+        n_used=n_used,
     )
 
 
@@ -340,14 +342,17 @@ _M_TEST_INDICES = 4096  # a generator's nonzero terms count as run out past this
 
 def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float]) -> MTestCertificate:
     """Check |r_l| R^l <= M_i termwise over the first 40 nonzero terms (i
-    counts them) and that the majorant series passes its own ratio test; a
-    pass certifies uniform and absolute convergence on the closed ball of the
-    given radius.  Indices at or past max(len(coeffs), 4096) are not read.
+    counts them) and that the majorant series passes its own ratio test with
+    a finite partial sum; a pass certifies uniform and absolute convergence
+    on the closed ball of the given radius.  Indices at or past
+    max(len(coeffs), 4096) are not read.
 
-    Raises MajorantViolatedError at the first violated term index.
+    Raises ValueError unless R is positive and finite, and
+    MajorantViolatedError at the first term index whose bound does not hold
+    (a NaN M_i never holds).
     """
-    if ball_radius <= 0.0:
-        raise ValueError("ball radius must be positive")
+    if not 0.0 < ball_radius < math.inf:
+        raise ValueError("ball radius must be positive and finite")
     ms: list[float] = []
     nonzero = ((l, c) for l, c in s.terms(max(len(s.coeffs), _M_TEST_INDICES)) if c != 0.0)
     for i, (l, c) in enumerate(itertools.islice(nonzero, _M_TEST_TERMS)):
@@ -357,7 +362,7 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
         except OverflowError:  # R^l alone leaves the double range; a small |c| may bring it back
             log_term = math.log(abs(c)) + l * math.log(ball_radius)
             term = math.exp(log_term) if log_term < 709.0 else math.inf
-        if term > m * (1.0 + 1e-12):
+        if not term <= m * (1.0 + 1e-12):
             raise MajorantViolatedError(i)
         ms.append(m)
 
@@ -365,11 +370,11 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
         return MTestCertificate(False, 0, ball_radius, math.nan, 0.0, "no nonzero terms to check")
     tail = [b / a for a, b in zip(ms, ms[1:]) if a > 0.0][-5:]
     tail_ratio = max(tail) if tail else 0.0
-    if tail_ratio >= 1.0:
-        return MTestCertificate(
-            False, len(ms), ball_radius, tail_ratio, _sum(ms), "majorant series fails its ratio test"
-        )
-    return MTestCertificate(True, len(ms), ball_radius, tail_ratio, _sum(ms), "majorant summable, all terms bounded")
+    total = _sum(ms)
+    if tail_ratio >= 1.0 or not math.isfinite(total):
+        reason = "majorant series fails its ratio test" if tail_ratio >= 1.0 else "majorant partial sum overflows"
+        return MTestCertificate(False, len(ms), ball_radius, tail_ratio, total, reason)
+    return MTestCertificate(True, len(ms), ball_radius, tail_ratio, total, "majorant summable, all terms bounded")
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_criterion_3_general_term_rule():
 def test_criterion_4_ratio_test_radii():
     ok = True
     for s in (exp_series(64), sin_series(64), cos_series(64), sin_cos_series(80)):
-        rep = ratio_test(s, n_tail=12)
+        rep = ratio_test(s)
         ok = ok and rep.L_estimate < 1e-8 and rep.monotone_decreasing and math.isinf(rep.radius)
     geo = ratio_test(geometric_series(48))
     ok = ok and abs(geo.radius - 1.0) <= 1e-9

@@ -780,6 +780,15 @@ def test_expression_starting_with_minus_follows_expr(capsys):
     assert "expected one argument" in run_usage_error(capsys, ["eval", "--point", "1", "0", "0", "0", "--expr"])
 
 
+def test_negative_point_value_in_exponent_notation_follows_point(capsys):
+    # argparse read "--point -1e-5" as a flag: "expected 4 arguments"
+    argv = ["eval", "--expr", "p", "--format", "machine", "--point"]
+    assert run_cli(capsys, argv + ["-1e-5", "0", "0", "0"]) == run_cli(capsys, argv + ["-0.00001", "0", "0", "0"])
+    code, out, err = run_cli(capsys, ["check", "--expr", "p", "--point", "-1.79769e308", "0", "0", "0"])
+    assert code == 3 and out == "" and "evaluation error" in err
+    assert "expected 4 arguments" in run_usage_error(capsys, ["check", "--expr", "p", "--point", "-inf", "0", "0", "0"])
+
+
 def test_bounds_are_accepted_at_their_limits(capsys):
     code, rep, _ = run_json(capsys, ["eval", "--expr", f"p^{MAX_EXPONENT}", "--point", "1", "0", "0", "0"])
     assert code == 0 and rep["results"]["value"] == [1.0, 0.0, 0.0, 0.0]

@@ -146,6 +146,14 @@ def test_series_sums_take_the_domain_of_the_evaluator(s, text):
         PowerSeries((5.0,)).partial_sum(huge, 0)
 
 
+def test_series_sum_that_overflows_is_an_evaluation_error():
+    # the non-finite Horner sum reached the Quaternion constructor: ValueError
+    with pytest.raises(EvaluationOverflowError):
+        exp_series().partial_sum(Quaternion(1e200, 0, 0, 0), 32)
+    with pytest.raises(EvaluationOverflowError):
+        geometric_series().evaluate(Quaternion(400, 0, 0, 0))
+
+
 def test_coefficient_access():
     s = PowerSeries((1.0, 2.0))
     assert s.coefficient(1) == 2.0
@@ -169,7 +177,7 @@ def test_powerseries_rejects_nonfinite():
 
 def test_ratio_test_entire_series():
     for s in (exp_series(64), sin_series(64), cos_series(64), sin_cos_series(80)):
-        rep = ratio_test(s, n_tail=12)
+        rep = ratio_test(s)
         assert rep.monotone_decreasing
         assert rep.L_estimate < 1e-8
         assert math.isinf(rep.radius)
@@ -219,16 +227,20 @@ def test_ratio_test_inconclusive_on_oscillation():
 
 
 def test_ratio_test_needs_enough_nonzero_coefficients():
-    with pytest.raises(ValueError):
-        ratio_test(PowerSeries((1.0, 1.0, 1.0)), n_tail=12)
-    with pytest.raises(ValueError, match="at least 3 trailing ratios"):
-        ratio_test(geometric_series(), n_tail=2)
+    with pytest.raises(ValueError, match="need 4 nonzero coefficients, found 3"):
+        ratio_test(PowerSeries((1.0, 1.0, 1.0)))
+
+
+def test_ratio_test_fits_every_ratio_of_a_short_series():
+    # the default tail of 12 ratios raised below 13 nonzero coefficients
+    rep = ratio_test(PowerSeries((1.0,) * 6))
+    assert rep.radius == 1.0 and rep.n_used == 5
 
 
 def test_ratio_test_inconclusive_when_a_ratio_leaves_the_double_range():
     # 1e308 / 5e-324 is inf; a NaN radius would reach the JSON report
     with pytest.raises(RatioTestInconclusive, match="double range"):
-        ratio_test(PowerSeries((1.0, 1.0, 1.0, 5e-324, 1e308)), n_tail=3)
+        ratio_test(PowerSeries((1.0, 1.0, 1.0, 5e-324, 1e308)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +277,15 @@ def test_m_test_divergent_majorant():
     assert "ratio test" in cert.reason
 
 
+def test_m_test_certifies_only_finite_majorants():
+    # a NaN bound and an infinite majorant sum certified convergence
+    with pytest.raises(MajorantViolatedError) as exc:
+        m_test(exp_series(), 0.5, lambda i: math.nan)
+    assert exc.value.index == 0
+    cert = m_test(exp_series(), 0.5, lambda i: math.inf)
+    assert not cert.passed and cert.majorant_partial_sum == math.inf
+
+
 def test_m_test_weighs_terms_whose_radius_power_overflows():
     # R^l alone leaves the double range: OverflowError escaped
     with pytest.raises(MajorantViolatedError) as exc:
@@ -275,7 +296,7 @@ def test_m_test_weighs_terms_whose_radius_power_overflows():
 
 
 def test_m_test_preconditions_and_empty_series():
-    for radius in (0.0, -1.0):
+    for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="ball radius must be positive"):
             m_test(geometric_series(), radius, lambda i: 1.0)
     cert = m_test(PowerSeries((0.0, 0.0)), 1.0, lambda i: 1.0)
