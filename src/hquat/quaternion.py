@@ -197,8 +197,12 @@ class Quaternion:
         return NotImplemented
 
     def isclose(self, other: Quaternion, rel_tol: float = 1e-12, abs_tol: float = 0.0) -> bool:
-        """Componentwise closeness against a mixed relative/absolute bound."""
+        """Componentwise closeness against a mixed relative/absolute bound;
+        where a norm leaves the double range, p/4 and q/4 are compared with
+        abs_tol/4, so the bound stays finite."""
         ref = max(self.norm(), other.norm())
+        if ref == math.inf:
+            return (self / 4).isclose(other / 4, rel_tol, abs_tol / 4)
         bound = max(rel_tol * ref, abs_tol)
         return (
             abs(self.x - other.x) <= bound

@@ -133,9 +133,10 @@ class PowerSeries:
     def evaluate(self, p: Quaternion, tol: float = 1e-12, max_terms: int = 200) -> SeriesEvaluation:
         """Sum terms until |r_l| |p|^l < tol for 3 consecutive l (term-test
         heuristic), or give up at max_terms / coefficient exhaustion with
-        converged=False; the value is :meth:`partial_sum` over the terms used."""
-        if tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        converged=False; the value is :meth:`partial_sum` over the terms used.
+        A tol that is not positive and finite is a ValueError."""
+        if not 0.0 < tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         pnorm = p.norm()
         power_mag = 1.0
         streak = 0

@@ -223,6 +223,19 @@ def test_series_text_reports_a_finite_radius(capsys):
     assert out.endswith("\nradius: 1\n")
 
 
+def test_text_reports_an_infinite_radius_with_its_error_bar(capsys):
+    _, rep, _ = run_json(capsys, ["series", "--expr", "exp(p)", "--n", "17"])
+    bar = rep["results"]["radius_estimate"]["L_error"]
+    code, out, _ = run_cli(capsys, ["series", "--expr", "exp(p)", "--n", "17"])
+    assert code == 0
+    assert f"\nradius: infinite (L estimate within its error bar {bar:.2e} of 0)\n" in out
+    _, rep, _ = run_json(capsys, ["radius", "--expr", "exp(p)"])
+    bar = rep["results"]["L_error"]
+    code, out, _ = run_cli(capsys, ["radius", "--expr", "exp(p)"])
+    assert code == 0
+    assert out == f"radius of exp(p): infinite (L estimate within its error bar {bar:.2e} of 0 over 12 ratios)\n"
+
+
 def test_series_nonreal_exit_code(capsys):
     code, rep, _ = run_json(capsys, ["series", "--expr", "j*exp(p)", "--n", "3"])
     assert code == 4
@@ -568,6 +581,19 @@ def test_commute_past_the_square_overflow_is_judged(capsys):
     assert rep["results"]["max_residual"] < math.inf
 
 
+def test_commute_limit_holds_past_the_product_overflow(capsys):
+    # |f| = 2.1e308 overflowed, so the limit tol*(1 + |f||g|) read inf (a
+    # residual of 3e305 passed) or, with g = 0, nan (a residual of 0 failed)
+    head = ["commute", "--expr", "1.5e308+1.5e308*i", "--expr"]
+    point = ["--point", "0", "0", "0", "0"]
+    code, rep, _ = run_json(capsys, head + ["0.001*j"] + point)
+    assert code == 1 and not rep["results"]["pass"]
+    assert rep["results"]["max_residual"] == pytest.approx(3e305)
+    code, rep, _ = run_json(capsys, head + ["0"] + point)
+    assert code == 0 and rep["results"]["pass"]
+    assert rep["results"]["max_residual"] == 0.0
+
+
 def test_eval_inverse_past_the_square_overflow(capsys):
     # |p|^2 = inf made the inverse of p a silent 0
     code, rep, _ = run_json(capsys, ["eval", "--expr", "1/p", "--point", "1e155", "0", "0", "0"])
@@ -786,7 +812,13 @@ def test_negative_point_value_in_exponent_notation_follows_point(capsys):
     assert run_cli(capsys, argv + ["-1e-5", "0", "0", "0"]) == run_cli(capsys, argv + ["-0.00001", "0", "0", "0"])
     code, out, err = run_cli(capsys, ["check", "--expr", "p", "--point", "-1.79769e308", "0", "0", "0"])
     assert code == 3 and out == "" and "evaluation error" in err
-    assert "expected 4 arguments" in run_usage_error(capsys, ["check", "--expr", "p", "--point", "-inf", "0", "0", "0"])
+    for spelling, plain in [("-1E-5", "-0.00001"), ("-.5e1", "-5"), ("-1_0", "-10")]:
+        assert run_cli(capsys, argv + [spelling, "0", "0", "0"]) == run_cli(capsys, argv + [plain, "0", "0", "0"])
+    _, rep, _ = run_json(capsys, argv + ["-1e-320", "0", "0", "0"])
+    assert rep["inputs"]["point"][0] == -1e-320
+    for value in ("-inf", "-x"):
+        argv_bad = ["check", "--expr", "p", "--point", value, "0", "0", "0"]
+        assert "expected 4 arguments" in run_usage_error(capsys, argv_bad)
 
 
 def test_bounds_are_accepted_at_their_limits(capsys):

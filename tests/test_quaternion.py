@@ -119,6 +119,16 @@ def test_inverse():
         ONE / 0.0
 
 
+def test_isclose_past_the_norm_overflow():
+    # the larger norm read inf, and so did the bound: any two values were close
+    big = Quaternion(1e308, 1e308, 1e308, 1e308)
+    assert not big.isclose(Quaternion(1e308, -1e308, 0, 0))
+    assert big.isclose(big)
+    assert big.isclose(Quaternion(1e308, 1e308, 1e308, 1e308 * (1 + 2**-52)))
+    assert not big.isclose(Quaternion(1e308, 1e308, 1e308, 1e308 * (1 + 2**-52)), rel_tol=0)
+    assert big.isclose(Quaternion(1e308, 1e308, 1e308, 1.5e308), rel_tol=0, abs_tol=6e307)
+
+
 def test_norm_and_inverse_past_the_square_overflow():
     # |p|^2 overflows above |p| ~ 1.3e154; the norm read inf and the
     # inverse conj(p)/inf a silent 0

@@ -96,6 +96,14 @@ def test_evaluate_rejects_a_tolerance_that_is_not_positive():
             exp_series().evaluate(ZERO, tol=tol)
 
 
+def test_evaluate_rejects_a_tolerance_that_is_not_finite():
+    # tol=inf stopped after 3 terms at 3.58 + 0.75i, where exp is 4.28 + 1.32i,
+    # and called that converged
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            exp_series().evaluate(Quaternion(1.5, 0.3, 0, 0), tol=tol)
+
+
 @pytest.mark.parametrize(
     "text, n",
     [
