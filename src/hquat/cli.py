@@ -154,36 +154,37 @@ def _cmd_eval(args: argparse.Namespace) -> Report:
     return EXIT_OK, inputs, results, lambda: f"{canonical} at ({point}) = {value}\n  a = {a}\n  b = {b}\n"
 
 
-def _points(args: argparse.Namespace, draw: Callable[[random.Random], tuple]) -> list[tuple]:
-    """``[(--point, None)]``, else ``--grid`` draws from one RNG seeded with ``--seed``."""
+def _judge_points(args: argparse.Namespace, draw: Callable[[random.Random], tuple], judge: Callable[..., dict]):
+    """check's and commute's loop: each row is ``judge(point, aux)`` at ``--point``
+    (aux None), else at ``--grid`` draws from one RNG seeded with ``--seed``.
+    Returns exit 0 when every row's "pass" holds (1 otherwise), the rows, and
+    the grid, radius and seed inputs, empty with ``--point``."""
     if args.point is not None:
-        return [(Quaternion(*args.point), None)]
-    rng = random.Random(args.seed)
-    return [draw(rng) for _ in range(args.grid)]
+        points = [(Quaternion(*args.point), None)]
+        sampling = {}
+    else:
+        rng = random.Random(args.seed)
+        points = [draw(rng) for _ in range(args.grid)]
+        sampling = {"grid": args.grid, "radius": args.radius, "seed": args.seed}
+    rows = [judge(point, aux) for point, aux in points]
+    return (EXIT_OK if all(row["pass"] for row in rows) else EXIT_CHECK_FAILED), rows, sampling
 
 
 def _cmd_check(args: argparse.Namespace) -> Report:
     expr = parse(args.expr)
-    pairs = _points(args, lambda rng: (sample_ball(rng, args.radius, y_zero=True), sample_ball(rng, args.radius)))
-    rows = []
-    all_pass = True
-    for point, aux in pairs:
+
+    def judge(point: Quaternion, aux: Quaternion | None) -> dict:
         rep = check_holomorphy(expr, point, tol=args.tol, step=args.step, aux_point=aux)
-        ok = rep.passed
-        all_pass = all_pass and ok
-        rows.append(
-            {
-                "point": _quat(rep.point),
-                "aux_point": _quat(rep.aux_point),
-                "main_residuals": list(rep.main_residuals),
-                "aux_residuals": list(rep.aux_residuals),
-                "pass": ok,
-            }
-        )
-    inputs = {"expr": format_expr(expr), "tol": args.tol, "step": args.step}
-    if args.point is None:
-        inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
-    inputs["nonreal_constant"] = has_nonreal_constant(expr)
+        return {
+            "point": _quat(rep.point),
+            "aux_point": _quat(rep.aux_point),
+            "main_residuals": list(rep.main_residuals),
+            "aux_residuals": list(rep.aux_residuals),
+            "pass": rep.passed,
+        }
+
+    code, rows, sampling = _judge_points(args, lambda rng: (sample_ball(rng, args.radius, y_zero=True), sample_ball(rng, args.radius)), judge)
+    inputs = {"expr": format_expr(expr), "tol": args.tol, "step": args.step, **sampling, "nonreal_constant": has_nonreal_constant(expr)}
 
     def text() -> str:
         lines = [f"holomorphy check of {inputs['expr']} (tol {args.tol:g})"]
@@ -191,11 +192,10 @@ def _cmd_check(args: argparse.Namespace) -> Report:
             mr = " ".join(f"{r:.3e}" for r in row["main_residuals"])
             ar = " ".join(f"{r:.3e}" for r in row["aux_residuals"])
             lines.append(f"  point {row['point']}  main [{mr}]  aux [{ar}]  {'pass' if row['pass'] else 'FAIL'}")
-        lines.append("PASS" if all_pass else "FAIL")
+        lines.append("FAIL" if code else "PASS")
         return "\n".join(lines) + "\n"
 
-    code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
-    return code, inputs, {"points": rows, "pass": all_pass}, text
+    return code, inputs, {"points": rows, "pass": code == EXIT_OK}, text
 
 
 def _radius_results(ext) -> dict:
@@ -309,10 +309,8 @@ def _cmd_commute(args: argparse.Namespace) -> Report:
         raise ValueError("tolerance must be positive and finite")
     f = parse(args.expr[0])
     g = parse(args.expr[1])
-    rows = []
-    all_pass = True
-    worst = 0.0
-    for point, _ in _points(args, lambda rng: (sample_ball(rng, args.radius), None)):
+
+    def judge(point: Quaternion, _) -> dict:
         fv = evaluate(f, point)
         gv = evaluate(g, point)
         residual = commutator_norm(fv, gv)
@@ -321,21 +319,19 @@ def _cmd_commute(args: argparse.Namespace) -> Report:
             ok = residual <= args.tol * scale
         else:  # |f||g| overflowed: the same test on f/4 and g/4
             ok = residual / 16 <= args.tol * (1 / 16 + (fv / 4).norm() * (gv / 4).norm())
-        all_pass = all_pass and ok
-        worst = max(worst, residual)
-        rows.append({"point": _quat(point), "residual": residual, "pass": ok})
-    inputs = {"expr_f": format_expr(f), "expr_g": format_expr(g), "tol": args.tol}
-    if args.point is None:
-        inputs.update(grid=args.grid, radius=args.radius, seed=args.seed)
+        return {"point": _quat(point), "residual": residual, "pass": ok}
+
+    code, rows, sampling = _judge_points(args, lambda rng: (sample_ball(rng, args.radius), None), judge)
+    worst = max((row["residual"] for row in rows), default=0.0)
+    inputs = {"expr_f": format_expr(f), "expr_g": format_expr(g), "tol": args.tol, **sampling}
 
     def text() -> str:
         return (
             f"commutator of {inputs['expr_f']} and {inputs['expr_g']}: max residual {worst:.3e} "
-            f"over {len(rows)} points -> {'PASS' if all_pass else 'FAIL'}\n"
+            f"over {len(rows)} points -> {'FAIL' if code else 'PASS'}\n"
         )
 
-    code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
-    return code, inputs, {"points": rows, "max_residual": worst, "pass": all_pass}, text
+    return code, inputs, {"points": rows, "max_residual": worst, "pass": code == EXIT_OK}, text
 
 
 # ---------------------------------------------------------------------------

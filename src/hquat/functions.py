@@ -248,6 +248,8 @@ def _lift(fn, q: Pair) -> Pair:
     a, b = q
     y, z, u = a.imag, b.real, b.imag
     v = math.sqrt(y * y + z * z + u * u)
+    if v == math.inf:  # the squares overflow (|Im q| above about 1.34e154)
+        v = math.hypot(y, z, u)
     if v == math.inf:
         # finite components whose magnitude overflows; cmath would raise
         # ValueError or return inf/nan here

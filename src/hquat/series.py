@@ -119,8 +119,10 @@ class PowerSeries:
 
     def partial_sum(self, p: Quaternion, n: int) -> Quaternion:
         """sum_{l<=n} r_l p^l, on the domain of exp, sin and cos: the imaginary
-        part reads 0 where |Im p|^2 underflows (|Im p| below about 2e-162),
-        EvaluationOverflowError where it overflows (above about 1.3e154)."""
+        part reads 0 where |Im p|^2 underflows (|Im p| below about 2e-162);
+        |Im p| is taken by hypot where its square overflows (above about
+        1.34e154), and EvaluationOverflowError is raised only where |Im p|
+        itself or the Horner sum leaves the double range."""
 
         def horner(w: complex) -> complex:
             acc = complex(self.coefficient(n))

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import os
@@ -616,6 +617,18 @@ def test_eval_inverse_past_the_square_underflow(capsys):
         code, out, err = run_cli(capsys, ["eval", "--expr", "1/p", "--point", x, "0", "0", "0"])
         assert code == 3 and out == ""
         assert err == "hquat: evaluation error: quaternion too close to zero to invert: |p|^2 = 0.0\n"
+
+
+def test_eval_head_past_the_imaginary_square_overflow(capsys):
+    # |Im p|^2 = inf made exp(1e200*i) an evaluation error, though its value is
+    # 0.765 - 0.644i; only an |Im p| that itself overflows stays one
+    code, rep, _ = run_json(capsys, ["eval", "--expr", "exp(p)", "--point", "0", "1e200", "0", "0"])
+    w = cmath.exp(1e200j)
+    assert code == 0 and rep["results"]["value"][:2] == [w.real, w.imag]
+    assert rep["results"]["value"][0] == pytest.approx(0.765051821475)
+    code, out, err = run_cli(capsys, ["eval", "--expr", "exp(p)", "--point", "0", "1.7e308", "1.7e308", "0"])
+    assert code == 3 and out == ""
+    assert "evaluation error" in err and "imaginary magnitude" in err
 
 
 def test_commute_inputs_name_only_inputs_used(capsys):

@@ -1,9 +1,13 @@
 """The command line does not contradict itself on seeded random trees."""
 
 import json
+import math
 import random
 
+import pytest
+
 from hquat import cli, format_expr, has_nonreal_constant
+from hquat.series import PowerSeries, m_test
 from test_parser import _random_tree
 
 SETTINGS = [("8", "0.5"), ("32", "0.8"), ("100", "0.8")]
@@ -35,3 +39,73 @@ def test_series_of_a_real_constant_tree_is_never_nonreal(capsys):
         if code == 0:
             radius = _strict(out)["results"]["radius_estimate"]["radius"]
             assert radius is None or "/" in text, (text, n, rho, radius)
+
+
+# Known contradictions, each a strict xfail that names the ROADMAP item whose
+# fix flips it.  Each asserts the right answer, or a nonzero exit where that
+# item accepts one; none widens a bound to pass.
+
+
+def _machine(capsys, argv):
+    code = cli.main(argv + ["--format", "machine"])
+    out = capsys.readouterr().out
+    return code, (_strict(out)["results"] if out else None)
+
+
+@pytest.mark.xfail(strict=True, reason="item 2: the rho = 0.8 circle encloses the pole at 0.7")
+def test_series_with_a_pole_inside_the_circle_is_right_or_refused(capsys):
+    code, results = _machine(capsys, ["series", "--expr", "1/(0.7-p)"])
+    assert code != 0 or math.isclose(results["coefficients"][0], 1 / 0.7, rel_tol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="item 2: the 1e-5 stencil step straddles the pole at 0")
+def test_derive_next_to_a_pole_is_right_or_refused(capsys):
+    code, results = _machine(capsys, ["derive", "--expr", "1/p", "--point", "1e-6", "0", "0", "0"])
+    assert code != 0 or math.isclose(results["value"][0], -1e12, rel_tol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="item 2, stage A: only the slice C_i is sampled")
+def test_series_of_an_off_slice_function_is_nonreal(capsys):
+    code, _ = _machine(capsys, ["series", "--expr", "(p-i*p*i)/2", "--n", "5"])
+    assert code == cli.EXIT_NONREAL
+
+
+@pytest.mark.xfail(strict=True, reason="item 3: the residuals do not see an additive non-real constant")
+def test_check_fails_where_series_is_nonreal(capsys):
+    series_code, _ = _machine(capsys, ["series", "--expr", "i-(p-p*p)"])
+    check_code, _ = _machine(capsys, ["check", "--expr", "i-(p-p*p)", "--grid", "8"])
+    assert (series_code, check_code) == (cli.EXIT_NONREAL, cli.EXIT_CHECK_FAILED)
+
+
+@pytest.mark.xfail(strict=True, reason="item 4: the ratios of conjugate poles oscillate")
+def test_radius_of_conjugate_poles(capsys):
+    code, results = _machine(capsys, ["radius", "--expr", "sin(p)/(p^2+9)"])
+    assert code == 0 and results["radius"] is not None
+    assert math.isclose(results["radius"], 3.0, rel_tol=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="item 4: a polynomial has too few nonzero coefficients for the line")
+def test_radius_of_a_polynomial_is_infinite(capsys):
+    code, results = _machine(capsys, ["radius", "--expr", "p^3-2*p"])
+    assert code == 0 and results["radius_is_infinite"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="item 11: the default 72 samples alias every coefficient by 1.05e-7")
+def test_series_with_aliasing_above_the_floors(capsys):
+    code, results = _machine(capsys, ["series", "--expr", "p/(1-p)"])
+    assert code == 0 and abs(results["coefficients"][0]) <= 1e-12
+    radius = results["radius_estimate"]["radius"]
+    assert radius is not None and math.isclose(radius, 1.0, rel_tol=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="item 12: the origin derivative always samples at rho = 0.8")
+def test_origin_derivative_of_high_order(capsys):
+    code, results = _machine(capsys, ["derive", "--expr", "exp(p)", "--point", "0", "0", "0", "0", "--k", "16"])
+    assert code == 0 and math.isclose(results["value"][0], 1.0, rel_tol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="m_test: 5 majorant ratios below 1 do not make a summable majorant")
+def test_m_test_refuses_a_divergent_majorant():
+    # sum p^l/(l+1) diverges at p = 1, and so does the harmonic majorant
+    cert = m_test(PowerSeries((), generator=lambda l: 1 / (l + 1)), 1.0, lambda i: 1 / (i + 1))
+    assert not cert.passed

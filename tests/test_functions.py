@@ -61,8 +61,11 @@ class PolarDecomp(NamedTuple):
 
 
 def polar(p: Quaternion) -> PolarDecomp:
-    """Split p into real part and imaginary magnitude/direction."""
+    """Split p into real part and imaginary magnitude/direction; v is taken by
+    hypot where the squares overflow, as in the evaluator's lift."""
     v = math.sqrt(p.y * p.y + p.z * p.z + p.u * p.u)
+    if v == math.inf:
+        v = math.hypot(p.y, p.z, p.u)
     if v == 0.0:
         return PolarDecomp(p.x, 0.0, None)
     return PolarDecomp(p.x, v, Quaternion(0.0, p.y / v, p.z / v, p.u / v))
