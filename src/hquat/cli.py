@@ -3,8 +3,8 @@
 Subcommands: eval | check | series | derive | radius | commute.  The machine
 output format is a single JSON document with fixed field order
 (tool, version, subcommand, inputs, results); identical inputs and seed
-produce byte-identical documents.  :func:`to_json` writes it directly,
-byte-identical to ``json.dumps(document, indent=2)``.  Text output is
+produce byte-identical documents.  It is written on one line as
+``json.dumps(document)``, followed by a newline.  Text output is
 human-oriented and not a stability contract; each subcommand returns it as
 a renderer that :func:`main` calls only for ``--format text``.
 
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import random
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import __version__
@@ -91,49 +91,6 @@ def _cplx(c: complex) -> list[float]:
     return [c.real, c.imag]
 
 
-def to_json(o, pad: str = "") -> str:
-    """``json.dumps(o, indent=2)``, byte for byte, for a document of dicts with
-    str keys, lists, str, int, float, bool and None; ``pad`` is the indent of
-    the line ``o`` starts on.
-
-    json's own encoder runs in pure Python whenever ``indent`` is set; this one
-    joins each list of floats in one C-level pass through ``float.__repr__``.
-    NaN and the infinities are spelled as json spells them.
-    """
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if type(o) is dict:
-        if not o:
-            return "{}"
-        body = sep.join([encode_basestring_ascii(k) + ": " + to_json(v, inner) for k, v in o.items()])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if type(o) is list:
-        if not o:
-            return "[]"
-        try:  # TypeError unless every item is a float
-            body = sep.join(map(float.__repr__, o))
-            if not all(map(math.isfinite, o)):
-                raise TypeError
-        except TypeError:
-            body = sep.join([to_json(v, inner) for v in o])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if type(o) is float:
-        if math.isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
-    if type(o) is str:
-        return encode_basestring_ascii(o)
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if o is None:
-        return "null"
-    if type(o) is int:
-        return int.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -178,8 +135,8 @@ def _cmd_check(args: argparse.Namespace) -> Report:
         return {
             "point": _quat(rep.point),
             "aux_point": _quat(rep.aux_point),
-            "main_residuals": list(rep.main_residuals),
-            "aux_residuals": list(rep.aux_residuals),
+            "main_residuals": rep.main_residuals,
+            "aux_residuals": rep.aux_residuals,
             "pass": rep.passed,
         }
 
@@ -210,7 +167,7 @@ def _radius_results(ext) -> dict:
         "L_error": rep.L_error,
         "monotone_decreasing": rep.monotone_decreasing,
         "n_used": rep.n_used,
-        "ratios": list(rep.ratios),
+        "ratios": rep.ratios,
     }
 
 
@@ -232,8 +189,8 @@ def _cmd_series(args: argparse.Namespace) -> Report:
         k = ext.first_mismatch(rule)
         rule_result = {"rule": name, "matches": k is None, "mismatch_index": k}
     results = {
-        "coefficients": list(ext.coeffs),
-        "nonreal_residues": list(ext.nonreal_residues),
+        "coefficients": ext.coeffs,
+        "nonreal_residues": ext.nonreal_residues,
         "max_nonreal_residue": worst,
         "radius_estimate": _radius_results(ext),
         "general_term": rule_result,
@@ -474,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, inputs, results, render = args.func(args)
         if args.format == "machine":
             report = {"tool": "hquat", "version": __version__, "subcommand": args.subcommand, "inputs": inputs, "results": results}
-            text = to_json(report) + "\n"
+            text = json.dumps(report) + "\n"
         else:
             text = render()
         if args.out:

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .quaternion import I, J, K, Pair, Quaternion, cd_inverse, cd_mul
+from .quaternion import _TINY, I, J, K, Pair, Quaternion, cd_inverse, cd_mul
 
 __all__ = [
     "Add",
@@ -247,9 +247,10 @@ def _lift(fn, q: Pair) -> Pair:
     """Apply a complex elementary function along the imaginary axis of q."""
     a, b = q
     y, z, u = a.imag, b.real, b.imag
-    v = math.sqrt(y * y + z * z + u * u)
-    if v == math.inf:  # the squares overflow (|Im q| above about 1.34e154)
-        v = math.hypot(y, z, u)
+    v2 = y * y + z * z + u * u
+    # hypot where the squares leave the normal range, overflowing (|Im q|
+    # above about 1.34e154) or underflowing (below about 1.5e-154)
+    v = math.sqrt(v2) if _TINY <= v2 < math.inf else math.hypot(y, z, u)
     if v == math.inf:
         # finite components whose magnitude overflows; cmath would raise
         # ValueError or return inf/nan here

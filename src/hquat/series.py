@@ -118,11 +118,10 @@ class PowerSeries:
         return enumerate(map(self.coefficient, range(stop)))
 
     def partial_sum(self, p: Quaternion, n: int) -> Quaternion:
-        """sum_{l<=n} r_l p^l, on the domain of exp, sin and cos: the imaginary
-        part reads 0 where |Im p|^2 underflows (|Im p| below about 2e-162);
-        |Im p| is taken by hypot where its square overflows (above about
-        1.34e154), and EvaluationOverflowError is raised only where |Im p|
-        itself or the Horner sum leaves the double range."""
+        """sum_{l<=n} r_l p^l, on the domain of exp, sin and cos: |Im p| is
+        taken by hypot where its square leaves the normal range, and
+        EvaluationOverflowError is raised only where |Im p| itself or the
+        Horner sum leaves the double range."""
 
         def horner(w: complex) -> complex:
             acc = complex(self.coefficient(n))
@@ -251,6 +250,10 @@ class ConvergenceReport(NamedTuple):
     n_used: int
 
 
+# Relative error bar within which a nonzero ratio-test limit is accepted.
+_L_REL_ERROR = 1e-3
+
+
 def _sum(values: Iterable[float]) -> float:
     """Left-to-right float sum, the same on every Python version: sum()
     compensates its rounding from 3.12 on, so the last digit of a ratio-test
@@ -300,7 +303,7 @@ def ratio_test(s: PowerSeries, point: Quaternion | None = None) -> ConvergenceRe
         raise RatioTestInconclusive(f"largest fit residual {worst:.3g} exceeds 10% of the largest ratio {max(tail_r):.3g}")
     if L <= err:
         L = 0.0
-    elif err > 1e-3 * L:
+    elif err > _L_REL_ERROR * L:
         raise RatioTestInconclusive(f"intercept error bar {err:.3g} exceeds 1e-3 of the intercept {L:.3g}")
 
     # terms |r_l| |p|^l in logs (|p|^l may overflow); p^0 = 1 even at p = 0,
@@ -345,10 +348,14 @@ _M_TEST_INDICES = 4096  # a generator's nonzero terms count as run out past this
 
 def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float]) -> MTestCertificate:
     """Check |r_l| R^l <= M_i termwise over the first 40 nonzero terms (i
-    counts them) and that the majorant series passes its own ratio test with
-    a finite partial sum; a pass certifies uniform and absolute convergence
-    on the closed ball of the given radius.  Indices at or past
-    max(len(coeffs), 4096) are not read.
+    counts them) and that the majorant series is summable; a pass certifies
+    uniform and absolute convergence on the closed ball of the given radius.
+    Indices at or past max(len(coeffs), 4096) are not read, so fewer than 40
+    nonzero terms below that cap are taken as the whole series, and their
+    M_i as the whole majorant: a finite sum of them certifies.  Otherwise the
+    ratio-test limit L of the 40 M_i must satisfy L (1 + _L_REL_ERROR) < 1,
+    and a ratio test that raises certifies nothing.  ``majorant_tail_ratio``
+    is that L, 0.0 for a finite majorant and NaN where it was not found.
 
     Raises ValueError unless R is positive and finite, and
     MajorantViolatedError at the first term index whose bound does not hold
@@ -369,15 +376,18 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
             raise MajorantViolatedError(i)
         ms.append(m)
 
-    if not ms:
-        return MTestCertificate(False, 0, ball_radius, math.nan, 0.0, "no nonzero terms to check")
-    tail = [b / a for a, b in zip(ms, ms[1:]) if a > 0.0][-5:]
-    tail_ratio = max(tail) if tail else 0.0
     total = _sum(ms)
-    if tail_ratio >= 1.0 or not math.isfinite(total):
-        reason = "majorant series fails its ratio test" if tail_ratio >= 1.0 else "majorant partial sum overflows"
-        return MTestCertificate(False, len(ms), ball_radius, tail_ratio, total, reason)
-    return MTestCertificate(True, len(ms), ball_radius, tail_ratio, total, "majorant summable, all terms bounded")
+    if not math.isfinite(total):
+        return MTestCertificate(False, len(ms), ball_radius, math.nan, total, "majorant partial sum overflows")
+    if len(ms) < _M_TEST_TERMS:
+        return MTestCertificate(True, len(ms), ball_radius, 0.0, total, "finite majorant, all terms bounded")
+    try:
+        L = ratio_test(PowerSeries(tuple(ms))).L_estimate
+    except (ValueError, RatioTestInconclusive) as exc:
+        return MTestCertificate(False, len(ms), ball_radius, math.nan, total, str(exc))
+    if L * (1.0 + _L_REL_ERROR) >= 1.0:
+        return MTestCertificate(False, len(ms), ball_radius, L, total, "majorant series fails its ratio test")
+    return MTestCertificate(True, len(ms), ball_radius, L, total, "majorant summable, all terms bounded")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -62,10 +63,9 @@ class PolarDecomp(NamedTuple):
 
 def polar(p: Quaternion) -> PolarDecomp:
     """Split p into real part and imaginary magnitude/direction; v is taken by
-    hypot where the squares overflow, as in the evaluator's lift."""
-    v = math.sqrt(p.y * p.y + p.z * p.z + p.u * p.u)
-    if v == math.inf:
-        v = math.hypot(p.y, p.z, p.u)
+    hypot where the squares leave the normal range, as in the evaluator's lift."""
+    v2 = p.y * p.y + p.z * p.z + p.u * p.u
+    v = math.sqrt(v2) if sys.float_info.min <= v2 < math.inf else math.hypot(p.y, p.z, p.u)
     if v == 0.0:
         return PolarDecomp(p.x, 0.0, None)
     return PolarDecomp(p.x, v, Quaternion(0.0, p.y / v, p.z / v, p.u / v))

@@ -138,12 +138,24 @@ def test_evaluate_is_the_partial_sum_over_the_terms_used():
 
 @pytest.mark.parametrize("s, text", [(sin_series(), "sin(p)"), (exp_series(), "exp(p)")])
 def test_series_sums_take_the_domain_of_the_evaluator(s, text):
-    # |Im p|^2 underflows: the imaginary part reads 0, as in evaluate
-    tiny = Quaternion(0.3, 1e-300, 0.0, 0.0)
-    got, want = s.partial_sum(tiny, len(s.coeffs) - 1), evaluate(parse(text), tiny)
-    assert (got.y, got.z, got.u) == (want.y, want.z, want.u) == (0.0, 0.0, 0.0)
-    assert math.isclose(got.x, want.x, rel_tol=1e-15)
-    assert s.evaluate(tiny).value.y == 0.0
+    # |Im p|^2 is subnormal or 0: both take |Im p| by hypot, as for a huge
+    # one; exp(1 + 1e-170 i) read y = 0.0 and sin(1e-160 j) z = 9.999999999999998e-161
+    fn = getattr(cmath, text[:3])
+    for tiny in (1e-150, 1e-160, 1e-170, 1e-300):
+        for x, axis in ((1.0, 1), (0.0, 2), (0.3, 3)):
+            parts = [x, 0.0, 0.0, 0.0]
+            parts[axis] = tiny
+            p = Quaternion(*parts)
+            w = fn(complex(x, tiny))
+            want = [w.real, 0.0, 0.0, 0.0]
+            want[axis] = w.imag
+            got = evaluate(parse(text), p)
+            assert [got.x, got.y, got.z, got.u] == want, p
+            got = s.partial_sum(p, len(s.coeffs) - 1)
+            for g, e in zip((got.x, got.y, got.z, got.u), want):
+                assert math.isclose(g, e, rel_tol=1e-15), (p, got)
+    got = s.evaluate(Quaternion(0.3, 1e-300, 0.0, 0.0)).value.y
+    assert math.isclose(got, fn(complex(0.3, 1e-300)).imag, rel_tol=1e-12)  # its term-test tol
     # |Im p|^2 overflows but |Im p| does not: both take |Im p| by hypot, so
     # exp has its value and the constant series sums to 5; sin's sinh
     # overflows, and so do the Horner terms of both truncated sums
@@ -312,16 +324,20 @@ def test_m_test_preconditions_and_empty_series():
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="ball radius must be positive"):
             m_test(geometric_series(), radius, lambda i: 1.0)
+    # the zero series is a finite sum: certified on every ball
     cert = m_test(PowerSeries((0.0, 0.0)), 1.0, lambda i: 1.0)
-    assert not cert.passed and cert.terms_checked == 0
-    assert cert.reason == "no nonzero terms to check"
+    assert cert.passed and cert.terms_checked == 0
+    assert (cert.majorant_tail_ratio, cert.majorant_partial_sum) == (0.0, 0.0)
 
 
 def test_m_test_ends_when_generator_terms_run_out():
     # the walk over the generator's zero tail never returned
     cert = m_test(PowerSeries((1.0, 0.5), generator=lambda l: 0.0), 0.5, lambda i: 1.0)
     assert cert.terms_checked == 2
-    assert not cert.passed
+    # the two M_i are the whole majorant, and their sum is finite
+    assert cert.passed and cert.majorant_tail_ratio == 0.0
+    # 1 + p + p^2 with M_i = 1 on the unit ball was refused for its ratios of 1
+    assert m_test(PowerSeries((1.0, 1.0, 1.0)), 1.0, lambda i: 1.0).passed
     # exp's rule is 0 past l = 170; its first 40 nonzero terms still certify
     cert = m_test(PowerSeries((), generator=exp_coefficient), 1.0, lambda i: 1.0 / math.factorial(i))
     assert cert.passed and cert.terms_checked == 40
