@@ -353,8 +353,9 @@ def m_test(s: PowerSeries, ball_radius: float, majorant: Callable[[int], float])
     Indices at or past max(len(coeffs), 4096) are not read, so fewer than 40
     nonzero terms below that cap are taken as the whole series, and their
     M_i as the whole majorant: a finite sum of them certifies.  Otherwise the
-    ratio-test limit L of the 40 M_i must satisfy L (1 + _L_REL_ERROR) < 1,
-    and a ratio test that raises certifies nothing.  ``majorant_tail_ratio``
+    ratio-test limit L of the 40 M_i must satisfy L (1 + 1e-3) < 1, 1e-3
+    being the relative error bar ratio_test accepts, and a ratio test that
+    raises certifies nothing.  ``majorant_tail_ratio``
     is that L, 0.0 for a finite majorant and NaN where it was not found.
 
     Raises ValueError unless R is positive and finite, and
