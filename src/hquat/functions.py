@@ -25,9 +25,10 @@ node checks its pair for finiteness (every product of an integer power,
 too) and raises EvaluationOverflowError on inf or nan; a check on the final
 value alone would miss an overflow that a later node hides, e.g.
 exp(-inf) = 0.  The only :class:`~hquat.quaternion.Quaternion` an
-evaluation builds is the result of :func:`evaluate`, made straight from the
-final pair's four components; :func:`phi_components` takes a doubling pair
-and returns the final pair as a :class:`ComplexPair`, building none.
+evaluation builds is the result of :func:`evaluate` at a quaternion point,
+made straight from the final pair's four components; :func:`evaluate` at a
+doubling pair returns the final pair, and :func:`phi_components` returns it
+as a :class:`ComplexPair`, so both of these build none.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -267,13 +268,21 @@ def _lift(fn, q: Pair) -> Pair:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expr: FuncExpr, p: Quaternion) -> Quaternion:
-    """Evaluate the function tree at the quaternion point p.
+def evaluate(expr: FuncExpr, p: Quaternion | Pair) -> Quaternion | Pair:
+    """Evaluate the function tree at p, a quaternion or a doubling pair
+    (a, b), and return the value in the same form.
+
+    A pair is taken as given, as :func:`phi_components` takes it, and the
+    final pair is returned with no Quaternion built; at a quaternion point
+    the result is one validated Quaternion.  Both forms run the same
+    compiled function, so their values agree bit for bit.
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
     ValueError for a tree deeper than MAX_DEPTH levels.
     """
+    if not isinstance(p, Quaternion):
+        return _run(expr, p)
     a, b = _run(expr, p.to_cd())
     return Quaternion(a.real, a.imag, b.real, b.imag)
 

@@ -31,7 +31,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .functions import EvaluationOverflowError, FuncExpr, _finite, _lift, evaluate
 from .quaternion import ZERO, Quaternion
@@ -459,7 +459,17 @@ class MaclaurinExtraction(NamedTuple):
         return tuple(vals)
 
 
-def _dft_head(x: list[complex], roots: list[complex], need: int) -> list[complex]:
+@functools.lru_cache(maxsize=16)
+def _roots(N: int) -> tuple[complex, ...]:
+    """The twiddle table roots[j] = e^{-2 pi i j/N} for j < N, kept for the
+    16 sample counts N used most recently.  An extraction has at most
+    N_max = MAX_EXTRACTION_TERMS // 129 = 130055 samples and a table keeps
+    40 B per root (a complex and its tuple slot), so the cache holds at most
+    16 * N_max * 40 B, about 83 MB; the 1024-sample table is 41 KB."""
+    return tuple(cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N))
+
+
+def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[complex]:
     """The first `need` >= 1 DFT outputs sum_m x[m] roots[k*m mod L], with
     L = len(x) and roots[j] = e^{-2 pi i j/L}.
 
@@ -513,14 +523,16 @@ def maclaurin_extraction(
 
     # roots[j] = e^{-2 pi i j/N} gives both the sample points rho*conj(roots[m])
     # and the twiddles e^{-ik th_m} = roots[k*m mod N]: the angle is reduced
-    # exactly in integers, so its phase error does not grow with k*m.
-    roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
+    # exactly in integers, so its phase error does not grow with k*m.  Each
+    # sample goes in as the doubling pair (a, 0) and comes back as a pair, so
+    # the sampling of series, radius and an origin derive builds no Quaternion.
+    roots = _roots(N)
     first: list[complex] = []
     second: list[complex] = []
     for w in roots:
-        q = evaluate(f, Quaternion(rho * w.real, -rho * w.imag, 0.0, 0.0))
-        first.append(complex(q.x, q.y))
-        second.append(complex(q.z, q.u))
+        a, b = evaluate(f, (complex(rho * w.real, -rho * w.imag), 0j))
+        first.append(a)
+        second.append(b)
     vmax = max(max(map(abs, first)), max(map(abs, second)))
     # b vanishes on the slice for every real-coefficient function; otherwise
     # a left constant can move conj(a)-terms to the negative frequencies of b

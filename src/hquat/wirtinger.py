@@ -28,10 +28,13 @@ Partials and derivatives share one central difference on doubling pairs:
 :func:`_step` gives h = step**(1/k) * max(1, |p|), :func:`_stepped` the
 pairs p +- e*h (hi is evaluated first), and :func:`_quotient` (hi - lo)/(2h).
 :func:`partials` steps along 1, i, j, k and hands the pairs straight to
-:func:`hquat.functions.phi_components`, so the only quaternions a check builds
-are its points; :func:`full_derivative` is one step along x, and
-:func:`kth_derivative` picks its route from the input alone ("exact" at
-k = 0, "series" at the origin, "stencil", k nested x-differences, elsewhere).
+:func:`hquat.functions.phi_components`, and the nested x-differences of a
+derivative hand theirs to :func:`hquat.functions.evaluate` in its pair form,
+so the only quaternions a check builds are its points, and a derivative
+builds only its point and its value; :func:`full_derivative` is one step
+along x, and :func:`kth_derivative` picks its route from the input alone
+("exact" at k = 0, "series" at the origin, "stencil", k nested
+x-differences, elsewhere).
 """
 
 from __future__ import annotations
@@ -249,7 +252,7 @@ def check_holomorphy(
 def _nested_dx(f: FuncExpr, p: Pair, k: int, h: float) -> Pair:
     """k nested x-differences of f at the pair p, as a pair (2^k evaluations)."""
     if k == 0:
-        return evaluate(f, Quaternion.from_cd(*p)).to_cd()
+        return evaluate(f, p)
     hi, lo = _stepped(p, ONE, h)
     return _quotient(_nested_dx(f, hi, k - 1, h), _nested_dx(f, lo, k - 1, h), h)
 

@@ -257,6 +257,64 @@ def test_pair_kernel_matches_reference_walk():
             assert repr(got) == repr(want), (tree, p)
 
 
+# the expression texts of perfbench's check-grid catalog
+CHECK_CATALOG_TEXTS = (
+    "p^3 - 2*p",
+    "p^8",
+    "exp(p)",
+    "sin(p)*cos(p)",
+    "exp(sin(p))",
+    "cos(p)/(p^2+9)",
+    "(p^2+1)/(p^2+4)",
+    "i*p",
+    "p*j",
+    "-0.5*(p + i*p*i + j*p*j + k*p*k)",
+)
+
+
+def _pair_bits(thunk):
+    """The four components of the pair thunk() returns as hex strings,
+    bitwise and with the sign of zero, or the type and text of its error."""
+    try:
+        a, b = thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return a.real.hex(), a.imag.hex(), b.real.hex(), b.imag.hex()
+
+
+def test_pair_form_of_evaluate_is_bitwise_the_quaternion_form():
+    rng = random.Random(2026)
+    trees = [parse(text) for text in CHECK_CATALOG_TEXTS + ("1/(1-p)",)]
+    trees += [_random_tree(rng, 0) for _ in range(300)]
+    tiny, big = 5e-324, sys.float_info.max
+    points = [
+        ZERO,
+        Quaternion(-0.0, -0.0, -0.0, -0.0),
+        Quaternion(0.0, -0.0, 0.0, -0.0),
+        Quaternion(-0.0, 0.0, -0.0, 0.0),
+        Quaternion(tiny, -tiny, tiny, -tiny),
+        Quaternion(1e-310, 0.0, -2e-320, 0.0),
+        Quaternion(-tiny, 0.0, 0.0, 0.0),
+        ONE,  # the pole of 1/(1-p)
+        Quaternion(1.0, -0.0, 0.0, -0.0),
+        Quaternion(big, 0.0, 0.0, 0.0),
+        Quaternion(-big, big, -big, big),
+        Quaternion(1e200, 0.0, 1e200, 0.0),
+        Quaternion(0.0, 1e160, 0.0, 0.0),
+    ]
+    points += [random_quat(rng, span) for span in (0.5, 3.0, 1e3) for _ in range(3)]
+    outcomes = set()
+    for tree in trees:
+        for q in points:
+            want = _pair_bits(lambda: evaluate(tree, q).to_cd())
+            got = _pair_bits(lambda: evaluate(tree, q.to_cd()))
+            assert got == want, (tree, q)
+            outcomes.add(want[0] if isinstance(want[0], type) else "value")
+    # the points reach a value and each kind of failure
+    assert outcomes == {"value", EvaluationOverflowError, ZeroDivisorError}
+    assert not isinstance(evaluate(P, ONE.to_cd()), Quaternion)
+
+
 def _node_count(expr):
     return 1 + sum(_node_count(c) for c in vars(expr).values() if isinstance(c, FuncExpr))
 

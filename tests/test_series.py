@@ -22,6 +22,7 @@ from hquat import (
     exp_series,
     geometric_series,
     inv_factorial,
+    kth_derivative,
     m_test,
     maclaurin_coeffs,
     maclaurin_extraction,
@@ -32,7 +33,9 @@ from hquat import (
     sin_cos_series,
     sin_series,
 )
+from hquat import functions as functions_module
 from hquat import series as series_module
+from hquat import wirtinger as wirtinger_module
 from hquat.cli import sample_ball
 from hquat.functions import EvaluationOverflowError
 from test_parser import _random_tree
@@ -647,6 +650,60 @@ def test_extraction_matches_reference_dft_deep_decimation(expr, monkeypatch):
     monkeypatch.setattr(series_module, "_dft_head", counted)
     maclaurin_extraction(parse(expr), 17, 0.8, 144)
     assert tops.count(144) == (3 if expr == "j*p" else 1)
+
+
+def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monkeypatch):
+    # the counts perfbench's SELF_CHECKS pin, without a traced run: one
+    # evaluate call per circle sample and 2^k per stencil derivative,
+    # through every module's binding of evaluate
+    counts = {"evaluate": 0, "quaternion": 0}
+    evaluate_fn, post_init = functions_module.evaluate, Quaternion.__post_init__
+
+    def counted_evaluate(expr, p):
+        counts["evaluate"] += 1
+        return evaluate_fn(expr, p)
+
+    def counted_post_init(q):
+        counts["quaternion"] += 1
+        post_init(q)
+
+    for module in (functions_module, series_module, wirtinger_module):
+        monkeypatch.setattr(module, "evaluate", counted_evaluate)
+    monkeypatch.setattr(Quaternion, "__post_init__", counted_post_init)
+    for expr, n, samples in (("exp(p)", 9, 64), ("1/(1-p)", 17, 200)):
+        f = parse(expr)
+        counts.update(evaluate=0, quaternion=0)
+        maclaurin_extraction(f, n, samples=samples)
+        # the samples go in and come out as doubling pairs
+        assert counts == {"evaluate": samples, "quaternion": 0}, expr
+    f, p = parse("cos(p)"), Quaternion(0.5, 0.2, -0.1, 0.3)
+    counts.update(evaluate=0, quaternion=0)
+    d = kth_derivative(f, p, 2)
+    # the stepped pairs are evaluated as pairs; the value is the one Quaternion
+    assert d.method == "stencil"
+    assert counts == {"evaluate": 2**2, "quaternion": 1}
+
+
+# every sample count the series-spectral workload extracts with
+SPECTRAL_SAMPLE_COUNTS = (64, 72, 80, 88, 96, 144, 264, 520, 1024)
+
+
+def test_roots_table_is_cached_and_bitwise_the_uncached_list():
+    """_roots(N) is the uncached list of e^{-2 pi i j/N} as a tuple, bit for
+    bit, and keeps the 16 most recent tables: at most 16 * N_max * 40 B with
+    N_max = MAX_EXTRACTION_TERMS // 129 = 130055 samples, about 83 MB."""
+    assert series_module._roots.cache_info().maxsize == 16
+    assert series_module.MAX_EXTRACTION_TERMS // 129 == 130055
+    for N in SPECTRAL_SAMPLE_COUNTS + (1, 3, 5, 9, 65, 73, 145, 1023):
+        want = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
+        got = series_module._roots(N)
+        assert type(got) is tuple and len(got) == N
+        # hex is bitwise on each part, sign of zero included
+        assert [(w.real.hex(), w.imag.hex()) for w in got] == [(w.real.hex(), w.imag.hex()) for w in want], N
+        assert series_module._roots(N) is got
+    hits = series_module._roots.cache_info().hits
+    maclaurin_extraction(parse("exp(p)"), 17, samples=1024)
+    assert series_module._roots.cache_info().hits == hits + 1
 
 
 def test_extraction_preconditions():
