@@ -12,23 +12,37 @@ with r^2 = -1): f(x + V*r) is the complex value f(x + V*i) with i replaced
 by r.  In particular exp(p) = e^x * (cos V + r sin V), and sin/cos follow
 from the exponential the same way as over the complex numbers.
 
-There is one evaluator.  It compiles each tree once into nested closures
-on raw doubling pairs (a, b) of complex numbers, the value a + b*j: the
-binary nodes apply their pair operation from :data:`BINARY`, the table that
-also gives the parser and the formatter each operator's text and precedence,
-and the heads apply the lift above to the pair.  The compiled function is
-cached on the root node object as the attribute ``_compiled``, not by
-value, since the frozen-dataclass hash walks the whole tree; it is not a
-dataclass field, so ``==``, ``hash`` and ``repr`` ignore it, and
-:meth:`FuncExpr.__getstate__` leaves it out of pickles and copies.  Every
-node checks its pair for finiteness (every product of an integer power,
+There is one evaluator.  One walk compiles a tree, once per mode, into
+nested closures: each binary node applies its mode's operation from
+:data:`BINARY`, the table that also gives the parser and the formatter each
+operator's text and precedence, and each head lifts its argument as above.
+
+* ``pair`` works on raw doubling pairs (a, b) of complex numbers, the value
+  a + b*j.
+* ``slice`` works on one complex number a, the point a + 0*j of the slice
+  C_i.  A tree with only real constants maps C_i into itself, its second
+  doubling component zero at every node, so there it is its own
+  C-representation.  Division multiplies by the inverse by
+  :func:`hquat.quaternion.cd_inverse`'s formula, not Python's complex
+  division, and the heads take |Im a| as abs(a.imag).  Each value equals
+  the pair mode's first component at (a, 0) under ``==``; only the sign of
+  a zero may differ.  A non-real constant has no slice function
+  (ValueError).
+
+The compiled functions are cached on the root node object as the
+attributes ``_compiled`` (pair) and ``_compiled_slice``, not by value,
+since the frozen-dataclass hash walks the whole tree; they are not
+dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
+:meth:`FuncExpr.__getstate__` leaves them out of pickles and copies.  Every
+node checks its value for finiteness (every product of an integer power,
 too) and raises EvaluationOverflowError on inf or nan; a check on the final
 value alone would miss an overflow that a later node hides, e.g.
 exp(-inf) = 0.  The only :class:`~hquat.quaternion.Quaternion` an
 evaluation builds is the result of :func:`evaluate` at a quaternion point,
 made straight from the final pair's four components; :func:`evaluate` at a
-doubling pair returns the final pair, and :func:`phi_components` returns it
-as a :class:`ComplexPair`, so both of these build none.
+doubling pair or a complex number returns the final pair or complex value,
+and :func:`phi_components` returns the pair as a :class:`ComplexPair`, so
+none of these builds one.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -42,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -94,10 +109,11 @@ class FuncExpr:
         object.__setattr__(self, "_depth", 1 + max(depths, default=0))
 
     def __getstate__(self) -> dict:
-        # the compiled function is a cache of this object; closures do not
+        # the compiled functions are a cache of this object; closures do not
         # pickle.  _depth stays: unpickling does not run __post_init__
         state = dict(vars(self))
         state.pop("_compiled", None)
+        state.pop("_compiled_slice", None)
         return state
 
 
@@ -202,14 +218,26 @@ HEADS: dict[type[FuncExpr], Head] = {
 }
 
 
+def _slice_inverse(a: complex) -> complex:
+    """1/a on the slice: the first component of cd_inverse((a, 0)), bit for
+    bit, whose scaling branch and ZeroDivisorError it takes outside the
+    normal range of |a|**2."""
+    x, y = a.real, a.imag
+    n2 = x * x + y * y
+    if _TINY <= n2 < math.inf:
+        return complex(x / n2, -y / n2)
+    return cd_inverse((a, 0j))[0]
+
+
 # The one table of binary operators, by node class: the text, the precedence
-# level (+,- bind looser than *,/) and the operation on two doubling pairs.
-Binary = NamedTuple("Binary", [("text", str), ("level", int), ("fn", Callable[[Pair, Pair], Pair])])
+# level (+,- bind looser than *,/) and the operation of each compile mode, on
+# two doubling pairs and on two complex numbers of the slice.
+Binary = NamedTuple("Binary", [("text", str), ("level", int), ("pair", Callable), ("slice", Callable)])
 BINARY: dict[type[FuncExpr], Binary] = {
-    Add: Binary("+", 1, lambda x, y: (x[0] + y[0], x[1] + y[1])),
-    Sub: Binary("-", 1, lambda x, y: (x[0] - y[0], x[1] - y[1])),
-    Mul: Binary("*", 2, cd_mul),
-    Div: Binary("/", 2, lambda x, y: cd_mul(x, cd_inverse(y))),
+    Add: Binary("+", 1, lambda x, y: (x[0] + y[0], x[1] + y[1]), operator.add),
+    Sub: Binary("-", 1, lambda x, y: (x[0] - y[0], x[1] - y[1]), operator.sub),
+    Mul: Binary("*", 2, cd_mul, operator.mul),
+    Div: Binary("/", 2, lambda x, y: cd_mul(x, cd_inverse(y)), lambda x, y: x * _slice_inverse(y)),
 }
 
 
@@ -263,24 +291,51 @@ def _lift(fn, q: Pair) -> Pair:
     return complex(w.real, (y / v) * s), complex((z / v) * s, (u / v) * s)
 
 
+def _slice_lift(fn, a: complex) -> complex:
+    """_lift on the slice: the first component of _lift(fn, (a, 0)), whose
+    |Im q| = sqrt(y*y) = hypot(y, 0, 0) is abs(y) bit for bit."""
+    y = a.imag
+    v = abs(y)
+    w = fn(complex(a.real, v))
+    if v == 0.0:
+        return complex(w.real, 0.0)
+    return complex(w.real, (y / v) * w.imag)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expr: FuncExpr, p: Quaternion | Pair) -> Quaternion | Pair:
-    """Evaluate the function tree at p, a quaternion or a doubling pair
-    (a, b), and return the value in the same form.
+def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Pair | complex:
+    """Evaluate the function tree at p, a quaternion, a doubling pair (a, b)
+    or a complex number a, and return the value in the same form.
 
     A pair is taken as given, as :func:`phi_components` takes it, and the
     final pair is returned with no Quaternion built; at a quaternion point
-    the result is one validated Quaternion.  Both forms run the same
-    compiled function, so their values agree bit for bit.
+    the result is one validated Quaternion.  Both forms run the pair mode,
+    so their values agree bit for bit.  A complex number a is the point
+    a + 0*j of the slice C_i and runs the slice mode, whose value equals the
+    first component of the value at (a, 0) under ``==``.  Where the slice
+    mode raises, the pair mode is re-run at (a, 0), so every error and its
+    message are the pair mode's.
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
-    ValueError for a tree deeper than MAX_DEPTH levels.
+    ValueError for a tree deeper than MAX_DEPTH levels, or at a complex
+    point for a tree with a non-real constant.
     """
+    if isinstance(p, complex):
+        try:
+            fn = expr._compiled_slice
+        except AttributeError:
+            fn = _compile(check_depth(expr), "slice")
+            object.__setattr__(expr, "_compiled_slice", fn)
+        try:
+            return fn(p)
+        except (ArithmeticError, ValueError):
+            # only the pair mode carries the signs of b's zeros into a message
+            return _run(expr, (p, 0j))[0]
     if not isinstance(p, Quaternion):
         return _run(expr, p)
     a, b = _run(expr, p.to_cd())
@@ -288,13 +343,13 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair) -> Quaternion | Pair:
 
 
 def _run(expr: FuncExpr, p: Pair) -> Pair:
-    """Value of expr at the pair p by its compiled function, which the first
+    """Value of expr at the pair p by its pair-mode function, which the first
     call builds and caches; an OverflowError raised inside it becomes an
     EvaluationOverflowError."""
     try:
         fn = expr._compiled
     except AttributeError:
-        fn = _compile(check_depth(expr))
+        fn = _compile(check_depth(expr), "pair")
         object.__setattr__(expr, "_compiled", fn)
     try:
         return fn(p)
@@ -310,36 +365,58 @@ def _finite(q: Pair) -> Pair:
     raise EvaluationOverflowError(f"non-finite intermediate value {q!r}")
 
 
-_ONE: Pair = (1 + 0j, 0j)
+def _slice_finite(a: complex) -> complex:
+    """a itself when it is finite; the slice mode's per-node overflow check."""
+    if cmath.isfinite(a):
+        return a
+    raise EvaluationOverflowError(f"non-finite intermediate value {a!r}")
 
 
-def _compile(expr: FuncExpr) -> Callable[[Pair], Pair]:
-    """The function p -> value of expr at p, as closures over the compiled
-    children; they evaluate lhs before rhs and check every node's pair."""
+def _slice_constant(a: complex, b: complex) -> complex:
+    if b or a.imag:
+        raise ValueError("a tree with a non-real constant has no slice function")
+    return a
+
+
+# Each compile mode's constant (from its doubling pair), head lift and node check.
+Mode = NamedTuple("Mode", [("constant", Callable), ("lift", Callable), ("finite", Callable)])
+MODES: dict[str, Mode] = {
+    "pair": Mode(lambda a, b: (a, b), _lift, _finite),
+    "slice": Mode(_slice_constant, _slice_lift, _slice_finite),
+}
+
+
+def _compile(expr: FuncExpr, mode: str) -> Callable:
+    """The function p -> value of expr at p in the mode ("pair" or "slice"),
+    as closures over the children compiled in that mode; they evaluate lhs
+    before rhs and check every node's value."""
+    constant, lift, finite = MODES[mode]
     if isinstance(expr, Var):
         return lambda p: p
     if isinstance(expr, (RealConst, QuatConst)):
-        value = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
+        a, b = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
+        value = constant(a, b)
         return lambda p: value
     op = BINARY.get(type(expr))
     if op is not None:
-        lhs, rhs, fn = _compile(expr.lhs), _compile(expr.rhs), op.fn
-        return lambda p: _finite(fn(lhs(p), rhs(p)))
+        lhs, rhs, fn = _compile(expr.lhs, mode), _compile(expr.rhs, mode), getattr(op, mode)
+        return lambda p: finite(fn(lhs(p), rhs(p)))
     if isinstance(expr, IntPow):
-        base, exponent = _compile(expr.base), expr.exponent
+        base, exponent = _compile(expr.base, mode), expr.exponent
+        mul, one = getattr(BINARY[Mul], mode), constant(1 + 0j, 0j)
 
-        def power(p: Pair) -> Pair:
+        def power(p):
             b = base(p)
-            out = _ONE
+            out = one
             for _ in range(exponent):
-                out = _finite(cd_mul(out, b))
+                out = finite(mul(out, b))
             return out
 
         return power
     head = HEADS.get(type(expr))
     if head is not None:
-        arg, fn = _compile(expr.arg), head.fn
-        return lambda p: _finite(_lift(fn, arg(p)))
+        arg, fn = _compile(expr.arg, mode), head.fn
+        return lambda p: finite(lift(fn, arg(p)))
     raise TypeError(f"unknown expression node {expr!r}")
 
 

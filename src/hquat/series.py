@@ -15,12 +15,14 @@ Convergence machinery:
   closed ball;
 * Maclaurin coefficient extraction by sampling the restriction of the
   function to the complex plane (z = u = 0) on a circle and taking discrete
-  Fourier coefficients.  Coefficients of a holomorphic series are real, so
-  an imaginary or second-component residue beyond SIGNAL_FLOORS noise
-  floors of its index signals a non-holomorphic input.  The first n+1
-  Fourier coefficients of the N samples come from a radix-2 decimation in
-  frequency pruned to those outputs, about N*log2(n) multiply-adds in place
-  of N*(n+1) direct ones.
+  Fourier coefficients.  A tree with only real constants is sampled in the
+  slice mode of :func:`hquat.functions.evaluate`, one complex number per
+  sample; any other tree in its pair mode, one doubling pair per sample.
+  Coefficients of a holomorphic series are real, so an imaginary or
+  second-component residue beyond SIGNAL_FLOORS noise floors of its index
+  signals a non-holomorphic input.  The first n+1 Fourier coefficients of
+  the N samples come from a radix-2 decimation in frequency pruned to those
+  outputs, about N*log2(n) multiply-adds in place of N*(n+1) direct ones.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .functions import EvaluationOverflowError, FuncExpr, _finite, _lift, evaluate
+from .functions import EvaluationOverflowError, FuncExpr, _finite, _lift, evaluate, has_nonreal_constant
 from .quaternion import ZERO, Quaternion
 
 __all__ = [
@@ -523,17 +525,20 @@ def maclaurin_extraction(
 
     # roots[j] = e^{-2 pi i j/N} gives both the sample points rho*conj(roots[m])
     # and the twiddles e^{-ik th_m} = roots[k*m mod N]: the angle is reduced
-    # exactly in integers, so its phase error does not grow with k*m.  Each
-    # sample goes in as the doubling pair (a, 0) and comes back as a pair, so
-    # the sampling of series, radius and an origin derive builds no Quaternion.
+    # exactly in integers, so its phase error does not grow with k*m.  A tree
+    # with only real constants is sampled at the complex point a in evaluate's
+    # slice mode, since its second component is zero on the slice; any other
+    # goes in as the doubling pair (a, 0) and comes back as a pair.  Either
+    # way the sampling of series, radius and an origin derive builds no
+    # Quaternion.
     roots = _roots(N)
-    first: list[complex] = []
-    second: list[complex] = []
-    for w in roots:
-        a, b = evaluate(f, (complex(rho * w.real, -rho * w.imag), 0j))
-        first.append(a)
-        second.append(b)
-    vmax = max(max(map(abs, first)), max(map(abs, second)))
+    points = [complex(rho * w.real, -rho * w.imag) for w in roots]
+    if has_nonreal_constant(f):
+        pairs = [evaluate(f, (a, 0j)) for a in points]
+        first, second = [a for a, _ in pairs], [b for _, b in pairs]
+    else:
+        first, second = [evaluate(f, a) for a in points], []
+    vmax = max(map(abs, itertools.chain(first, second)))
     # b vanishes on the slice for every real-coefficient function; otherwise
     # a left constant can move conj(a)-terms to the negative frequencies of b
     second_conj = [b.conjugate() for b in second] if any(second) else None

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -323,9 +324,9 @@ def test_tree_is_compiled_once(monkeypatch):
     compiled = []
     original = functions._compile
 
-    def counted(expr):
-        compiled.append(expr)
-        return original(expr)
+    def counted(expr, mode):
+        compiled.append(mode)
+        return original(expr, mode)
 
     # the compile step recurses through the module global, so every node counts
     monkeypatch.setattr(functions, "_compile", counted)
@@ -335,8 +336,12 @@ def test_tree_is_compiled_once(monkeypatch):
     for _ in range(50):
         p = random_quat(rng)
         values.append((evaluate(tree, p), phi_components(tree, p.to_cd())))
-    assert len(compiled) == _node_count(tree)
+    assert compiled == ["pair"] * _node_count(tree)
     assert all(repr(ComplexPair(*v.to_cd())) == repr(phi) for v, phi in values)
+    for _ in range(50):
+        w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        assert evaluate(tree, w) == evaluate(tree, (w, 0j))[0]
+    assert compiled == ["pair"] * _node_count(tree) + ["slice"] * _node_count(tree)
 
 
 def test_equal_trees_evaluate_alike_and_keep_eq_hash_repr():
@@ -359,9 +364,16 @@ def test_evaluated_tree_pickles_and_copies_without_its_compiled_function():
         tree = _random_tree(rng, 0)
         p = random_quat(rng)
         want = _outcome(evaluate, tree, p)
+        # a complex point compiles the slice function too, or raises
+        # ValueError for a tree with a non-real constant
+        w = complex(p.x, p.y)
+        want_slice = _outcome(evaluate, tree, w)
+        assert (want_slice is ValueError) == has_nonreal_constant(tree)
+        assert ("_compiled_slice" in vars(tree)) != has_nonreal_constant(tree)
         for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
-            assert clone == tree and "_compiled" not in vars(clone)
+            assert clone == tree and "_compiled" not in vars(clone) and "_compiled_slice" not in vars(clone)
             assert repr(_outcome(evaluate, clone, p)) == repr(want), (tree, p)
+            assert repr(_outcome(evaluate, clone, w)) == repr(want_slice), (tree, w)
 
 
 def _chain(levels):
@@ -579,3 +591,102 @@ def test_commutator_product_overflow_is_evaluation_overflow(f, g, point):
         evaluate(parse(expr), point)
     with pytest.raises(EvaluationOverflowError):
         commutator_residual(parse(f), parse(g), point)
+
+
+# ---------------------------------------------------------------------------
+# exact-arithmetic scan: *, / and ^ against Fraction quaternions
+# ---------------------------------------------------------------------------
+
+# the squared norms 1e-580 and 1e580 of the range the scan compares in
+_EXACT_LO2, _EXACT_HI2 = Fraction(10) ** -580, Fraction(10) ** 580
+
+
+class _OutOfRange(Exception):
+    """An exact intermediate's norm left [1e-290, 1e290]."""
+
+
+def _exact_checked(q):
+    if not _EXACT_LO2 <= sum(c * c for c in q) <= _EXACT_HI2:
+        raise _OutOfRange
+    return q
+
+
+def _exact_mul(p, q):
+    x1, y1, z1, u1 = p
+    x2, y2, z2, u2 = q
+    return (
+        x1 * x2 - y1 * y2 - z1 * z2 - u1 * u2,
+        x1 * y2 + y1 * x2 + z1 * u2 - u1 * z2,
+        x1 * z2 - y1 * u2 + z1 * x2 + u1 * y2,
+        x1 * u2 + y1 * z2 - z1 * y2 + u1 * x2,
+    )
+
+
+def _exact_walk(expr, p):
+    """The exact value of a tree of *, / and ^ over real constants at the
+    Fraction quaternion p, with every intermediate's norm in range."""
+    if isinstance(expr, Var):
+        q = p
+    elif isinstance(expr, RealConst):
+        q = (Fraction(expr.value), Fraction(0), Fraction(0), Fraction(0))
+    elif isinstance(expr, Mul):
+        q = _exact_mul(_exact_walk(expr.lhs, p), _exact_walk(expr.rhs, p))
+    elif isinstance(expr, Div):
+        lhs, (x, y, z, u) = _exact_walk(expr.lhs, p), _exact_walk(expr.rhs, p)
+        n2 = x * x + y * y + z * z + u * u
+        q = _exact_mul(lhs, _exact_checked((x / n2, -y / n2, -z / n2, -u / n2)))
+    else:
+        base = _exact_walk(expr.base, p)
+        q = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        for _ in range(expr.exponent):
+            q = _exact_checked(_exact_mul(q, base))
+    return _exact_checked(q)
+
+
+def _scan_double(rng):
+    """A double of either sign, moderate or from 1e-320 to 1e308."""
+    decades = rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else rng.uniform(-320.0, 308.0)
+    return rng.choice((-1.0, 1.0)) * 10.0**decades
+
+
+def _scan_tree(rng, depth):
+    if depth >= 3 or rng.random() < 0.3:
+        return P if rng.random() < 0.5 else RealConst(_scan_double(rng))
+    kind = rng.randrange(3)
+    if kind == 2:
+        return IntPow(_scan_tree(rng, depth + 1), rng.randint(0, 4))
+    return (Mul, Div)[kind](_scan_tree(rng, depth + 1), _scan_tree(rng, depth + 1))
+
+
+def test_products_quotients_and_powers_match_exact_arithmetic():
+    """Where every exact intermediate has a norm in [1e-290, 1e290], a tree
+    of *, / and ^ over real constants evaluates to its exact value within
+    1e-10 relative, in pair mode at quaternion points and in slice mode at
+    complex points.  The quaternion norm is multiplicative, so no
+    cancellation spoils that bound."""
+    rng = random.Random(28)
+    compared = {"pair": 0, "slice": 0}
+    extremes = [Fraction(1), Fraction(1)]
+    for _ in range(500):
+        tree = _scan_tree(rng, 0)
+        for mode in ("pair", "slice", "pair", "slice"):
+            comps = [_scan_double(rng) if rng.random() < 0.8 else 0.0 for _ in range(4 if mode == "pair" else 2)]
+            exact_point = tuple(map(Fraction, comps)) + (Fraction(0),) * (4 - len(comps))
+            try:
+                want = _exact_walk(tree, exact_point)
+            except _OutOfRange:
+                continue
+            if mode == "pair":
+                got = evaluate(tree, Quaternion(*comps))
+                got = (got.x, got.y, got.z, got.u)
+            else:
+                value = evaluate(tree, complex(*comps))
+                got = (value.real, value.imag, 0.0, 0.0)
+            n2 = sum(c * c for c in want)
+            err2 = sum((Fraction(g) - w) ** 2 for g, w in zip(got, want))
+            assert err2 <= Fraction(1, 10**20) * n2, (format_expr(tree), mode, comps)
+            compared[mode] += 1
+            extremes = [min(extremes[0], n2), max(extremes[1], n2)]
+    assert min(compared.values()) >= 200, compared
+    # the compared values reach past where |q|^2 leaves the normal range
+    assert extremes[0] < Fraction(10) ** -400 and extremes[1] > Fraction(10) ** 400

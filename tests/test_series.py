@@ -7,20 +7,25 @@ import time
 import pytest
 
 from hquat import (
+    Add,
     J,
     MaclaurinExtraction,
     MajorantViolatedError,
+    Mul,
     NonRealCoefficientError,
     PowerSeries,
+    QuatConst,
     Quaternion,
     RatioTestInconclusive,
     ZERO,
+    ZeroDivisorError,
     cos_coefficient,
     cos_series,
     evaluate,
     exp_coefficient,
     exp_series,
     geometric_series,
+    has_nonreal_constant,
     inv_factorial,
     kth_derivative,
     m_test,
@@ -38,6 +43,7 @@ from hquat import series as series_module
 from hquat import wirtinger as wirtinger_module
 from hquat.cli import sample_ball
 from hquat.functions import EvaluationOverflowError
+from test_functions import CHECK_CATALOG_TEXTS
 from test_parser import _random_tree
 
 
@@ -670,18 +676,100 @@ def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monke
     for module in (functions_module, series_module, wirtinger_module):
         monkeypatch.setattr(module, "evaluate", counted_evaluate)
     monkeypatch.setattr(Quaternion, "__post_init__", counted_post_init)
-    for expr, n, samples in (("exp(p)", 9, 64), ("1/(1-p)", 17, 200)):
+    points = []
+    original_run = functions_module._run
+
+    def recorded_run(expr, p):
+        points.append(p)
+        return original_run(expr, p)
+
+    monkeypatch.setattr(functions_module, "_run", recorded_run)
+    for expr, n, samples in (("exp(p)", 9, 64), ("1/(1-p)", 17, 200), ("j*p", 5, 64)):
         f = parse(expr)
         counts.update(evaluate=0, quaternion=0)
+        points.clear()
         maclaurin_extraction(f, n, samples=samples)
-        # the samples go in and come out as doubling pairs
+        # the samples go in as complex numbers (slice mode) or, for a tree
+        # with a non-real constant, as doubling pairs, and build no Quaternion
         assert counts == {"evaluate": samples, "quaternion": 0}, expr
+        assert len(points) == (samples if has_nonreal_constant(f) else 0), expr
+    with pytest.raises(ValueError, match="non-real constant"):
+        evaluate(parse("j*p"), 0.5 + 0j)
     f, p = parse("cos(p)"), Quaternion(0.5, 0.2, -0.1, 0.3)
     counts.update(evaluate=0, quaternion=0)
     d = kth_derivative(f, p, 2)
     # the stepped pairs are evaluated as pairs; the value is the one Quaternion
     assert d.method == "stencil"
     assert counts == {"evaluate": 2**2, "quaternion": 1}
+
+
+def _outcome(thunk):
+    """thunk()'s value, or the type and text of its evaluation error."""
+    try:
+        return thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(values):
+    return [x.hex() for x in values]
+
+
+def test_slice_mode_is_the_pair_modes_first_component(monkeypatch):
+    """At each complex point a, evaluate's slice mode gives the first
+    component of the pair mode's value at (a, 0) under ==, or the same error
+    with the same text; only the sign of a zero may differ, and it never
+    reaches an extraction, whose outputs are bitwise the pair path's."""
+    rng = random.Random(27)
+    trees = [parse(text) for text in CHECK_CATALOG_TEXTS]
+    # real constants as quaternions, signed zeros included
+    trees += [
+        Mul(QuatConst(Quaternion(2.0, -0.0, 0.0, -0.0)), parse("exp(p)")),
+        Add(QuatConst(Quaternion(-0.0, 0.0, -0.0, 0.0)), parse("1/p")),
+    ]
+    while len(trees) < len(CHECK_CATALOG_TEXTS) + 2 + 300:
+        tree = _random_tree(rng, 0)
+        if not has_nonreal_constant(tree):
+            trees.append(tree)
+    # a pole on the circle, an overflow, and a subnormal radius
+    cases = [(tree, rho, 9, 64) for tree in trees for rho in (0.8, 1.0, 1.5)]
+    cases += [(tree, rho, 0, 16) for tree in trees for rho in (5e-324, 1e-310)]
+    cases += [(parse("1/(1-p)"), 1.0, 17, 144), (parse("exp(exp(exp(p)))"), 6.0, 5, 64)]
+    seen = {"value": 0, "zero sign": 0, ZeroDivisorError: 0, EvaluationOverflowError: 0}
+    for tree, rho, n, samples in cases:
+        if has_nonreal_constant(tree):
+            with pytest.raises(ValueError, match="non-real constant"):
+                evaluate(tree, complex(rho, 0.0))
+            continue
+        roots = series_module._roots(samples)
+        # the circle points (the first from the root 1 - 0j) and a point of
+        # each sign of zero on both sides of the origin
+        points = [complex(rho * w.real, -rho * w.imag) for w in roots]
+        points += [complex(rho, -0.0), complex(-rho, -0.0), complex(-rho, 0.0)]
+        for a in points:
+            got = _outcome(lambda: evaluate(tree, a))
+            want = _outcome(lambda: evaluate(tree, (a, 0j)))
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want, (tree, a)
+                seen[want[0]] += 1
+                continue
+            assert type(got) is complex and got == want[0], (tree, a)
+            assert want[1] == 0, (tree, a)
+            signs = got.real.hex() == want[0].real.hex() and got.imag.hex() == want[0].imag.hex()
+            seen["value" if signs else "zero sign"] += 1
+        got = _outcome(lambda: maclaurin_extraction(tree, n, rho, samples))
+        with monkeypatch.context() as m:
+            # the pair path, which every tree took before the slice mode
+            m.setattr(series_module, "has_nonreal_constant", lambda f: True)
+            want = _outcome(lambda: maclaurin_extraction(tree, n, rho, samples))
+        if isinstance(want, MaclaurinExtraction):
+            assert got.rho == want.rho and got.samples == want.samples, (tree, rho)
+            for field in ("coeffs", "nonreal_residues", "noise_floors"):
+                assert _bits(getattr(got, field)) == _bits(getattr(want, field)), (tree, rho, field)
+        else:
+            assert got == want, (tree, rho)
+    # the points reach values, zeros whose sign differs, and each error
+    assert all(seen.values()), seen
 
 
 # every sample count the series-spectral workload extracts with
