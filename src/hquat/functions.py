@@ -26,8 +26,8 @@ operator's text and precedence, and each head lifts its argument as above.
   :func:`hquat.quaternion.cd_inverse`'s formula, not Python's complex
   division, and the heads take |Im a| as abs(a.imag).  Each value equals
   the pair mode's first component at (a, 0) under ``==``; only the sign of
-  a zero may differ.  A non-real constant has no slice function
-  (ValueError).
+  a zero may differ, and no error text prints one, so each error is the
+  pair mode's.  A non-real constant has no slice function (ValueError).
 
 The compiled functions are cached on the root node object as the
 attributes ``_compiled`` (pair) and ``_compiled_slice``, not by value,
@@ -35,14 +35,14 @@ since the frozen-dataclass hash walks the whole tree; they are not
 dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
 :meth:`FuncExpr.__getstate__` leaves them out of pickles and copies.  Every
 node checks its value for finiteness (every product of an integer power,
-too) and raises EvaluationOverflowError on inf or nan; a check on the final
-value alone would miss an overflow that a later node hides, e.g.
-exp(-inf) = 0.  The only :class:`~hquat.quaternion.Quaternion` an
-evaluation builds is the result of :func:`evaluate` at a quaternion point,
-made straight from the final pair's four components; :func:`evaluate` at a
-doubling pair or a complex number returns the final pair or complex value,
-and :func:`phi_components` returns the pair as a :class:`ComplexPair`, so
-none of these builds one.
+too) and raises EvaluationOverflowError on inf or nan, naming only the
+non-finite components x, y, z, u; a check on the final value alone would
+miss an overflow that a later node hides, e.g. exp(-inf) = 0.  The only
+:class:`~hquat.quaternion.Quaternion` an evaluation builds is the result of
+:func:`evaluate` at a quaternion point, made straight from the final pair's
+four components; :func:`evaluate` at a doubling pair or a complex number
+returns the final pair or complex value, and :func:`phi_components` returns
+the pair as a :class:`ComplexPair`, so none of these builds one.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -316,9 +316,9 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Pai
     the result is one validated Quaternion.  Both forms run the pair mode,
     so their values agree bit for bit.  A complex number a is the point
     a + 0*j of the slice C_i and runs the slice mode, whose value equals the
-    first component of the value at (a, 0) under ``==``.  Where the slice
-    mode raises, the pair mode is re-run at (a, 0), so every error and its
-    message are the pair mode's.
+    first component of the value at (a, 0) under ``==``.  Its errors are the
+    pair mode's at (a, 0) by construction, as no error text shows the sign
+    of a zero.
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
@@ -333,9 +333,8 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Pai
             object.__setattr__(expr, "_compiled_slice", fn)
         try:
             return fn(p)
-        except (ArithmeticError, ValueError):
-            # only the pair mode carries the signs of b's zeros into a message
-            return _run(expr, (p, 0j))[0]
+        except OverflowError as exc:
+            raise EvaluationOverflowError(str(exc)) from exc
     if not isinstance(p, Quaternion):
         return _run(expr, p)
     a, b = _run(expr, p.to_cd())
@@ -357,19 +356,26 @@ def _run(expr: FuncExpr, p: Pair) -> Pair:
         raise EvaluationOverflowError(str(exc)) from exc
 
 
+def _overflow(*components: float) -> EvaluationOverflowError:
+    """The per-node overflow error, naming only the non-finite components
+    x, y, z, u of the value, so both modes give the same text."""
+    bad = ", ".join(f"{name}={v!r}" for name, v in zip("xyzu", components) if not math.isfinite(v))
+    return EvaluationOverflowError(f"non-finite intermediate value {bad}")
+
+
 def _finite(q: Pair) -> Pair:
     """q itself when both components are finite; the per-node overflow check."""
     a, b = q
     if cmath.isfinite(a) and cmath.isfinite(b):
         return q
-    raise EvaluationOverflowError(f"non-finite intermediate value {q!r}")
+    raise _overflow(a.real, a.imag, b.real, b.imag)
 
 
 def _slice_finite(a: complex) -> complex:
     """a itself when it is finite; the slice mode's per-node overflow check."""
     if cmath.isfinite(a):
         return a
-    raise EvaluationOverflowError(f"non-finite intermediate value {a!r}")
+    raise _overflow(a.real, a.imag)
 
 
 def _slice_constant(a: complex, b: complex) -> complex:

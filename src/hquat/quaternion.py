@@ -16,10 +16,10 @@ so the tree evaluator in :mod:`hquat.functions` uses them without building a
 All values are immutable and every operation is a pure function, so they can
 be shared freely between threads.  A :class:`Quaternion` is validated once
 per construction, by the constructor, :meth:`Quaternion.from_cd`, arithmetic
-and :func:`dataclasses.replace` alike: ``__init__`` stores the four
-components and calls ``__post_init__``, the one per-construction hook, which
-returns at once for four finite ``float`` values and otherwise converts with
-``float()`` and rejects a non-finite component by name.
+and :func:`dataclasses.replace` alike: the dataclass's ``__init__`` stores
+the four components and calls ``__post_init__``, the one per-construction
+hook, which returns at once for four finite ``float`` values and otherwise
+converts with ``float()`` and rejects a non-finite component by name.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def cd_inverse(p: Pair) -> Pair:
     raise ZeroDivisorError(f"quaternion too close to zero to invert: |p|^2 = {n2!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Quaternion:
     """Quaternion x + y*i + z*j + u*k with finite double-precision components."""
 
@@ -98,14 +98,6 @@ class Quaternion:
     y: float = 0.0
     z: float = 0.0
     u: float = 0.0
-
-    def __init__(self, x: float = 0.0, y: float = 0.0, z: float = 0.0, u: float = 0.0) -> None:
-        fields = self.__dict__
-        fields["x"] = x
-        fields["y"] = y
-        fields["z"] = z
-        fields["u"] = u
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         x, y, z, u = self.x, self.y, self.z, self.u

@@ -70,6 +70,22 @@ def test_series_of_an_off_slice_function_is_nonreal(capsys):
     assert code == cli.EXIT_NONREAL
 
 
+@pytest.mark.xfail(strict=True, reason="item 2: the poles at +-0.8i lie on the default circle")
+def test_series_with_poles_on_the_circle_is_never_nonreal(capsys):
+    # a real-constant tree has real coefficients; the samples next to the
+    # poles read r[0] = -5.3e13 and a non-real residue of the same size
+    code, results = _machine(capsys, ["series", "--expr", "1/(p*p+0.64)", "--n", "17"])
+    assert code != cli.EXIT_NONREAL
+    assert code != 0 or math.isclose(results["coefficients"][0], 1 / 0.64, rel_tol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="item 13, stage B: only the origin route sees that j*p is not holomorphic")
+def test_derive_of_a_nonreal_tree_exits_alike_at_and_off_the_origin(capsys):
+    off, _ = _machine(capsys, ["derive", "--expr", "j*p", "--point", "0.3", "0", "0", "0"])
+    origin, _ = _machine(capsys, ["derive", "--expr", "j*p", "--point", "0", "0", "0", "0"])
+    assert off == origin
+
+
 @pytest.mark.xfail(strict=True, reason="item 3: the residuals do not see an additive non-real constant")
 def test_check_fails_where_series_is_nonreal(capsys):
     series_code, _ = _machine(capsys, ["series", "--expr", "i-(p-p*p)"])

@@ -187,6 +187,21 @@ def test_overflow_hidden_by_later_node_is_reported(template, power, x):
         evaluate(parse(template.format(power)), Quaternion.from_real(x))
 
 
+def test_overflow_names_its_non_finite_components_in_every_form():
+    # the slice mode raises its own error, the same text as the pair mode's,
+    # with no sign of a zero in it; no pair function is built for it
+    tree = parse("p^1024")
+    with pytest.raises(EvaluationOverflowError) as slice_error:
+        evaluate(tree, 3 + 0j)
+    assert "_compiled" not in vars(tree)
+    with pytest.raises(EvaluationOverflowError) as pair_error:
+        evaluate(tree, (3 + 0j, 0j))
+    with pytest.raises(EvaluationOverflowError) as quaternion_error:
+        evaluate(tree, Quaternion(3, 0, 0, 0))
+    for error in (slice_error, pair_error, quaternion_error):
+        assert str(error.value) == "non-finite intermediate value x=inf"
+
+
 @pytest.mark.parametrize("node", list(functions.BINARY))
 def test_each_binary_node_evaluates_lhs_before_rhs(node):
     overflow, zero_divisor = parse("exp(1000)"), parse("1/(0*p)")

@@ -726,8 +726,10 @@ def test_slice_mode_is_the_pair_modes_first_component(monkeypatch):
     trees += [
         Mul(QuatConst(Quaternion(2.0, -0.0, 0.0, -0.0)), parse("exp(p)")),
         Add(QuatConst(Quaternion(-0.0, 0.0, -0.0, 0.0)), parse("1/p")),
+        # overflows at -0-1e100j to inf-0j in the slice, inf+0j in the pair
+        parse("(p/2)^4"),
     ]
-    while len(trees) < len(CHECK_CATALOG_TEXTS) + 2 + 300:
+    while len(trees) < len(CHECK_CATALOG_TEXTS) + 3 + 300:
         tree = _random_tree(rng, 0)
         if not has_nonreal_constant(tree):
             trees.append(tree)
@@ -746,6 +748,10 @@ def test_slice_mode_is_the_pair_modes_first_component(monkeypatch):
         # each sign of zero on both sides of the origin
         points = [complex(rho * w.real, -rho * w.imag) for w in roots]
         points += [complex(rho, -0.0), complex(-rho, -0.0), complex(-rho, 0.0)]
+        # far points, both signs of each zero: an error text that printed a
+        # would show the slice's sign of a zero, not the pair mode's
+        points += [complex(sx * r, sy * r) for r in (300.0, 1e100) for sx in (0.0, -0.0) for sy in (1.0, -1.0)]
+        points += [complex(sx * r, sy * 0.0) for r in (300.0, 1e100) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
         for a in points:
             got = _outcome(lambda: evaluate(tree, a))
             want = _outcome(lambda: evaluate(tree, (a, 0j)))
