@@ -27,12 +27,14 @@ operator's text and precedence, and each head lifts its argument as above.
   division, and the heads take |Im a| as abs(a.imag).  Each value equals
   the pair mode's first component at (a, 0) under ``==``; only the sign of
   a zero may differ, and no error text prints one, so each error is the
-  pair mode's.  A non-real constant has no slice function (ValueError).
+  pair mode's.  A tree that :func:`has_nonreal_constant` flags has no slice
+  function: :func:`evaluate` refuses it (ValueError) before compiling.
 
-The compiled functions are cached on the root node object as the
-attributes ``_compiled`` (pair) and ``_compiled_slice``, not by value,
-since the frozen-dataclass hash walks the whole tree; they are not
-dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
+:func:`phi_components` is the pair mode's one runner and :func:`evaluate`
+the slice mode's.  The compiled functions are cached on the root node
+object as the attributes ``_compiled`` (pair) and ``_compiled_slice``, not
+by value, since the frozen-dataclass hash walks the whole tree; they are
+not dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
 :meth:`FuncExpr.__getstate__` leaves them out of pickles and copies.  Every
 node checks its value for finiteness (every product of an integer power,
 too) and raises EvaluationOverflowError on inf or nan, naming only the
@@ -40,9 +42,9 @@ non-finite components x, y, z, u; a check on the final value alone would
 miss an overflow that a later node hides, e.g. exp(-inf) = 0.  The only
 :class:`~hquat.quaternion.Quaternion` an evaluation builds is the result of
 :func:`evaluate` at a quaternion point, made straight from the final pair's
-four components; :func:`evaluate` at a doubling pair or a complex number
-returns the final pair or complex value, and :func:`phi_components` returns
-the pair as a :class:`ComplexPair`, so none of these builds one.
+four components; :func:`evaluate` at a doubling pair returns the
+:class:`ComplexPair` that :func:`phi_components` returns, and at a complex
+number the complex value, so neither builds one.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -307,18 +309,19 @@ def _slice_lift(fn, a: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Pair | complex:
+def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | ComplexPair | complex:
     """Evaluate the function tree at p, a quaternion, a doubling pair (a, b)
     or a complex number a, and return the value in the same form.
 
-    A pair is taken as given, as :func:`phi_components` takes it, and the
-    final pair is returned with no Quaternion built; at a quaternion point
-    the result is one validated Quaternion.  Both forms run the pair mode,
-    so their values agree bit for bit.  A complex number a is the point
-    a + 0*j of the slice C_i and runs the slice mode, whose value equals the
-    first component of the value at (a, 0) under ``==``.  Its errors are the
-    pair mode's at (a, 0) by construction, as no error text shows the sign
-    of a zero.
+    A pair or a quaternion runs the pair mode through :func:`phi_components`:
+    at a pair its :class:`ComplexPair` is returned with no Quaternion built,
+    and at a quaternion point the result is one validated Quaternion, so the
+    two forms agree bit for bit.  A complex number a is the point a + 0*j of
+    the slice C_i and runs the slice mode, whose value equals the first
+    component of the value at (a, 0) under ``==``.  Its errors are the pair
+    mode's at (a, 0) by construction, as no error text shows the sign of a
+    zero; a tree that :func:`has_nonreal_constant` flags is refused before
+    it is compiled.
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
@@ -329,31 +332,18 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Pai
         try:
             fn = expr._compiled_slice
         except AttributeError:
-            fn = _compile(check_depth(expr), "slice")
+            if has_nonreal_constant(expr):
+                raise ValueError("a tree with a non-real constant has no slice function") from None
+            fn = _compile(expr, "slice")
             object.__setattr__(expr, "_compiled_slice", fn)
         try:
             return fn(p)
         except OverflowError as exc:
             raise EvaluationOverflowError(str(exc)) from exc
     if not isinstance(p, Quaternion):
-        return _run(expr, p)
-    a, b = _run(expr, p.to_cd())
+        return phi_components(expr, p)
+    a, b = phi_components(expr, p.to_cd())
     return Quaternion(a.real, a.imag, b.real, b.imag)
-
-
-def _run(expr: FuncExpr, p: Pair) -> Pair:
-    """Value of expr at the pair p by its pair-mode function, which the first
-    call builds and caches; an OverflowError raised inside it becomes an
-    EvaluationOverflowError."""
-    try:
-        fn = expr._compiled
-    except AttributeError:
-        fn = _compile(check_depth(expr), "pair")
-        object.__setattr__(expr, "_compiled", fn)
-    try:
-        return fn(p)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(str(exc)) from exc
 
 
 def _overflow(*components: float) -> EvaluationOverflowError:
@@ -378,17 +368,11 @@ def _slice_finite(a: complex) -> complex:
     raise _overflow(a.real, a.imag)
 
 
-def _slice_constant(a: complex, b: complex) -> complex:
-    if b or a.imag:
-        raise ValueError("a tree with a non-real constant has no slice function")
-    return a
-
-
 # Each compile mode's constant (from its doubling pair), head lift and node check.
 Mode = NamedTuple("Mode", [("constant", Callable), ("lift", Callable), ("finite", Callable)])
 MODES: dict[str, Mode] = {
     "pair": Mode(lambda a, b: (a, b), _lift, _finite),
-    "slice": Mode(_slice_constant, _slice_lift, _slice_finite),
+    "slice": Mode(lambda a, b: a, _slice_lift, _slice_finite),
 }
 
 
@@ -439,8 +423,19 @@ class ComplexPair(NamedTuple):
 
 
 def phi_components(expr: FuncExpr, p: Pair) -> ComplexPair:
-    """Doubling components of the function value at the doubling pair p."""
-    return tuple.__new__(ComplexPair, _run(expr, p))
+    """Doubling components of the function value at the doubling pair p, by
+    the tree's pair-mode function, which the first call compiles and caches
+    on the root; an OverflowError raised inside it becomes an
+    EvaluationOverflowError.  This is the pair mode's one runner."""
+    try:
+        fn = expr._compiled
+    except AttributeError:
+        fn = _compile(check_depth(expr), "pair")
+        object.__setattr__(expr, "_compiled", fn)
+    try:
+        return tuple.__new__(ComplexPair, fn(p))
+    except OverflowError as exc:
+        raise EvaluationOverflowError(str(exc)) from exc
 
 
 def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:

@@ -79,6 +79,14 @@ def test_series_with_poles_on_the_circle_is_never_nonreal(capsys):
     assert code != 0 or math.isclose(results["coefficients"][0], 1 / 0.64, rel_tol=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="item 2, stage A: the negative-frequency content is not reported")
+def test_series_of_the_conjugate_on_the_slice_is_refused(capsys):
+    # -j*p*j is conj(p) on C_i (eval at 0.5 0.25 0 0 gives 0.5 - 0.25i), so
+    # every sample lies at negative frequencies and each r_k reads ~1e-16
+    code, _ = _machine(capsys, ["series", "--expr", "-j*p*j"])
+    assert code != 0
+
+
 @pytest.mark.xfail(strict=True, reason="item 13, stage B: only the origin route sees that j*p is not holomorphic")
 def test_derive_of_a_nonreal_tree_exits_alike_at_and_off_the_origin(capsys):
     off, _ = _machine(capsys, ["derive", "--expr", "j*p", "--point", "0.3", "0", "0", "0"])
@@ -91,6 +99,20 @@ def test_check_fails_where_series_is_nonreal(capsys):
     series_code, _ = _machine(capsys, ["series", "--expr", "i-(p-p*p)"])
     check_code, _ = _machine(capsys, ["check", "--expr", "i-(p-p*p)", "--grid", "8"])
     assert (series_code, check_code) == (cli.EXIT_NONREAL, cli.EXIT_CHECK_FAILED)
+
+
+@pytest.mark.xfail(strict=True, reason="item 3, Scale: check's absolute tol passes a residual of 1e-10")
+def test_check_fails_a_small_nonholomorphic_function(capsys):
+    series_code, _ = _machine(capsys, ["series", "--expr", "1e-10*j*p"])
+    check_code, _ = _machine(capsys, ["check", "--expr", "1e-10*j*p", "--grid", "8"])
+    assert (series_code, check_code) == (cli.EXIT_NONREAL, cli.EXIT_CHECK_FAILED)
+
+
+@pytest.mark.xfail(strict=True, reason="item 3, Scale: check's absolute tol fails rounding at the scale 1e6 of f")
+def test_check_passes_a_large_holomorphic_function(capsys):
+    # series --expr "1e6*exp(p)" exits 0
+    code, _ = _machine(capsys, ["check", "--expr", "1e6*exp(p)", "--grid", "8"])
+    assert code == 0
 
 
 @pytest.mark.xfail(strict=True, reason="item 4: the ratios of conjugate poles oscillate")

@@ -322,13 +322,17 @@ def test_pair_form_of_evaluate_is_bitwise_the_quaternion_form():
     outcomes = set()
     for tree in trees:
         for q in points:
+            pair = q.to_cd()
             want = _pair_bits(lambda: evaluate(tree, q).to_cd())
-            got = _pair_bits(lambda: evaluate(tree, q.to_cd()))
-            assert got == want, (tree, q)
+            got = _pair_bits(lambda: evaluate(tree, pair))
+            # the pair form is phi_components' value or error, as a ComplexPair
+            assert got == want == _pair_bits(lambda: phi_components(tree, pair)), (tree, q)
+            if not isinstance(got[0], type):
+                assert type(evaluate(tree, pair)) is ComplexPair, (tree, q)
             outcomes.add(want[0] if isinstance(want[0], type) else "value")
     # the points reach a value and each kind of failure
     assert outcomes == {"value", EvaluationOverflowError, ZeroDivisorError}
-    assert not isinstance(evaluate(P, ONE.to_cd()), Quaternion)
+    assert type(evaluate(P, ONE.to_cd())) is ComplexPair
 
 
 def _node_count(expr):
@@ -357,6 +361,13 @@ def test_tree_is_compiled_once(monkeypatch):
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert evaluate(tree, w) == evaluate(tree, (w, 0j))[0]
     assert compiled == ["pair"] * _node_count(tree) + ["slice"] * _node_count(tree)
+    # a tree with a non-real constant is refused at a complex point before
+    # any node is compiled
+    compiled.clear()
+    nonreal = parse("j*exp(p)")
+    with pytest.raises(ValueError, match="^a tree with a non-real constant has no slice function$"):
+        evaluate(nonreal, 0.5 + 0j)
+    assert compiled == [] and "_compiled_slice" not in vars(nonreal)
 
 
 def test_equal_trees_evaluate_alike_and_keep_eq_hash_repr():

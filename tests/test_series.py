@@ -677,13 +677,14 @@ def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monke
         monkeypatch.setattr(module, "evaluate", counted_evaluate)
     monkeypatch.setattr(Quaternion, "__post_init__", counted_post_init)
     points = []
-    original_run = functions_module._run
+    original_phi = functions_module.phi_components
 
-    def recorded_run(expr, p):
+    def recorded_phi(expr, p):
         points.append(p)
-        return original_run(expr, p)
+        return original_phi(expr, p)
 
-    monkeypatch.setattr(functions_module, "_run", recorded_run)
+    # evaluate reaches the pair mode only through this module binding
+    monkeypatch.setattr(functions_module, "phi_components", recorded_phi)
     for expr, n, samples in (("exp(p)", 9, 64), ("1/(1-p)", 17, 200), ("j*p", 5, 64)):
         f = parse(expr)
         counts.update(evaluate=0, quaternion=0)
