@@ -15,19 +15,22 @@ from the exponential the same way as over the complex numbers.
 There is one evaluator.  One walk compiles a tree, once per mode, into
 nested closures: each binary node applies its mode's operation from
 :data:`BINARY`, the table that also gives the parser and the formatter each
-operator's text and precedence, and each head lifts its argument as above.
+operator's text and precedence, and each head applies its complex function
+as its mode binds it from :data:`HEADS`.
 
 * ``pair`` works on raw doubling pairs (a, b) of complex numbers, the value
-  a + b*j.
+  a + b*j, and each head lifts its argument as above.
 * ``slice`` works on one complex number a, the point a + 0*j of the slice
   C_i.  A tree with only real constants maps C_i into itself, its second
   doubling component zero at every node, so there it is its own
   C-representation.  Division multiplies by the inverse by
   :func:`hquat.quaternion.cd_inverse`'s formula, not Python's complex
-  division, and the heads take |Im a| as abs(a.imag).  Each value equals
-  the pair mode's first component at (a, 0) under ``==``; only the sign of
-  a zero may differ, and no error text prints one, so each error is the
-  pair mode's.  A tree that :func:`has_nonreal_constant` flags has no slice
+  division.  Each head calls its complex function F on a itself: F has
+  real coefficients, so F(conj a) = conj F(a), and the lift at (a, 0), F at
+  x + i|Im a| with the sign of Im a put back, is F(a).  At a finite a each
+  value equals the pair mode's first component at (a, 0) under ``==``; only
+  the sign of a zero may differ, and no error text prints one, so each
+  error is the pair mode's.  A tree that :func:`has_nonreal_constant` flags has no slice
   function: :func:`evaluate` refuses it (ValueError) before compiling.
 
 :func:`phi_components` is the pair mode's one runner and :func:`evaluate`
@@ -57,6 +60,7 @@ tree was made; :func:`hquat.parser.parse` reads the same depth.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -210,8 +214,9 @@ class Cos(FuncExpr):
 P = Var()
 
 
-# The one table of heads, by node class: the text and the complex function that
-# _lift applies.  A tuple field holds the function, so it never binds as a method.
+# The one table of heads, by node class: the text and the complex function, which
+# the pair mode lifts through _lift and the slice mode calls as it is.  A tuple
+# field holds the function, so it never binds as a method.
 Head = NamedTuple("Head", [("text", str), ("fn", Callable[[complex], complex])])
 HEADS: dict[type[FuncExpr], Head] = {
     Exp: Head("exp", cmath.exp),
@@ -293,17 +298,6 @@ def _lift(fn, q: Pair) -> Pair:
     return complex(w.real, (y / v) * s), complex((z / v) * s, (u / v) * s)
 
 
-def _slice_lift(fn, a: complex) -> complex:
-    """_lift on the slice: the first component of _lift(fn, (a, 0)), whose
-    |Im q| = sqrt(y*y) = hypot(y, 0, 0) is abs(y) bit for bit."""
-    y = a.imag
-    v = abs(y)
-    w = fn(complex(a.real, v))
-    if v == 0.0:
-        return complex(w.real, 0.0)
-    return complex(w.real, (y / v) * w.imag)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -317,11 +311,11 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
     at a pair its :class:`ComplexPair` is returned with no Quaternion built,
     and at a quaternion point the result is one validated Quaternion, so the
     two forms agree bit for bit.  A complex number a is the point a + 0*j of
-    the slice C_i and runs the slice mode, whose value equals the first
-    component of the value at (a, 0) under ``==``.  Its errors are the pair
-    mode's at (a, 0) by construction, as no error text shows the sign of a
-    zero; a tree that :func:`has_nonreal_constant` flags is refused before
-    it is compiled.
+    the slice C_i and runs the slice mode, whose value at a finite a equals
+    the first component of the value at (a, 0) under ``==``.  Its errors are
+    the pair mode's at (a, 0) by construction, as no error text shows the
+    sign of a zero; a tree that :func:`has_nonreal_constant` flags is
+    refused before it is compiled.
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
@@ -368,11 +362,12 @@ def _slice_finite(a: complex) -> complex:
     raise _overflow(a.real, a.imag)
 
 
-# Each compile mode's constant (from its doubling pair), head lift and node check.
-Mode = NamedTuple("Mode", [("constant", Callable), ("lift", Callable), ("finite", Callable)])
+# Each compile mode's constant (from its doubling pair), head binding (a head's
+# complex function to its node's operation) and node check.
+Mode = NamedTuple("Mode", [("constant", Callable), ("bind", Callable), ("finite", Callable)])
 MODES: dict[str, Mode] = {
-    "pair": Mode(lambda a, b: (a, b), _lift, _finite),
-    "slice": Mode(lambda a, b: a, _slice_lift, _slice_finite),
+    "pair": Mode(lambda a, b: (a, b), lambda fn: functools.partial(_lift, fn), _finite),
+    "slice": Mode(lambda a, b: a, lambda fn: fn, _slice_finite),
 }
 
 
@@ -380,7 +375,7 @@ def _compile(expr: FuncExpr, mode: str) -> Callable:
     """The function p -> value of expr at p in the mode ("pair" or "slice"),
     as closures over the children compiled in that mode; they evaluate lhs
     before rhs and check every node's value."""
-    constant, lift, finite = MODES[mode]
+    constant, bind, finite = MODES[mode]
     if isinstance(expr, Var):
         return lambda p: p
     if isinstance(expr, (RealConst, QuatConst)):
@@ -405,8 +400,8 @@ def _compile(expr: FuncExpr, mode: str) -> Callable:
         return power
     head = HEADS.get(type(expr))
     if head is not None:
-        arg, fn = _compile(expr.arg, mode), head.fn
-        return lambda p: finite(lift(fn, arg(p)))
+        arg, fn = _compile(expr.arg, mode), bind(head.fn)
+        return lambda p: finite(fn(arg(p)))
     raise TypeError(f"unknown expression node {expr!r}")
 
 

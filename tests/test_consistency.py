@@ -128,6 +128,15 @@ def test_radius_of_a_polynomial_is_infinite(capsys):
     assert code == 0 and results["radius_is_infinite"] is True
 
 
+@pytest.mark.xfail(strict=True, reason="item 9: the noise floor does not count the products of ^")
+def test_series_of_a_high_power_is_never_nonreal(capsys):
+    # r[8] reads a non-real residue of 9.69e-63 against a threshold of
+    # 2.71e-63: about 380 eps of the sample scale, the rounding of 512
+    # sequential products, where the floor counts sqrt(N) eps; p^256 exits 0
+    code, _ = _machine(capsys, ["series", "--expr", "p^512"])
+    assert code != cli.EXIT_NONREAL
+
+
 @pytest.mark.xfail(strict=True, reason="item 11: the default 72 samples alias every coefficient by 1.05e-7")
 def test_series_with_aliasing_above_the_floors(capsys):
     code, results = _machine(capsys, ["series", "--expr", "p/(1-p)"])

@@ -436,9 +436,29 @@ def test_depth_is_recorded_once_and_survives_pickles_and_copies():
         evaluate(deep, ONE)
 
 
+# Slice points where a head's value overflows (cosh and sinh near 709.78) or
+# its imaginary part is subnormal or huge, on both sides of the real axis
+SLICE_EDGE_POINTS = [complex(x, s * y) for x in (0.3, -0.3) for y in (709.5, 710.5, 1e308, 5e-324) for s in (1, -1)]
+
+
+def _value_or_error(thunk):
+    """thunk()'s value, or the type and text of its evaluation error."""
+    try:
+        return thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("text, node, fn", [("exp", Exp, cmath.exp), ("sin", Sin, cmath.sin), ("cos", Cos, cmath.cos)])
 def test_each_head_round_trips_and_evaluates_through_the_table(text, node, fn):
     assert set(HEADS) == {Exp, Sin, Cos}
+    # the slice mode calls each head's function as it is, which is the lift
+    # on C_i because F(conj a) = conj F(a): equal values, or the same error
+    assert HEADS[node].fn is fn
+    for a in SLICE_EDGE_POINTS:
+        got = _value_or_error(lambda: fn(a.conjugate()))
+        want = _value_or_error(lambda: fn(a).conjugate())
+        assert got == want, (text, a)
     inner = Add(P, RealConst(0.5))
     tree = node(inner)
     assert parse(f"{text}(p+0.5)") == tree

@@ -43,7 +43,7 @@ from hquat import series as series_module
 from hquat import wirtinger as wirtinger_module
 from hquat.cli import sample_ball
 from hquat.functions import EvaluationOverflowError
-from test_functions import CHECK_CATALOG_TEXTS
+from test_functions import CHECK_CATALOG_TEXTS, SLICE_EDGE_POINTS, _value_or_error
 from test_parser import _random_tree
 
 
@@ -704,14 +704,6 @@ def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monke
     assert counts == {"evaluate": 2**2, "quaternion": 1}
 
 
-def _outcome(thunk):
-    """thunk()'s value, or the type and text of its evaluation error."""
-    try:
-        return thunk()
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
 def _bits(values):
     return [x.hex() for x in values]
 
@@ -753,9 +745,10 @@ def test_slice_mode_is_the_pair_modes_first_component(monkeypatch):
         # would show the slice's sign of a zero, not the pair mode's
         points += [complex(sx * r, sy * r) for r in (300.0, 1e100) for sx in (0.0, -0.0) for sy in (1.0, -1.0)]
         points += [complex(sx * r, sy * 0.0) for r in (300.0, 1e100) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+        points += SLICE_EDGE_POINTS
         for a in points:
-            got = _outcome(lambda: evaluate(tree, a))
-            want = _outcome(lambda: evaluate(tree, (a, 0j)))
+            got = _value_or_error(lambda: evaluate(tree, a))
+            want = _value_or_error(lambda: evaluate(tree, (a, 0j)))
             if isinstance(want, tuple) and isinstance(want[0], type):
                 assert got == want, (tree, a)
                 seen[want[0]] += 1
@@ -764,11 +757,11 @@ def test_slice_mode_is_the_pair_modes_first_component(monkeypatch):
             assert want[1] == 0, (tree, a)
             signs = got.real.hex() == want[0].real.hex() and got.imag.hex() == want[0].imag.hex()
             seen["value" if signs else "zero sign"] += 1
-        got = _outcome(lambda: maclaurin_extraction(tree, n, rho, samples))
+        got = _value_or_error(lambda: maclaurin_extraction(tree, n, rho, samples))
         with monkeypatch.context() as m:
             # the pair path, which every tree took before the slice mode
             m.setattr(series_module, "has_nonreal_constant", lambda f: True)
-            want = _outcome(lambda: maclaurin_extraction(tree, n, rho, samples))
+            want = _value_or_error(lambda: maclaurin_extraction(tree, n, rho, samples))
         if isinstance(want, MaclaurinExtraction):
             assert got.rho == want.rho and got.samples == want.samples, (tree, rho)
             for field in ("coeffs", "nonreal_residues", "noise_floors"):
