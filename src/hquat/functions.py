@@ -42,12 +42,16 @@ not dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
 node checks its value for finiteness (every product of an integer power,
 too) and raises EvaluationOverflowError on inf or nan, naming only the
 non-finite components x, y, z, u; a check on the final value alone would
-miss an overflow that a later node hides, e.g. exp(-inf) = 0.  The only
-:class:`~hquat.quaternion.Quaternion` an evaluation builds is the result of
-:func:`evaluate` at a quaternion point, made straight from the final pair's
-four components; :func:`evaluate` at a doubling pair returns the
-:class:`ComplexPair` that :func:`phi_components` returns, and at a complex
-number the complex value, so neither builds one.
+miss an overflow that a later node hides, e.g. exp(-inf) = 0.  Both modes
+share one node shape, ``v if ok(v := op(...)) else finite(v)``: the mode's
+predicate ``ok`` (``cmath.isfinite`` in the slice) is called inline, and
+only a value it rejects reaches the mode's check ``finite``, which raises.
+A head whose argument is the variable, as in exp(p), is passed p itself,
+not fetched by a call.  The only :class:`~hquat.quaternion.Quaternion` an
+evaluation builds is the result of :func:`evaluate` at a quaternion point,
+made straight from the final pair's four components; :func:`evaluate` at a
+doubling pair returns the :class:`ComplexPair` that :func:`phi_components`
+returns, and at a complex number the complex value, so neither builds one.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -347,35 +351,42 @@ def _overflow(*components: float) -> EvaluationOverflowError:
     return EvaluationOverflowError(f"non-finite intermediate value {bad}")
 
 
+def _pair_ok(q: Pair) -> bool:
+    """Whether both components of q are finite; the pair mode's predicate."""
+    a, b = q
+    return cmath.isfinite(a) and cmath.isfinite(b)
+
+
 def _finite(q: Pair) -> Pair:
     """q itself when both components are finite; the per-node overflow check."""
-    a, b = q
-    if cmath.isfinite(a) and cmath.isfinite(b):
+    if _pair_ok(q):
         return q
+    a, b = q
     raise _overflow(a.real, a.imag, b.real, b.imag)
 
 
 def _slice_finite(a: complex) -> complex:
-    """a itself when it is finite; the slice mode's per-node overflow check."""
-    if cmath.isfinite(a):
-        return a
+    """The slice mode's per-node overflow check, which a node calls only on a
+    value that cmath.isfinite rejected: it raises."""
     raise _overflow(a.real, a.imag)
 
 
 # Each compile mode's constant (from its doubling pair), head binding (a head's
-# complex function to its node's operation) and node check.
-Mode = NamedTuple("Mode", [("constant", Callable), ("bind", Callable), ("finite", Callable)])
+# complex function to its node's operation), finiteness predicate, which every
+# node calls inline, and node check, which raises where the predicate fails.
+Mode = NamedTuple("Mode", [("constant", Callable), ("bind", Callable), ("ok", Callable), ("finite", Callable)])
 MODES: dict[str, Mode] = {
-    "pair": Mode(lambda a, b: (a, b), lambda fn: functools.partial(_lift, fn), _finite),
-    "slice": Mode(lambda a, b: a, lambda fn: fn, _slice_finite),
+    "pair": Mode(lambda a, b: (a, b), lambda fn: functools.partial(_lift, fn), _pair_ok, _finite),
+    "slice": Mode(lambda a, b: a, lambda fn: fn, cmath.isfinite, _slice_finite),
 }
 
 
 def _compile(expr: FuncExpr, mode: str) -> Callable:
     """The function p -> value of expr at p in the mode ("pair" or "slice"),
     as closures over the children compiled in that mode; they evaluate lhs
-    before rhs and check every node's value."""
-    constant, bind, finite = MODES[mode]
+    before rhs and check every node's value.  A head whose argument is the
+    variable applies its function to p itself, not to a call's value."""
+    constant, bind, ok, finite = MODES[mode]
     if isinstance(expr, Var):
         return lambda p: p
     if isinstance(expr, (RealConst, QuatConst)):
@@ -385,7 +396,7 @@ def _compile(expr: FuncExpr, mode: str) -> Callable:
     op = BINARY.get(type(expr))
     if op is not None:
         lhs, rhs, fn = _compile(expr.lhs, mode), _compile(expr.rhs, mode), getattr(op, mode)
-        return lambda p: finite(fn(lhs(p), rhs(p)))
+        return lambda p: v if ok(v := fn(lhs(p), rhs(p))) else finite(v)
     if isinstance(expr, IntPow):
         base, exponent = _compile(expr.base, mode), expr.exponent
         mul, one = getattr(BINARY[Mul], mode), constant(1 + 0j, 0j)
@@ -394,14 +405,16 @@ def _compile(expr: FuncExpr, mode: str) -> Callable:
             b = base(p)
             out = one
             for _ in range(exponent):
-                out = finite(mul(out, b))
+                out = v if ok(v := mul(out, b)) else finite(v)
             return out
 
         return power
     head = HEADS.get(type(expr))
     if head is not None:
         arg, fn = _compile(expr.arg, mode), bind(head.fn)
-        return lambda p: finite(fn(arg(p)))
+        if isinstance(expr.arg, Var):
+            return lambda p: v if ok(v := fn(p)) else finite(v)
+        return lambda p: v if ok(v := fn(arg(p))) else finite(v)
     raise TypeError(f"unknown expression node {expr!r}")
 
 

@@ -23,6 +23,8 @@ Convergence machinery:
   signals a non-holomorphic input.  The first n+1 Fourier coefficients of
   the N samples come from a radix-2 decimation in frequency pruned to those
   outputs, about N*log2(n) multiply-adds in place of N*(n+1) direct ones.
+  The twiddle table and the sample points of the 16 most recent pairs
+  (N, rho) are cached, 80 B per sample, at most about 166 MB in all.
 """
 
 from __future__ import annotations
@@ -462,13 +464,15 @@ class MaclaurinExtraction(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _roots(N: int) -> tuple[complex, ...]:
-    """The twiddle table roots[j] = e^{-2 pi i j/N} for j < N, kept for the
-    16 sample counts N used most recently.  An extraction has at most
-    N_max = MAX_EXTRACTION_TERMS // 129 = 130055 samples and a table keeps
-    40 B per root (a complex and its tuple slot), so the cache holds at most
-    16 * N_max * 40 B, about 83 MB; the 1024-sample table is 41 KB."""
-    return tuple(cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N))
+def _circle(N: int, rho: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The twiddle table roots[j] = e^{-2 pi i j/N} for j < N and the sample
+    points rho*conj(roots[j]), kept for the 16 pairs (N, rho) used most
+    recently.  An extraction has at most N_max = MAX_EXTRACTION_TERMS // 129
+    = 130055 samples and each entry keeps 80 B per sample (a root and a
+    point, each a complex and its tuple slot), so the cache holds at most
+    16 * N_max * 80 B, about 166 MB; a 1024-sample entry is 82 KB."""
+    roots = tuple(cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N))
+    return roots, tuple(complex(rho * w.real, -rho * w.imag) for w in roots)
 
 
 def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[complex]:
@@ -506,8 +510,8 @@ def maclaurin_extraction(
     coefficient.  The residue of index k collects the imaginary part of the
     first doubling component and the magnitudes of the second one at the
     frequencies k and -k.  Each of the N samples is evaluated once.
-    EvaluationOverflowError when a coefficient, residue or noise floor
-    leaves the double range.
+    EvaluationOverflowError when a sample's modulus, a coefficient, residue
+    or noise floor leaves the double range.
     """
     if n < 0:
         raise ValueError("coefficient count must be >= 0")
@@ -531,14 +535,16 @@ def maclaurin_extraction(
     # goes in as the doubling pair (a, 0) and comes back as a pair.  Either
     # way the sampling of series, radius and an origin derive builds no
     # Quaternion.
-    roots = _roots(N)
-    points = [complex(rho * w.real, -rho * w.imag) for w in roots]
+    roots, points = _circle(N, rho)
     if has_nonreal_constant(f):
         pairs = [evaluate(f, (a, 0j)) for a in points]
         first, second = [a for a, _ in pairs], [b for _, b in pairs]
     else:
         first, second = [evaluate(f, a) for a in points], []
-    vmax = max(map(abs, itertools.chain(first, second)))
+    try:
+        vmax = max(map(abs, itertools.chain(first, second)))
+    except OverflowError:  # a finite sample whose modulus leaves the double range
+        vmax = math.inf
     # b vanishes on the slice for every real-coefficient function; otherwise
     # a left constant can move conj(a)-terms to the negative frequencies of b
     second_conj = [b.conjugate() for b in second] if any(second) else None
@@ -557,7 +563,10 @@ def maclaurin_extraction(
         c1 = column[0] * scale
         coeffs.append(c1.real)
         # the sum of conj(b) at k is the conjugate of b's at frequency -k
-        parts = [abs(s * scale) for s in column[1 : 3 if k else 2]]
+        try:
+            parts = [abs(s * scale) for s in column[1 : 3 if k else 2]]
+        except OverflowError:  # a finite residue whose modulus leaves the double range
+            parts = [math.inf]
         residues.append(math.hypot(c1.imag, *parts))
         floors.append(noise_unit / rho**k)
     if not all(map(math.isfinite, itertools.chain(coeffs, residues, floors))):

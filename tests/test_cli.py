@@ -575,6 +575,26 @@ def test_commute_limit_holds_past_the_product_overflow(capsys):
     assert rep["results"]["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        # slice mode: a finite sample whose modulus leaves the double range
+        (["series", "--expr", "6.8e307*(p^3-1-p-p^4)", "--rho", "1", "--n", "3"], "64 samples at rho = 1.0"),
+        # pair mode: the same for a sample (a, b) of a non-real constant tree
+        (["series", "--expr", "1.5e308+1.5e308*i", "--n", "3"], "64 samples at rho = 0.8"),
+        (["radius", "--expr", "1.5e308+1.5e308*i"], "200 samples at rho = 0.8"),
+        (["derive", "--expr", "1.5e308+1.5e308*i", "--point", "0", "0", "0", "0", "--k", "1"], "64 samples at rho = 0.8"),
+        # pair mode: finite samples, but a residue's modulus leaves the range
+        (["series", "--expr", "1.3e308*(j+k)*p^3", "--rho", "0.25", "--n", "3"], "64 samples at rho = 0.25"),
+    ],
+)
+def test_sample_or_residue_modulus_overflow_is_an_evaluation_error(capsys, argv, where):
+    # abs() of each raised OverflowError: a traceback and exit 1
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == f"hquat: evaluation error: coefficients from {where} leave the double range\n"
+
+
 def test_eval_inverse_past_the_square_overflow(capsys):
     # |p|^2 = inf made the inverse of p a silent 0
     code, rep, _ = run_json(capsys, ["eval", "--expr", "1/p", "--point", "1e155", "0", "0", "0"])

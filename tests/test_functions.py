@@ -177,14 +177,27 @@ def test_eval_errors():
         evaluate(parse("exp(exp(p))"), Quaternion.from_real(800.0))
 
 
-@pytest.mark.parametrize("power, x", [("p^400", 10.0), ("p^2", 1e200)])
+@pytest.mark.parametrize("power, x", [("p^400", 10.0), ("p^2", 1e200), ("p*p", 1e200)])
 @pytest.mark.parametrize("template", ["exp(0-{})", "1/({})", "sin({})*0"])
 def test_overflow_hidden_by_later_node_is_reported(template, power, x):
-    # the power overflows; p^2 at 1e200 is exactly inf + 0j, so without a
-    # check at that node exp(-inf) = 0 would be finite, 1/inf a zero divisor
-    # and sin(inf) a ValueError
-    with pytest.raises(EvaluationOverflowError):
-        evaluate(parse(template.format(power)), Quaternion.from_real(x))
+    # the power overflows; p^2 and p*p at 1e200 are exactly inf + 0j, so
+    # without a check at that node exp(-inf) = 0 would be finite, 1/inf a zero
+    # divisor and sin(inf) a ValueError.  p*p spells the power as a binary
+    # node; each spelling is checked in both modes
+    tree = parse(template.format(power))
+    for point in (Quaternion.from_real(x), x + 0j):
+        with pytest.raises(EvaluationOverflowError):
+            evaluate(tree, point)
+
+
+def test_head_whose_argument_is_the_variable_checks_its_value():
+    # at a finite point a head raises before its value leaves the double
+    # range, so only a non-finite point reaches the check of a head applied
+    # to p itself: exp(inf) = inf must not come back as a value
+    tree = parse("exp(p)")
+    for point in (complex(math.inf, 0.0), (complex(math.inf, 0.0), 0j)):
+        with pytest.raises(EvaluationOverflowError, match="^non-finite intermediate value x=inf$"):
+            evaluate(tree, point)
 
 
 def test_overflow_names_its_non_finite_components_in_every_form():

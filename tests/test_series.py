@@ -2,6 +2,7 @@ import cmath
 import math
 import operator
 import random
+import sys
 import time
 
 import pytest
@@ -736,10 +737,9 @@ def test_slice_mode_is_the_pair_modes_first_component(monkeypatch):
             with pytest.raises(ValueError, match="non-real constant"):
                 evaluate(tree, complex(rho, 0.0))
             continue
-        roots = series_module._roots(samples)
         # the circle points (the first from the root 1 - 0j) and a point of
         # each sign of zero on both sides of the origin
-        points = [complex(rho * w.real, -rho * w.imag) for w in roots]
+        points = list(series_module._circle(samples, rho)[1])
         points += [complex(rho, -0.0), complex(-rho, -0.0), complex(-rho, 0.0)]
         # far points, both signs of each zero: an error text that printed a
         # would show the slice's sign of a zero, not the pair mode's
@@ -777,21 +777,37 @@ SPECTRAL_SAMPLE_COUNTS = (64, 72, 80, 88, 96, 144, 264, 520, 1024)
 
 
 def test_roots_table_is_cached_and_bitwise_the_uncached_list():
-    """_roots(N) is the uncached list of e^{-2 pi i j/N} as a tuple, bit for
-    bit, and keeps the 16 most recent tables: at most 16 * N_max * 40 B with
-    N_max = MAX_EXTRACTION_TERMS // 129 = 130055 samples, about 83 MB."""
-    assert series_module._roots.cache_info().maxsize == 16
+    """_circle(N, rho) is the uncached roots e^{-2 pi i j/N} and points
+    rho*conj(root) as tuples, bit for bit, and keeps the 16 most recent pairs
+    (N, rho): at most 16 * N_max * 80 B with N_max = MAX_EXTRACTION_TERMS //
+    129 = 130055 samples, about 166 MB."""
+    circle = series_module._circle
+    assert circle.cache_info().maxsize == 16
     assert series_module.MAX_EXTRACTION_TERMS // 129 == 130055
-    for N in SPECTRAL_SAMPLE_COUNTS + (1, 3, 5, 9, 65, 73, 145, 1023):
-        want = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
-        got = series_module._roots(N)
-        assert type(got) is tuple and len(got) == N
+
+    def bits(values):
         # hex is bitwise on each part, sign of zero included
-        assert [(w.real.hex(), w.imag.hex()) for w in got] == [(w.real.hex(), w.imag.hex()) for w in want], N
-        assert series_module._roots(N) is got
-    hits = series_module._roots.cache_info().hits
+        return [(w.real.hex(), w.imag.hex()) for w in values]
+
+    for N in SPECTRAL_SAMPLE_COUNTS + (1, 3, 5, 9, 65, 73, 145, 1023):
+        want_roots = [cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N)]
+        # two radii per N: a cache keyed on N alone returns the first one's points
+        for rho in (0.8, 1.5):
+            want_points = [complex(rho * w.real, -rho * w.imag) for w in want_roots]
+            got = circle(N, rho)
+            roots, points = got
+            assert type(roots) is tuple and type(points) is tuple and len(roots) == len(points) == N
+            assert bits(roots) == bits(want_roots), (N, rho)
+            assert bits(points) == bits(want_points), (N, rho)
+            assert circle(N, rho) is got
+            # 80 B per sample, as the bound counts: a root and a point, each a
+            # complex object and its tuple slot, plus the two tuple headers
+            size = sum(map(sys.getsizeof, (roots, points, *roots, *points)))
+            assert size <= 80 * N + 2 * sys.getsizeof(()), (N, size)
     maclaurin_extraction(parse("exp(p)"), 17, samples=1024)
-    assert series_module._roots.cache_info().hits == hits + 1
+    hits, misses = circle.cache_info().hits, circle.cache_info().misses
+    maclaurin_extraction(parse("exp(p)"), 17, samples=1024)
+    assert (circle.cache_info().hits, circle.cache_info().misses) == (hits + 1, misses)
 
 
 def test_extraction_preconditions():
