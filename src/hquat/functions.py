@@ -46,12 +46,12 @@ miss an overflow that a later node hides, e.g. exp(-inf) = 0.  Both modes
 share one node shape, ``v if ok(v := op(...)) else finite(v)``: the mode's
 predicate ``ok`` (``cmath.isfinite`` in the slice) is called inline, and
 only a value it rejects reaches the mode's check ``finite``, which raises.
-A head whose argument is the variable, as in exp(p), is passed p itself,
-not fetched by a call.  The only :class:`~hquat.quaternion.Quaternion` an
-evaluation builds is the result of :func:`evaluate` at a quaternion point,
-made straight from the final pair's four components; :func:`evaluate` at a
-doubling pair returns the :class:`ComplexPair` that :func:`phi_components`
-returns, and at a complex number the complex value, so neither builds one.
+The only :class:`~hquat.quaternion.Quaternion` an evaluation builds is the
+result of :func:`evaluate` at a quaternion point, made by
+:meth:`~hquat.quaternion.Quaternion.from_cd` from the final pair;
+:func:`evaluate` at a doubling pair returns the :class:`ComplexPair` that
+:func:`phi_components` returns, and at a complex number the complex value,
+so neither builds one.
 
 Each node records its tree's depth in levels once, when it is built, as
 ``_depth``, also no dataclass field.  Each whole-tree walk (compiling,
@@ -340,8 +340,7 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
             raise EvaluationOverflowError(str(exc)) from exc
     if not isinstance(p, Quaternion):
         return phi_components(expr, p)
-    a, b = phi_components(expr, p.to_cd())
-    return Quaternion(a.real, a.imag, b.real, b.imag)
+    return Quaternion.from_cd(*phi_components(expr, p.to_cd()))
 
 
 def _overflow(*components: float) -> EvaluationOverflowError:
@@ -384,8 +383,7 @@ MODES: dict[str, Mode] = {
 def _compile(expr: FuncExpr, mode: str) -> Callable:
     """The function p -> value of expr at p in the mode ("pair" or "slice"),
     as closures over the children compiled in that mode; they evaluate lhs
-    before rhs and check every node's value.  A head whose argument is the
-    variable applies its function to p itself, not to a call's value."""
+    before rhs and check every node's value."""
     constant, bind, ok, finite = MODES[mode]
     if isinstance(expr, Var):
         return lambda p: p
@@ -412,8 +410,6 @@ def _compile(expr: FuncExpr, mode: str) -> Callable:
     head = HEADS.get(type(expr))
     if head is not None:
         arg, fn = _compile(expr.arg, mode), bind(head.fn)
-        if isinstance(expr.arg, Var):
-            return lambda p: v if ok(v := fn(p)) else finite(v)
         return lambda p: v if ok(v := fn(arg(p))) else finite(v)
     raise TypeError(f"unknown expression node {expr!r}")
 

@@ -18,8 +18,8 @@ be shared freely between threads.  A :class:`Quaternion` is validated once
 per construction, by the constructor, :meth:`Quaternion.from_cd`, arithmetic
 and :func:`dataclasses.replace` alike: the dataclass's ``__init__`` stores
 the four components and calls ``__post_init__``, the one per-construction
-hook, which returns at once for four finite ``float`` values and otherwise
-converts with ``float()`` and rejects a non-finite component by name.
+hook, which converts each with ``float()`` and rejects a non-finite
+component by name.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class Quaternion:
     u: float = 0.0
 
     def __post_init__(self) -> None:
-        x, y, z, u = self.x, self.y, self.z, self.u
-        # x - x is 0.0 for a finite float and nan for inf or nan
-        if type(x) is type(y) is type(z) is type(u) is float and (x - x) + (y - y) + (z - z) + (u - u) == 0.0:
-            return
         fields = self.__dict__
         for name in "xyzu":
             value = float(fields[name])
@@ -122,7 +118,7 @@ class Quaternion:
 
     def to_cd(self) -> CayleyDickson:
         """Split into the doubling form a = x + y*i, b = z + u*i."""
-        return tuple.__new__(CayleyDickson, (complex(self.x, self.y), complex(self.z, self.u)))
+        return CayleyDickson(complex(self.x, self.y), complex(self.z, self.u))
 
     def conjugate(self) -> Quaternion:
         return Quaternion(self.x, -self.y, -self.z, -self.u)

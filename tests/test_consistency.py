@@ -151,6 +151,16 @@ def test_origin_derivative_of_high_order(capsys):
     assert code == 0 and math.isclose(results["value"][0], 1.0, rel_tol=1e-6)
 
 
+@pytest.mark.xfail(strict=True, reason="item 2, stage B: k nested differences at h = step**(1/k)")
+def test_stencil_derivative_of_order_three(capsys):
+    # the input of the derive golden: f''' = exp(p), e^0.5 (cos 0.1 + j sin 0.1),
+    # which the nested stencil reads 2.3e-4 off
+    code, results = _machine(capsys, ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0.1", "0", "--k", "3"])
+    want = (math.exp(0.5) * math.cos(0.1), 0.0, math.exp(0.5) * math.sin(0.1), 0.0)
+    assert code == 0
+    assert all(math.isclose(v, w, rel_tol=1e-6, abs_tol=1e-6 * abs(want[0])) for v, w in zip(results["value"], want))
+
+
 def test_m_test_refuses_a_divergent_majorant():
     # sum p^l/(l+1) diverges at p = 1, and so does the harmonic majorant,
     # whose last 5 ratios below 1 certified it: its limit 0.99913 is within
