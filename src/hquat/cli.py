@@ -4,9 +4,10 @@ Subcommands: eval | check | series | derive | radius | commute.  The machine
 output format is a single JSON document with fixed field order
 (tool, version, subcommand, inputs, results); identical inputs and seed
 produce byte-identical documents.  It is written on one line as
-``json.dumps(document)``, followed by a newline.  Text output is
-human-oriented and not a stability contract; each subcommand returns it as
-a renderer that :func:`main` calls only for ``--format text``.
+``json.dumps(document)``, followed by a newline; one reused
+``json.JSONEncoder(check_circular=False)`` writes those bytes.  Text output
+is human-oriented and not a stability contract; each subcommand returns it
+as a renderer that :func:`main` calls only for ``--format text``.
 
 :func:`main` builds its parser anew on every call, registering only the
 sub-parser its first argument names (all six when it names none, as with
@@ -55,6 +56,9 @@ EXIT_NONREAL = 4
 # Most points one check or commute samples.
 MAX_GRID = 10_000
 
+# json.dumps's encoder minus the cycle check, which a freshly built report never needs
+_ENCODER = json.JSONEncoder(check_circular=False)
+
 _KNOWN_TERM_RULES = {
     "exp(p)": ("inverse factorial", exp_coefficient),
     "sin(p)": ("alternating odd inverse factorial", sin_coefficient),
@@ -64,7 +68,9 @@ _KNOWN_TERM_RULES = {
 
 
 def sample_ball(rng: random.Random, radius: float, y_zero: bool = False) -> Quaternion:
-    """One uniform point of the closed 4-ball (or its y = 0 slice)."""
+    """One uniform point of the closed 4-ball (or its y = 0 slice) by rejection
+    from the cube, each coordinate drawn as CPython's ``rng.uniform(-radius,
+    radius)`` computes it: the same points, and the same state after them."""
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
     # past about 1.34e154 radius^2 is inf and every point of the cube passes
@@ -74,11 +80,12 @@ def sample_ball(rng: random.Random, radius: float, y_zero: bool = False) -> Quat
     # outside the ball pass: 129 of 200 at 1e-200 (seed 0)
     if radius * radius < sys.float_info.min:
         raise ValueError(f"radius must have a normal square (about 1.49e-154 at least), got {radius!r}")
+    lo, width, draw = -radius, radius - -radius, rng.random
     while True:
-        x = rng.uniform(-radius, radius)
-        y = 0.0 if y_zero else rng.uniform(-radius, radius)
-        z = rng.uniform(-radius, radius)
-        u = rng.uniform(-radius, radius)
+        x = lo + width * draw()
+        y = 0.0 if y_zero else lo + width * draw()
+        z = lo + width * draw()
+        u = lo + width * draw()
         if x * x + y * y + z * z + u * u <= radius * radius:
             return Quaternion(x, y, z, u)
 
@@ -431,7 +438,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, inputs, results, render = args.func(args)
         if args.format == "machine":
             report = {"tool": "hquat", "version": __version__, "subcommand": args.subcommand, "inputs": inputs, "results": results}
-            text = json.dumps(report) + "\n"
+            text = _ENCODER.encode(report) + "\n"
         else:
             text = render()
         if args.out:

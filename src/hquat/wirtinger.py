@@ -25,16 +25,17 @@ phi2.  Since d/da + d/d(conj a) = d/dx for any function, psi' = d(psi)/dx,
 and every derivative is taken along x without forming the partials.
 
 Partials and derivatives share one central difference on doubling pairs:
-:func:`_step` gives h = step**(1/k) * max(1, |p|), :func:`_stepped` the
-pairs p +- e*h (hi is evaluated first), and :func:`_quotient` (hi - lo)/(2h).
-:func:`partials` steps along 1, i, j, k and hands the pairs straight to
-:func:`hquat.functions.phi_components`, and the nested x-differences of a
-derivative hand theirs to :func:`hquat.functions.evaluate` in its pair form,
-so the only quaternions a check builds are its points, and a derivative
-builds only its point and its value; :func:`full_derivative` is one step
-along x, and :func:`kth_derivative` picks its route from the input alone
-("exact" at k = 0, "series" at the origin, "stencil", k nested
-x-differences, elsewhere).
+:func:`_step` gives h = step**(1/k) * max(1, |p|), :func:`_stepped` the pairs
+p +- e*h (hi is evaluated first), and :func:`_quotient` (hi - lo)/(2h).
+:func:`partials` forms the same pairs and quotients for 1, i, j, k in one
+loop, reaching :func:`_stepped` or :func:`_quotient` only on a non-finite
+value, and hands its pairs straight to :func:`hquat.functions.phi_components`;
+the nested x-differences of a derivative hand theirs to
+:func:`hquat.functions.evaluate` in its pair form, so the only quaternions a
+check builds are its points, and a derivative builds only its point and its
+value; :func:`full_derivative` is one step along x, and :func:`kth_derivative`
+picks its route from the input alone ("exact" at k = 0, "series" at the
+origin, "stencil", k nested x-differences, elsewhere).
 """
 
 from __future__ import annotations
@@ -135,11 +136,20 @@ def _quotient(hi: Pair, lo: Pair, h: float) -> Pair:
 def partials(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> PartialsTable:
     """Central-difference Wirtinger partials with step scaled by max(1, |p|);
     EvaluationOverflowError when the stencil or a partial overflows."""
-    h, pair = _step(step, p), p.to_cd()
+    h, (a, b) = _step(step, p), p.to_cd()
+    # the pairs of _stepped bitwise: an unmoved component still adds 0j (-0.0 + 0.0 is 0.0)
+    w, dr, di, z = 2.0 * h, complex(h, 0.0), complex(0.0, h), complex(0.0, 0.0)
+    az, a_z, bz, b_z = a + z, a - z, b + z, b - z
     d = []
-    for e in (ONE, I, J, K):
-        hi, lo = _stepped(pair, e, h)
-        d.append(_quotient(phi_components(f, hi), phi_components(f, lo), h))
+    for e, hi, lo in ((ONE, (a + dr, bz), (a - dr, b_z)), (I, (a + di, bz), (a - di, b_z)),
+                      (J, (az, b + dr), (a_z, b - dr)), (K, (az, b + di), (a_z, b - di))):
+        if not (cmath.isfinite(hi[0]) and cmath.isfinite(hi[1]) and cmath.isfinite(lo[0]) and cmath.isfinite(lo[1])):
+            _stepped((a, b), e, h)  # raises, naming the component
+        (a1, b1), (a2, b2) = phi_components(f, hi), phi_components(f, lo)
+        qa, qb = (a1 - a2) / w, (b1 - b2) / w
+        if not (cmath.isfinite(qa) and cmath.isfinite(qb)):  # _quotient scales an overflowing difference, or raises
+            qa, qb = _quotient((a1, b1), (a2, b2), h)
+        d.append((qa, qb))
     (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = d
     # in PartialsTable's field order: da, dabar, db, dbbar of phi1, then of phi2
     values = (
@@ -155,7 +165,7 @@ def partials(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> Partials
     # a sum of two finite quotients that overflows leaves a non-finite partial
     if not all(map(cmath.isfinite, values)):
         raise EvaluationOverflowError(f"difference stencil overflows at {p!r}")
-    return PartialsTable(*values, step=h, point=p)
+    return PartialsTable(*values, h, p)
 
 
 class HolomorphyReport(NamedTuple):
@@ -240,13 +250,7 @@ def check_holomorphy(
         main, aux = _main_residuals(t_main), _aux_residuals(t_aux)
     except OverflowError as exc:  # abs() of a finite complex past the double range
         raise EvaluationOverflowError(f"holomorphy residual overflows: {exc}") from exc
-    return HolomorphyReport(
-        point=point,
-        aux_point=aux_point,
-        main_residuals=main,
-        aux_residuals=aux,
-        tolerance=tol,
-    )
+    return HolomorphyReport(point, aux_point, main, aux, tol)
 
 
 def _nested_dx(f: FuncExpr, p: Pair, k: int, h: float) -> Pair:

@@ -130,6 +130,13 @@ def test_check_overflow_in_phi_is_eval_error(capsys):
     assert "evaluation error" in err
 
 
+_CHECK_OVERFLOW_LINES = {
+    "1.5e303/(p-0.3)": "difference stencil overflows: quotient with 2h = 2e-05",
+    "1.7e308*(i*p)": "difference stencil overflows at Quaternion(x=0.0, y=0.0, z=0.0, u=0.0)",
+    "0.852e308*(1+i)*p*i": "holomorphy residual overflows: absolute value too large",
+}
+
+
 @pytest.mark.parametrize(
     "expr, x", [("1.5e303/(p-0.3)", "0.3000000001"), ("1.7e308*(i*p)", "0"), ("0.852e308*(1+i)*p*i", "0")]
 )
@@ -139,7 +146,7 @@ def test_check_stencil_overflow_is_eval_error(capsys, expr, x):
     # residual ended in an OverflowError traceback
     code, out, err = run_cli(capsys, ["check", "--expr", expr, "--point", x, "0", "0", "0", "--format", "machine"])
     assert code == 3 and out == ""
-    assert "evaluation error" in err
+    assert err == f"hquat: evaluation error: {_CHECK_OVERFLOW_LINES[expr]}\n"
 
 
 @pytest.mark.parametrize("point", [["1.79769e308", "0", "0", "0"], ["0", "0", "1.79769e308", "0"]])
@@ -752,6 +759,23 @@ def test_sample_ball_draws_the_same_points_inside_the_ball(radius):
         got = [sample_ball(rng, radius, y_zero) for _ in range(200)]
         assert got == [_cube_rejection_sampler(ref, radius, y_zero) for _ in range(200)]
         assert all(math.hypot(q.x, q.y, q.z, q.u) <= radius * (1 + 1e-15) for q in got)
+
+
+def _hex(q):
+    return [c.hex() for c in (q.x, q.y, q.z, q.u)]
+
+
+def test_sample_ball_draws_as_random_uniform_bitwise():
+    # each coordinate is lo + width*rng.random(), which must be
+    # rng.uniform(-radius, radius) to the bit and leave the same state
+    for seed in range(50):
+        for radius in (2.0, 0.3, 1e-150, 1e150):
+            for y_zero in (False, True):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(8):
+                    got, want = sample_ball(rng, radius, y_zero), _cube_rejection_sampler(ref, radius, y_zero)
+                    assert _hex(got) == _hex(want), (seed, radius, y_zero)
+                assert rng.getstate() == ref.getstate(), (seed, radius, y_zero)
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from hquat import (
     phi_components,
 )
 from hquat import functions, wirtinger
+from hquat.cli import sample_ball
 from hquat.functions import EvaluationOverflowError
 from hquat.wirtinger import HolomorphyReport, InvalidPointError
 from test_parser import _random_tree
@@ -431,28 +432,52 @@ def _nested_central(tree, p, k, h):
     return _central(_nested_central(tree, p + e, k - 1, h), _nested_central(tree, p - e, k - 1, h), h)
 
 
+# the timed check-grid catalog: its expressions without a known defect
+_CHECK_GRID_TREES = [
+    "p^3 - 2*p",
+    "exp(p)",
+    "sin(p)*cos(p)",
+    "exp(sin(p))",
+    "cos(p)/(p^2+9)",
+    "i*p",
+    "p*j",
+    "-0.5*(p + i*p*i + j*p*j + k*p*k)",
+]
+
+
+def _assert_partials_are_the_one_quotient(text, p, step):
+    tree, h = parse(text), step * max(1.0, p.norm())
+    d = [(phi_components(tree, (p + e * h).to_cd()), phi_components(tree, (p - e * h).to_cd())) for e in (ONE, I, J, K)]
+    (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = [_central(hi, lo, h) for hi, lo in d]
+    want = [
+        (dx1 - 1j * dy1) / 2.0,
+        (dx1 + 1j * dy1) / 2.0,
+        (dz1 - 1j * du1) / 2.0,
+        (dz1 + 1j * du1) / 2.0,
+        (dx2 - 1j * dy2) / 2.0,
+        (dx2 + 1j * dy2) / 2.0,
+        (dz2 - 1j * du2) / 2.0,
+        (dz2 + 1j * du2) / 2.0,
+    ]
+    t = partials(tree, p, step)
+    got = [t.dphi1_da, t.dphi1_dabar, t.dphi1_db, t.dphi1_dbbar]
+    got += [t.dphi2_da, t.dphi2_dabar, t.dphi2_db, t.dphi2_dbbar]
+    assert repr(got) == repr(want) and t.step == h, (text, p, step)
+
+
 def test_partials_are_the_one_quotient_bitwise():
     for text in _QUOTIENT_TREES:
-        tree = parse(text)
         for p in _QUOTIENT_POINTS:
             for step in (1e-5, 1e-3):
-                h = step * max(1.0, p.norm())
-                d = [(phi_components(tree, (p + e * h).to_cd()), phi_components(tree, (p - e * h).to_cd())) for e in (ONE, I, J, K)]
-                (dx1, dx2), (dy1, dy2), (dz1, dz2), (du1, du2) = [_central(hi, lo, h) for hi, lo in d]
-                want = [
-                    (dx1 - 1j * dy1) / 2.0,
-                    (dx1 + 1j * dy1) / 2.0,
-                    (dz1 - 1j * du1) / 2.0,
-                    (dz1 + 1j * du1) / 2.0,
-                    (dx2 - 1j * dy2) / 2.0,
-                    (dx2 + 1j * dy2) / 2.0,
-                    (dz2 - 1j * du2) / 2.0,
-                    (dz2 + 1j * du2) / 2.0,
-                ]
-                t = partials(tree, p, step)
-                got = [t.dphi1_da, t.dphi1_dabar, t.dphi1_db, t.dphi1_dbbar]
-                got += [t.dphi2_da, t.dphi2_dabar, t.dphi2_db, t.dphi2_dbbar]
-                assert repr(got) == repr(want) and t.step == h, (text, p, step)
+                _assert_partials_are_the_one_quotient(text, p, step)
+    # the main and aux points of check --grid 16 --radius 2 on each timed
+    # check-grid expression
+    rng = random.Random(0)
+    pairs = [(sample_ball(rng, 2.0, y_zero=True), sample_ball(rng, 2.0)) for _ in range(16)]
+    for text in _CHECK_GRID_TREES:
+        for point, aux in pairs:
+            _assert_partials_are_the_one_quotient(text, point, 1e-5)
+            _assert_partials_are_the_one_quotient(text, aux, 1e-5)
 
 
 def test_derivatives_are_the_one_quotient_bitwise():
@@ -508,19 +533,20 @@ def test_infinite_stencil_width_is_evaluation_error():
 def test_stepped_point_past_the_double_range_is_evaluation_error():
     # p + h overflowed in the Quaternion constructor, a ValueError
     x_edge, z_edge = Quaternion(1.79769e308, 0.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.79769e308, 0.0)
-    for call in (lambda: partials(P, x_edge), lambda: partials(P, z_edge), lambda: full_derivative(P, x_edge)):
-        with pytest.raises(EvaluationOverflowError, match="difference stencil overflows"):
-            call()
-    # p - h past the double range, on the lo side; each message names the component
-    for p, name in ((Quaternion(-1.79769e308, 0.0, 0.0, 0.0), "x"), (Quaternion(0.0, 0.0, 0.0, -1.79769e308), "u")):
-        with pytest.raises(EvaluationOverflowError, match=f"difference stencil overflows: .* {name}=-inf"):
-            partials(P, p)
-    # an aux point whose y step overflows, while the main point's stencil stays in range
-    partials(P, ZERO)
-    with pytest.raises(EvaluationOverflowError, match="difference stencil overflows: .* y=inf"):
-        check_holomorphy(P, ZERO, aux_point=Quaternion(0.0, 1.79769e308, 0.0, 0.0))
+    with pytest.raises(EvaluationOverflowError, match="difference stencil overflows"):
+        full_derivative(P, x_edge)
     # the derivative steps along x only, so z at the edge stays in range
     assert full_derivative(P, z_edge) == ONE
+    # p + h past the double range on the hi side, p - h on the lo side; each
+    # message names the component and its sign.  y is stepped at an aux point
+    # while the main point's stencil stays in range
+    partials(P, ZERO)
+    for name in "xyzu":
+        for sign in ("", "-"):
+            edge = Quaternion(**{c: float(sign + "1.79769e308") if c == name else 0.0 for c in "xyzu"})
+            with pytest.raises(EvaluationOverflowError) as info:
+                check_holomorphy(P, ZERO, aux_point=edge) if name == "y" else partials(P, edge)
+            assert str(info.value) == f"difference stencil overflows: non-finite quaternion component {name}={sign}inf"
 
 
 def test_kth_power_rule_away_from_origin():
