@@ -323,10 +323,11 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
-    ValueError for a tree deeper than MAX_DEPTH levels, or at a complex
-    point for a tree with a non-real constant.
+    ValueError for a tree deeper than MAX_DEPTH levels, a non-finite point
+    (named as a Quaternion's) or a non-real constant at a complex point.
     """
     if isinstance(p, complex):
+        cmath.isfinite(p) or Quaternion.from_cd(p, 0j)  # the constructor raises, naming the component
         try:
             fn = expr._compiled_slice
         except AttributeError:
@@ -339,6 +340,7 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
         except OverflowError as exc:
             raise EvaluationOverflowError(str(exc)) from exc
     if not isinstance(p, Quaternion):
+        _pair_ok(p) or Quaternion.from_cd(*p)  # the constructor raises, naming the component
         return phi_components(expr, p)
     return Quaternion.from_cd(*phi_components(expr, p.to_cd()))
 

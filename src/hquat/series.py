@@ -497,6 +497,15 @@ def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[com
     return out
 
 
+def _noise_unit(samples: Iterable[complex], N: int) -> float:
+    """sqrt(N)*eps*vmax, vmax the largest sample modulus, but at least sqrt(N)*2^-1074 unless every sample is 0."""
+    try:
+        vmax = max(map(abs, samples))
+    except OverflowError:  # a finite sample whose modulus leaves the double range
+        vmax = math.inf
+    return math.sqrt(N) * max(2.220446049250313e-16 * vmax, 5e-324) if vmax else 0.0
+
+
 def maclaurin_extraction(
     f: FuncExpr,
     n: int,
@@ -541,17 +550,10 @@ def maclaurin_extraction(
         first, second = [a for a, _ in pairs], [b for _, b in pairs]
     else:
         first, second = [evaluate(f, a) for a in points], []
-    try:
-        vmax = max(map(abs, itertools.chain(first, second)))
-    except OverflowError:  # a finite sample whose modulus leaves the double range
-        vmax = math.inf
     # b vanishes on the slice for every real-coefficient function; otherwise
     # a left constant can move conj(a)-terms to the negative frequencies of b
     second_conj = [b.conjugate() for b in second] if any(second) else None
-
-    # each sample is rounded to at least the smallest subnormal, 2^-1074, so
-    # the unit does not underflow to 0 unless every sample is exactly 0
-    noise_unit = math.sqrt(N) * max(2.220446049250313e-16 * vmax, 5e-324) if vmax else 0.0
+    noise_unit = _noise_unit(itertools.chain(first, second), N)
     sums = [_dft_head(first, roots, n + 1)]
     if second_conj is not None:
         sums += [_dft_head(second, roots, n + 1), _dft_head(second_conj, roots, n + 1)]

@@ -22,20 +22,15 @@ arbitrary points without that restriction and are reported separately.
 The full quaternionic derivative (the one uniting the left and right
 derivatives) has components phi1' = da(phi1) + dabar(phi1) and likewise for
 phi2.  Since d/da + d/d(conj a) = d/dx for any function, psi' = d(psi)/dx,
-and every derivative is taken along x without forming the partials.
+taken along x without forming the partials.
 
-Partials and derivatives share one central difference on doubling pairs:
-:func:`_step` gives h = step**(1/k) * max(1, |p|), :func:`_stepped` the pairs
-p +- e*h (hi is evaluated first), and :func:`_quotient` (hi - lo)/(2h).
-:func:`partials` forms the same pairs and quotients for 1, i, j, k in one
-loop, reaching :func:`_stepped` or :func:`_quotient` only on a non-finite
-value, and hands its pairs straight to :func:`hquat.functions.phi_components`;
-the nested x-differences of a derivative hand theirs to
-:func:`hquat.functions.evaluate` in its pair form, so the only quaternions a
-check builds are its points, and a derivative builds only its point and its
-value; :func:`full_derivative` is one step along x, and :func:`kth_derivative`
-picks its route from the input alone ("exact" at k = 0, "series" at the
-origin, "stencil", k nested x-differences, elsewhere).
+Partials and the first derivative share one central difference on doubling
+pairs: :func:`_step` gives h = step * max(1, |p|), :func:`_stepped` the
+pairs p +- e*h (hi is evaluated first), and :func:`_quotient` (hi - lo)/(2h).
+:func:`partials` forms them for 1, i, j, k in one loop, reaching
+:func:`_stepped` or :func:`_quotient` only on a non-finite value, and hands
+its pairs straight to :func:`hquat.functions.phi_components`.  A higher
+derivative is the slice function's, lifted (:func:`kth_derivative`).
 """
 
 from __future__ import annotations
@@ -46,9 +41,9 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-from .functions import EvaluationOverflowError, FuncExpr, evaluate, phi_components
+from .functions import EvaluationOverflowError, FuncExpr, _lift, evaluate, phi_components
 from .quaternion import I, J, K, ONE, ZERO, Pair, Quaternion
-from .series import maclaurin_extraction
+from .series import MAX_EXTRACTION_TERMS, _circle, _dft_head, _noise_unit, maclaurin_extraction
 
 __all__ = [
     "DerivativeResult",
@@ -86,20 +81,16 @@ class PartialsTable(NamedTuple):
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-6
 
-_MAX_STENCIL_ORDER = 4
-
 
 def _step(step: float, p: Quaternion, k: int = 1) -> float:
-    """Per-level step h = step**(1/k) * max(1, |p|) of k nested differences;
-    k = 0 (no stencil) only validates ``step``.  EvaluationOverflowError when
-    the width 2h leaves the double range."""
+    """Step h = step**(1/k) * max(1, |p|) of a central difference (k = 1) or
+    radius of a k-th derivative's circle; k = 0 only validates ``step``.
+    EvaluationOverflowError when the width 2h leaves the double range."""
     # h >= step*max(1, |p|) >= eps*|c| for every component c, so c +- h != c
     if not sys.float_info.epsilon <= step < math.inf:
         raise ValueError("step must be finite and at least machine epsilon (2.2e-16)")
     if k == 0:
         return 0.0
-    if k > _MAX_STENCIL_ORDER:
-        raise ValueError(f"stencil route supports k <= {_MAX_STENCIL_ORDER}, got {k}")
     h = step ** (1.0 / k) * max(1.0, p.norm())
     if not 2.0 * h < math.inf:  # a width of inf would turn every quotient into 0
         raise EvaluationOverflowError(f"difference stencil overflows: width 2h is infinite at h = {h!r}")
@@ -253,18 +244,11 @@ def check_holomorphy(
     return HolomorphyReport(point, aux_point, main, aux, tol)
 
 
-def _nested_dx(f: FuncExpr, p: Pair, k: int, h: float) -> Pair:
-    """k nested x-differences of f at the pair p, as a pair (2^k evaluations)."""
-    if k == 0:
-        return evaluate(f, p)
-    hi, lo = _stepped(p, ONE, h)
-    return _quotient(_nested_dx(f, hi, k - 1, h), _nested_dx(f, lo, k - 1, h), h)
-
-
 def full_derivative(f: FuncExpr, p: Quaternion, step: float = DEFAULT_STEP) -> Quaternion:
     """Full quaternionic derivative d(psi)/dx: one central difference along x
     with step ``step * max(1, |p|)``, at every point including the origin."""
-    return Quaternion.from_cd(*_nested_dx(f, p.to_cd(), 1, _step(step, p)))
+    hi, lo = _stepped(p.to_cd(), ONE, h := _step(step, p))
+    return Quaternion.from_cd(*_quotient(evaluate(f, hi), evaluate(f, lo), h))
 
 
 class DerivativeResult(NamedTuple):
@@ -272,7 +256,7 @@ class DerivativeResult(NamedTuple):
 
     value: Quaternion
     order: int
-    method: str  # "exact", "stencil" or "series"
+    method: str  # "exact", "stencil" (k = 1 off the origin) or "series"
     step: float | None
     truncation_estimate: float
     accuracy_warning: bool
@@ -286,19 +270,22 @@ def _accuracy_bound(value: Quaternion) -> float:
 def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STEP) -> DerivativeResult:
     """k-th full quaternionic derivative d^k(psi)/dx^k of f at p.
 
-    The route follows from the input: "exact" evaluation at k = 0; "series",
-    k! times the k-th Maclaurin coefficient, at p = 0 (any k); "stencil",
-    k nested central differences along x with per-level step
-    ``step**(1/k) * max(1, |p|)`` (2^k evaluations, k <= 4), elsewhere.  The
-    stencil route's truncation estimate is the leading error term k*h^2/6
-    scaled by the result magnitude.  The series route's is k! times the
-    coefficient's noise floor (:class:`hquat.series.MaclaurinExtraction`): it
-    counts the rounding of the samples, not the aliasing of higher
-    coefficients onto k, so 1/(1-p) at k = 4 is off by 1.5e-5 under an
-    estimate of 5e-13.  On either route the accuracy warning is set when the
-    estimate exceeds 1e-4 * max(1, |value|).  EvaluationOverflowError when
-    the stencil width, a stepped point, a quotient, k! times a coefficient or
-    either estimate leaves the double range.
+    The route follows from the input: "exact" evaluation at k = 0; "stencil",
+    :func:`full_derivative`, at k = 1 off the origin; "series" elsewhere: k!
+    times the k-th Maclaurin coefficient at p = 0, and off it the lift of
+    Cauchy's integral for F^(k)(x + i|V|), k!/(N h^k) times the k-th Fourier
+    sum S_k of N = 2^k slice samples on the circle of radius
+    h = step**(1/k) * max(1, |p|), for the k <= 16 within the extraction's
+    budget; a tree with a non-real constant has no slice samples
+    (ValueError).  Estimates: h^2/6 * max(1, |value|) at k = 1; at the
+    origin k! times the noise floor of :class:`hquat.series.MaclaurinExtraction`,
+    rounding only, so 1/(1-p) at k = 4 is off by 1.5e-5 under 5e-13; off it
+    k!/h^k times the samples' noise unit plus, for k >= 3, |2E_k - S_k|/N
+    (E the sums of every other sample), the aliasing a singularity inside the
+    circle makes large.  Each sets the accuracy warning above
+    1e-4 * max(1, |value|).  EvaluationOverflowError when the stencil width,
+    a stepped or circle point, a quotient, k! times a coefficient, h^k, the
+    value or an estimate leaves the double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -313,12 +300,26 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
         value = Quaternion.from_real(_times_factorial(k, ext.real_coeffs()[k]))
         est = _times_factorial(k, ext.noise_floors[k])
         method, h = "series", None
-    else:
-        value = Quaternion.from_cd(*_nested_dx(f, p.to_cd(), k, h))
-        est = k * h * h / 6.0 * max(1.0, value.norm())
+    elif k == 1:
+        value, method = full_derivative(f, p, step), "stencil"
+        est = h * h / 6.0 * max(1.0, value.norm())
         if not math.isfinite(est):
-            raise EvaluationOverflowError(f"truncation estimate {k}*h^2/6*max(1, |value|) overflows at h = {h!r}")
-        method = "stencil"
+            raise EvaluationOverflowError(f"truncation estimate 1*h^2/6*max(1, |value|) overflows at h = {h!r}")
+    else:
+        if (N := 2 ** min(k, 64)) * (k + 129) > MAX_EXTRACTION_TERMS:  # 2^64 samples alone are past the budget
+            raise ValueError(f"derivative order {k} is beyond the series route off p = 0: 2^k samples*(k+129) must be <= {MAX_EXTRACTION_TERMS}")
+        def fk(w0: complex) -> complex:
+            nonlocal est
+            _stepped((w0, 0j), ONE, h), _stepped((w0, 0j), I, h)  # w0 +- h, w0 +- ih bound the circle; raises, naming the component
+            roots, points = _circle(N, 1.0)  # h * z is bitwise _circle(N, h)'s point; one entry per N
+            x = [evaluate(f, w0 + h * z) for z in points]
+            s, scale = _dft_head(x, roots, k + 1)[k], math.factorial(k) * (1.0 / h) ** k
+            d = 2.0 * _dft_head(x[::2], roots[::2], k + 1)[k] - s if k >= 3 else 0j  # the half grid's aliasing
+            w, est = s / N * scale, scale * (_noise_unit(x, N) + math.hypot(d.real, d.imag) / N)
+            if not (scale and cmath.isfinite(w) and math.isfinite(est)):  # scale 0: h^k past the double range
+                raise EvaluationOverflowError(f"derivative of order {k} from {N} samples at h = {h!r} leaves the double range")
+            return w
+        value, method = Quaternion.from_cd(*_lift(fk, p.to_cd())), "series"
     return DerivativeResult(value, k, method, h, est, est > _accuracy_bound(value))
 
 

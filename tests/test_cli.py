@@ -91,6 +91,19 @@ def test_text_report_matches_its_golden_file(capsys, name):
     assert out == (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
 
 
+def test_text_report_of_a_flagged_derivative_names_its_bound(capsys):
+    # the derive golden is no longer flagged: exp(p) at k = 30 at the origin is
+    argv = ["derive", "--expr", "exp(p)", "--point", "0", "0", "0", "0", "--k", "30"]
+    _, rep, _ = run_json(capsys, argv)
+    est, value = rep["results"]["truncation_estimate"], rep["results"]["value"][0]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and rep["results"]["accuracy_warning"] is True
+    assert out.splitlines()[1:] == [
+        "  method: series",
+        f"  warning: estimated truncation error {est:.2e} exceeds 1e-4 * max(1, |value|) = {1e-4 * max(1.0, abs(value)):.2e}",
+    ]
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_TEXT))
 def test_machine_report_matches_its_golden_file(capsys, name):
     code, out, _ = run_cli(capsys, GOLDEN_TEXT[name] + ["--format", "machine"])
@@ -411,6 +424,35 @@ def test_derive_stencil_overflow_is_eval_error(capsys, argv):
     code, out, err = run_cli(capsys, ["derive"] + argv)
     assert code == 3 and out == ""
     assert "evaluation error" in err and "usage" not in err
+
+
+@pytest.mark.parametrize(
+    "point, line",
+    [
+        # k!/h^k leaves the double range: a bare h**k raised OverflowError
+        (["1e200", "0", "0", "0"], "derivative of order 2 from 4 samples at h = 3.1622776601683794e+197 leaves the double range"),
+        (["1.79e308", "0", "0", "0"], "derivative of order 2 from 4 samples at h = 5.660477011701399e+305 leaves the double range"),
+        # a circle point past the double range, named before any evaluation
+        # as a component of the slice point x + i|V| it lies on
+        (["1.797e308", "0", "0", "0"], "difference stencil overflows: non-finite quaternion component x=inf"),
+        (["0", "0", "-1.797e308", "0"], "difference stencil overflows: non-finite quaternion component y=inf"),
+    ],
+)
+def test_derive_circle_past_the_double_range_is_eval_error(capsys, point, line):
+    code, out, err = run_cli(capsys, ["derive", "--expr", "exp(-p)", "--point", *point, "--k", "2"])
+    assert (code, out, err) == (3, "", f"hquat: evaluation error: {line}\n")
+
+
+@pytest.mark.parametrize("expr", ["j*p", "p*i*p", "cos(p)-k"])
+def test_derive_of_a_nonreal_tree_off_the_origin_needs_k_one(capsys, expr):
+    # a tree with a non-real constant has no slice function, so no circle:
+    # it is refused (exit 2) as the origin's extraction refuses it, and the
+    # first derivative's central difference on doubling pairs still runs
+    for k in ("2", "3", "16"):
+        err = run_usage_error(capsys, ["derive", "--expr", expr, "--point", "0.3", "0", "0.2", "0", "--k", k])
+        assert "a tree with a non-real constant has no slice function" in err
+    code, rep, _ = run_json(capsys, ["derive", "--expr", expr, "--point", "0.3", "0", "0.2", "0", "--k", "1"])
+    assert code == 0 and rep["results"]["method"] == "stencil"
 
 
 def test_derive_overflowing_difference_with_finite_derivative(capsys):
@@ -808,7 +850,7 @@ def test_rho_whose_powers_leave_the_double_range_is_a_usage_error(capsys, sub, r
     [
         (["eval", "--expr", "1e999", "--point", "0", "0", "0", "0"], "finite"),
         (["eval", "--expr", "p", "--point", "nan", "0", "0", "0"], "non-finite quaternion component"),
-        (["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "5"], "k <= 4"),
+        (["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "17"], "derivative order 17 is beyond the series route off p = 0"),
         (["commute", "--expr", "sin(p)"], "exactly two --expr arguments"),
         (["derive", "--expr", "p", "--point", "0", "0", "0", "0", "--k", "0"], "must be >= 1"),
         # the extraction's limits spoke of rho and n, which derive has no flags for
@@ -953,7 +995,7 @@ _PARSER_PROBES = [[name, *tail] for name in SUBCOMMANDS for tail in (["-h"], [],
     ["eval", "--expr", "p", "--point", "nan", "0", "0", "0"],
     ["check", "--expr", "exp(p)", "--radius", "nan"],
     ["series", "--expr", "p", "--rho", "nan"],
-    ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "5"],
+    ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "17"],
     ["radius", "--expr", "p", "--rho", "nan"],
     ["commute", "--expr", "sin(p)"],
     # after a named subcommand: an argument left for the main parser to

@@ -193,11 +193,31 @@ def test_overflow_hidden_by_later_node_is_reported(template, power, x):
 def test_head_whose_argument_is_the_variable_checks_its_value():
     # at a finite point a head raises before its value leaves the double
     # range, so only a non-finite point reaches the check of a head applied
-    # to p itself: exp(inf) = inf must not come back as a value
+    # to p itself: exp(inf) = inf must not come back as a value.  evaluate
+    # refuses such a point, so each mode's compiled function is run directly
     tree = parse("exp(p)")
-    for point in (complex(math.inf, 0.0), (complex(math.inf, 0.0), 0j)):
-        with pytest.raises(EvaluationOverflowError, match="^non-finite intermediate value x=inf$"):
-            evaluate(tree, point)
+    evaluate(tree, 0.5 + 0j)  # compiles the slice function
+    with pytest.raises(EvaluationOverflowError, match="^non-finite intermediate value x=inf$"):
+        tree._compiled_slice(complex(math.inf, 0.0))
+    with pytest.raises(EvaluationOverflowError, match="^non-finite intermediate value x=inf$"):
+        phi_components(tree, (complex(math.inf, 0.0), 0j))
+
+
+@pytest.mark.parametrize("text", ["exp(p)", "p", "sin(p)", "cos(p)*p", "1/(1-p)"])
+def test_evaluate_refuses_a_non_finite_complex_or_pair_point(text):
+    # at -inf+inf*j the slice mode returned 0j for exp(p), inf for p and
+    # raised "math domain error" for sin(p); now every form raises the
+    # ValueError that a Quaternion point raises, naming the first such part
+    tree = parse(text)
+    for a, b in [(complex(-math.inf, math.inf), 0j), (complex(math.nan, 0.0), 0j), (complex(0.0, math.inf), 0j),
+                 (0.5 + 0j, complex(0.0, -math.inf)), (0.5 + 0j, complex(math.nan, 1.0))]:
+        with pytest.raises(ValueError) as want:
+            Quaternion.from_cd(a, b)
+        forms = [(a, b)] if b else [(a, b), a]
+        for point in forms:
+            with pytest.raises(ValueError) as got:
+                evaluate(tree, point)
+            assert type(got.value) is ValueError and str(got.value) == str(want.value), (text, point)
 
 
 def test_overflow_names_its_non_finite_components_in_every_form():

@@ -661,8 +661,9 @@ def test_extraction_matches_reference_dft_deep_decimation(expr, monkeypatch):
 
 def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monkeypatch):
     # the counts perfbench's SELF_CHECKS pin, without a traced run: one
-    # evaluate call per circle sample and 2^k per stencil derivative,
-    # through every module's binding of evaluate
+    # evaluate call per circle sample, of an extraction and of a derivative
+    # of order k >= 2 off the origin (2^k), through every module's binding
+    # of evaluate
     counts = {"evaluate": 0, "quaternion": 0}
     evaluate_fn, post_init = functions_module.evaluate, Quaternion.__post_init__
 
@@ -697,12 +698,13 @@ def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monke
         assert len(points) == (samples if has_nonreal_constant(f) else 0), expr
     with pytest.raises(ValueError, match="non-real constant"):
         evaluate(parse("j*p"), 0.5 + 0j)
-    f, p = parse("cos(p)"), Quaternion(0.5, 0.2, -0.1, 0.3)
-    counts.update(evaluate=0, quaternion=0)
-    d = kth_derivative(f, p, 2)
-    # the stepped pairs are evaluated as pairs; the value is the one Quaternion
-    assert d.method == "stencil"
-    assert counts == {"evaluate": 2**2, "quaternion": 1}
+    for expr, p, k in (("cos(p)", Quaternion(0.5, 0.2, -0.1, 0.3), 2), ("exp(p)*p", Quaternion(0.1, 0.0, 0.4, 0.0), 4)):
+        counts.update(evaluate=0, quaternion=0)
+        points.clear()
+        d = kth_derivative(parse(expr), p, k)
+        # the circle is sampled in the slice mode; the value is the one Quaternion
+        assert d.method == "series" and points == []
+        assert counts == {"evaluate": 2**k, "quaternion": 1}, expr
 
 
 def _bits(values):

@@ -22,6 +22,7 @@ from hquat import (
     conjugate_expr,
     evaluate,
     full_derivative,
+    has_nonreal_constant,
     kth_derivative,
     maclaurin_coeffs,
     maclaurin_extraction,
@@ -30,6 +31,7 @@ from hquat import (
     phi_components,
 )
 from hquat import functions, wirtinger
+from hquat import series as series_module
 from hquat.cli import sample_ball
 from hquat.functions import EvaluationOverflowError
 from hquat.wirtinger import HolomorphyReport, InvalidPointError
@@ -313,30 +315,31 @@ def test_kth_order_zero_and_one():
 
 
 def test_kth_paths_agree_where_both_apply():
-    # the series route at the origin against the stencil route just off it
+    # the Maclaurin coefficient at the origin against the Cauchy circle just
+    # off it, which the nested stencil read 2.3e-4 off at order 3
     tree = parse("exp(p)")
     x = 1e-3
-    series = kth_derivative(tree, ZERO, 3)
-    stencil = kth_derivative(tree, Quaternion.from_real(x), 3)
-    assert series.method == "series" and stencil.method == "stencil"
-    assert (series.value - stencil.value).norm() <= 5e-3
-    assert abs(stencil.value.x - math.exp(x)) <= 5e-3
-    # nested differencing at order 3 has crossed the accuracy cliff
-    assert stencil.accuracy_warning
-    assert stencil.truncation_estimate > 1e-4
-
-    stencil2 = kth_derivative(tree, Quaternion.from_real(x), 2)
-    assert (stencil2.value - Quaternion.from_real(math.exp(x))).norm() <= 1e-4
-    assert not stencil2.accuracy_warning
+    for k in (2, 3, 4):
+        origin = kth_derivative(tree, ZERO, k)
+        circle = kth_derivative(tree, Quaternion.from_real(x), k)
+        assert origin.method == circle.method == "series" and origin.step is None
+        assert circle.step == 1e-5 ** (1.0 / k)
+        assert abs((origin.value - circle.value).norm() - (math.exp(x) - 1.0)) <= 1e-8
+        assert abs(circle.value.x - math.exp(x)) <= 1e-8
+        assert not circle.accuracy_warning and circle.truncation_estimate <= 1e-8
 
 
 def test_kth_series_route_is_taken_at_zero_only():
+    # the Maclaurin coefficient (no step) only at the origin; |p|^2
+    # underflows to 0 here, yet p is not the origin: the circle about it
     tree = parse("exp(p)")
-    # |p|^2 underflows to 0 here, yet p is not the origin
-    r = kth_derivative(tree, Quaternion(1e-300, 0.0, 0.0, 0.0), 2)
-    assert r.method == "stencil" and abs(r.value.x - 1.0) <= 1e-4
+    p = Quaternion(1e-300, 0.0, 0.0, 0.0)
+    r = kth_derivative(tree, p, 2)
+    assert r.method == "series" and r.step == 1e-5**0.5 and abs(r.value.x - 1.0) <= 1e-9
+    assert kth_derivative(tree, p, 1).method == "stencil"
     for zero in (Quaternion(0.0, 0.0, 0.0, 0.0), Quaternion(-0.0, 0.0, 0.0, 0.0)):
-        assert kth_derivative(tree, zero, 2).method == "series"
+        r = kth_derivative(tree, zero, 2)
+        assert r.method == "series" and r.step is None
 
 
 @pytest.mark.parametrize("text", ["exp(p)", "sin(p)", "cos(p)", "sin(p)*cos(p)", "1/(1-p)"])
@@ -480,6 +483,23 @@ def test_partials_are_the_one_quotient_bitwise():
             _assert_partials_are_the_one_quotient(text, aux, 1e-5)
 
 
+def _cauchy_circle(tree, p, k, h):
+    """k!/(N h^k) sum_m F(w0 + h e^{i th_m}) e^{-ik th_m}, th_m = 2 pi m/N,
+    N = 2^k, w0 = x + i|V|, summed term by term and lifted along V/|V|;
+    also the bound 4 eps k!/h^k max|F| on the rounding of the sum."""
+    N, v = 2**k, math.hypot(p.y, p.z, p.u)
+    w0 = complex(p.x, v)
+    total, vmax = 0j, 0.0
+    for m in range(N):
+        theta = 2.0 * math.pi * m / N
+        sample = evaluate(tree, w0 + h * cmath.exp(complex(0.0, theta)))
+        total += sample * cmath.exp(complex(0.0, -k * theta))
+        vmax = max(vmax, abs(sample))
+    w = total * math.factorial(k) / (N * h**k)
+    lifted = (w.real, 0.0, 0.0, 0.0) if v == 0.0 else (w.real, p.y / v * w.imag, p.z / v * w.imag, p.u / v * w.imag)
+    return Quaternion(*lifted), 4 * 2.220446049250313e-16 * math.factorial(k) / h**k * vmax
+
+
 def test_derivatives_are_the_one_quotient_bitwise():
     for text in _QUOTIENT_TREES:
         tree = parse(text)
@@ -489,11 +509,20 @@ def test_derivatives_are_the_one_quotient_bitwise():
             assert repr(full_derivative(tree, p)) == repr(want), (text, p)
             if p == ZERO:
                 continue
-            for k in range(1, 5):
+            r = kth_derivative(tree, p, 1)
+            assert repr(r.value) == repr(want) and r.step == h and r.method == "stencil", (text, p)
+            # every higher order is the Cauchy integral on the slice through
+            # p, which a tree with a non-real constant does not have
+            for k in range(2, 7):
                 h = 1e-5 ** (1.0 / k) * max(1.0, p.norm())
+                if has_nonreal_constant(tree):
+                    with pytest.raises(ValueError, match="non-real constant"):
+                        kth_derivative(tree, p, k)
+                    continue
                 r = kth_derivative(tree, p, k)
-                want = Quaternion.from_cd(*_nested_central(tree, p, k, h))
-                assert repr(r.value) == repr(want) and r.step == h, (text, p, k)
+                want, rounding = _cauchy_circle(tree, p, k, h)
+                assert r.method == "series" and r.step == h, (text, p, k)
+                assert (r.value - want).norm() <= rounding, (text, p, k, r.value, want)
 
 
 def test_overflowing_difference_is_scaled_before_subtracting():
@@ -553,17 +582,22 @@ def test_kth_power_rule_away_from_origin():
     rng = random.Random(31)
     for _ in range(10):
         p = random_quat(rng)
-        r = kth_derivative(parse("p^2"), p, 2)
-        assert r.method == "stencil"
-        assert (r.value - Quaternion.from_real(2.0)).norm() <= 1e-8
-        assert not r.accuracy_warning
+        for k, want in ((2, 2.0), (3, 0.0)):
+            r = kth_derivative(parse("p^2"), p, k)
+            assert r.method == "series"
+            assert (r.value - Quaternion.from_real(want)).norm() <= 1e-8
+            assert not r.accuracy_warning
 
 
 def test_kth_preconditions():
     with pytest.raises(ValueError):
         kth_derivative(parse("exp(p)"), ZERO, -1)
-    with pytest.raises(ValueError):
-        kth_derivative(parse("exp(p)"), Quaternion.from_real(1.0), 5)  # stencil cliff
+    # off the origin the circle of 2^k samples stays within the extraction's
+    # budget, 2^k (k + 129) <= 2^24, up to k = 16
+    with pytest.raises(ValueError, match="derivative order 17 is beyond the series route off p = 0"):
+        kth_derivative(parse("exp(p)"), Quaternion.from_real(1.0), 17)
+    r = kth_derivative(parse("exp(p)"), Quaternion.from_real(1.0), 5)
+    assert abs(r.value.x - math.e) <= 1e-7 and not r.accuracy_warning
     # any order is fine at the origin through the series route
     r = kth_derivative(parse("exp(p)"), ZERO, 7)
     assert abs(r.value.x - 1.0) <= 1e-6
@@ -611,6 +645,105 @@ def test_evaluation_counts(monkeypatch):
     inner_evals = _count_calls(monkeypatch, "evaluate", functions)
     check_holomorphy(tree, Quaternion(0.3, 0.0, 0.2, -0.1))
     assert (len(evals), len(phis), len(inner_evals)) == (0, 16, 0)
+
+
+def test_circle_makes_one_evaluation_at_each_of_its_points(monkeypatch):
+    # the nested stencil made 2^k calls at only k + 1 distinct points
+    evals = _count_calls(monkeypatch, "evaluate")
+    tree, p = parse("exp(p)*p"), Quaternion(0.1, 0.0, 0.4, 0.0)
+    for k in range(2, 9):
+        evals.clear()
+        kth_derivative(tree, p, k)
+        points = [args[1] for args in evals]
+        assert all(type(a) is complex for a in points)
+        assert len(points) == len(set(points)) == 2**k, k
+    # the radius h grows with |p| past 1; each N keeps one cached circle
+    misses = series_module._circle.cache_info().misses
+    for scale in (2.0, 3.0, 40.0):
+        kth_derivative(tree, p * scale, 5)
+    assert series_module._circle.cache_info().misses == misses
+
+
+def test_circle_order_sixteen_runs_and_seventeen_is_refused_unevaluated(monkeypatch):
+    evals = _count_calls(monkeypatch, "evaluate")
+    tree, p = parse("exp(p)"), Quaternion(0.5, 0.0, 0.1, 0.0)
+    r = kth_derivative(tree, p, 16)
+    assert r.method == "series" and len(evals) == 2**16
+    assert all(map(math.isfinite, (r.value.x, r.value.z, r.truncation_estimate)))
+    evals.clear()
+    with pytest.raises(ValueError, match=r"^derivative order 17 is beyond the series route off p = 0: "):
+        kth_derivative(tree, p, 17)
+    with pytest.raises(ValueError, match="derivative order 1000000000 "):
+        kth_derivative(tree, p, 10**9)
+    assert evals == []
+
+
+def _stencil_points():
+    """The 20 points of perfbench's series-spectral stencil derivatives, as
+    perfbench/workloads.py draws them: uniform in the cube, kept inside the
+    ball |p| <= 0.5, rounded to 6 decimals."""
+    rng, points = random.Random(2407), {}
+    for c in range(4):
+        for name in _SPECTRAL_EXPRS:
+            while True:
+                q = [rng.uniform(-0.5, 0.5) for _ in range(4)]
+                if sum(v * v for v in q) <= 0.25:
+                    points[name, c] = Quaternion(*(float(f"{v:.6f}") for v in q))
+                    break
+    return points
+
+
+_SPECTRAL_EXPRS = ("exp(p)", "sin(p)", "cos(p)", "sin(p)*cos(p)", "1/(1-p)")
+# F^(k)(w) of the slice function F of each series-spectral function and of 1/p
+_SPECTRAL = {
+    "exp(p)": lambda w, k: cmath.exp(w),
+    "sin(p)": lambda w, k: cmath.sin(w + k * math.pi / 2),
+    "cos(p)": lambda w, k: cmath.cos(w + k * math.pi / 2),
+    "sin(p)*cos(p)": lambda w, k: 2.0 ** (k - 1) * cmath.sin(2 * w + k * math.pi / 2),
+    "1/(1-p)": lambda w, k: math.factorial(k) / (1 - w) ** (k + 1),
+    "1/p": lambda w, k: (-1) ** k * math.factorial(k) / w ** (k + 1),
+}
+
+
+def _closed_form(name, p, k):
+    v = math.hypot(p.y, p.z, p.u)
+    w = _SPECTRAL[name](complex(p.x, v), k)
+    return Quaternion(w.real, 0.0, 0.0, 0.0) if v == 0.0 else Quaternion(w.real, p.y / v * w.imag, p.z / v * w.imag, p.u / v * w.imag)
+
+
+def test_circle_derivatives_of_the_spectral_functions_at_the_stencil_points():
+    # the nested stencil missed 1e-6 relative at every one of these for
+    # k = 2..4 (up to 5.4e-2 at k = 4); no estimate flags any of k = 2..8
+    points, worst = _stencil_points(), 0.0
+    for (name, c), p in points.items():
+        tree = parse(name)
+        for k in range(2, 9):
+            r = kth_derivative(tree, p, k)
+            assert r.method == "series" and not r.accuracy_warning, (name, p, k, r.truncation_estimate)
+            if k <= 4:
+                want = _closed_form(name, p, k)
+                worst = max(worst, (r.value - want).norm() / max(1.0, want.norm()))
+    assert len(points) == 20 and worst <= 1e-6, worst
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("name, pole", [("1/(1-p)", 1.0), ("1/p", 0.0)])
+def test_circle_near_a_pole_flags_every_wrong_value(name, pole, k):
+    # the pole 0.3h to 5h from p, along x on either side and obliquely: a
+    # pole inside the circle or just outside it aliases onto S_k, and the
+    # half grid's sums differ from the whole's by more than 1e-4 relative
+    tree, base, wrong, cases = parse(name), 1e-5 ** (1.0 / k), 0, 0
+    for factor in (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.6, 2.0, 2.5, 3.0, 4.0, 5.0):
+        for u in ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.6, 0.0, 0.8, 0.0), (-0.28, 0.96, 0.0, 0.0)):
+            d = factor * base * max(1.0, abs(pole) + factor * base)
+            p = Quaternion(pole + d * u[0], d * u[1], d * u[2], d * u[3])
+            r = kth_derivative(tree, p, k)
+            want = _closed_form(name, p, k)
+            cases += 1
+            if (r.value - want).norm() > 1e-4 * max(1.0, want.norm()):
+                wrong += 1
+                assert r.accuracy_warning, (name, k, factor, u, r.value, want, r.truncation_estimate)
+    assert cases == 48 and wrong >= 24, wrong
 
 
 def test_full_derivative_is_the_wirtinger_sum_on_random_trees():
