@@ -280,12 +280,13 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
     (ValueError).  Estimates: h^2/6 * max(1, |value|) at k = 1; at the
     origin k! times the noise floor of :class:`hquat.series.MaclaurinExtraction`,
     rounding only, so 1/(1-p) at k = 4 is off by 1.5e-5 under 5e-13; off it
-    k!/h^k times the samples' noise unit plus, for k >= 3, |2E_k - S_k|/N
-    (E the sums of every other sample), the aliasing a singularity inside the
-    circle makes large.  Each sets the accuracy warning above
-    1e-4 * max(1, |value|).  EvaluationOverflowError when the stencil width,
-    a stepped or circle point, a quotient, k! times a coefficient, h^k, the
-    value or an estimate leaves the double range.
+    k!/h^k times the samples' noise unit plus |S_{k+N/2}|/N, the aliasing a
+    singularity in or near the circle makes large: |2E_k - S_k|/N (E the
+    sums of every other sample) for k >= 3, and at k = 2, whose half grid
+    folds S_4 onto S_0, |S_3|*min(1, |S_3/S_2|)/N.  Each sets the accuracy
+    warning above 1e-4 * max(1, |value|).  EvaluationOverflowError when the
+    stencil width, a stepped or circle point, a quotient, k! times a
+    coefficient, the value or an estimate leaves the double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -313,10 +314,14 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
             _stepped((w0, 0j), ONE, h), _stepped((w0, 0j), I, h)  # w0 +- h, w0 +- ih bound the circle; raises, naming the component
             roots, points = _circle(N, 1.0)  # h * z is bitwise _circle(N, h)'s point; one entry per N
             x = [evaluate(f, w0 + h * z) for z in points]
-            s, scale = _dft_head(x, roots, k + 1)[k], math.factorial(k) * (1.0 / h) ** k
-            d = 2.0 * _dft_head(x[::2], roots[::2], k + 1)[k] - s if k >= 3 else 0j  # the half grid's aliasing
-            w, est = s / N * scale, scale * (_noise_unit(x, N) + math.hypot(d.real, d.imag) / N)
-            if not (scale and cmath.isfinite(w) and math.isfinite(est)):  # scale 0: h^k past the double range
+            c, g = _dft_head(x, roots, max(k + 1, 4)), math.factorial(k)
+            d = 2.0 * _dft_head(x[::2], roots[::2], k + 1)[k] - c[k] if k >= 3 else c[3]
+            a = math.hypot(d.real, d.imag)  # |S_{k+N/2}|; at k = 2 |S_3| times |S_3/S_2| <= 1
+            a *= a / max(a, math.hypot(c[2].real, c[2].imag), 5e-324) if k == 2 else 1.0
+            w, est = c[k] / N * g, (_noise_unit(x, N) + a / N) * g
+            for _ in range(k):  # h^k itself may leave the double range where the value does not
+                w, est = w / h, est / h
+            if not (cmath.isfinite(w) and math.isfinite(est)):
                 raise EvaluationOverflowError(f"derivative of order {k} from {N} samples at h = {h!r} leaves the double range")
             return w
         value, method = Quaternion.from_cd(*_lift(fk, p.to_cd())), "series"

@@ -427,20 +427,28 @@ def test_derive_stencil_overflow_is_eval_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "point, line",
+    "expr, point, line",
     [
-        # k!/h^k leaves the double range: a bare h**k raised OverflowError
-        (["1e200", "0", "0", "0"], "derivative of order 2 from 4 samples at h = 3.1622776601683794e+197 leaves the double range"),
-        (["1.79e308", "0", "0", "0"], "derivative of order 2 from 4 samples at h = 5.660477011701399e+305 leaves the double range"),
+        # the value 2e308 leaves the double range, the samples do not
+        ("1e308*p^2", ["0.5", "0", "0", "0"], "derivative of order 2 from 4 samples at h = 0.0031622776601683794 leaves the double range"),
         # a circle point past the double range, named before any evaluation
         # as a component of the slice point x + i|V| it lies on
-        (["1.797e308", "0", "0", "0"], "difference stencil overflows: non-finite quaternion component x=inf"),
-        (["0", "0", "-1.797e308", "0"], "difference stencil overflows: non-finite quaternion component y=inf"),
+        ("exp(-p)", ["1.797e308", "0", "0", "0"], "difference stencil overflows: non-finite quaternion component x=inf"),
+        ("exp(-p)", ["0", "0", "-1.797e308", "0"], "difference stencil overflows: non-finite quaternion component y=inf"),
     ],
 )
-def test_derive_circle_past_the_double_range_is_eval_error(capsys, point, line):
-    code, out, err = run_cli(capsys, ["derive", "--expr", "exp(-p)", "--point", *point, "--k", "2"])
+def test_derive_circle_past_the_double_range_is_eval_error(capsys, expr, point, line):
+    code, out, err = run_cli(capsys, ["derive", "--expr", expr, "--point", *point, "--k", "2"])
     assert (code, out, err) == (3, "", f"hquat: evaluation error: {line}\n")
+
+
+@pytest.mark.parametrize("expr, x, k", [("p", "1e200", "2"), ("exp(-p)", "1.79e308", "2"), ("exp(-p)", "1e120", "3")])
+def test_derive_circle_whose_h_to_the_k_leaves_the_double_range_gives_the_value(capsys, expr, x, k):
+    # h^k overflows but the derivative, 0, does not: k!*S_k/N is divided by h
+    # k times (a bare h**k raised OverflowError, a product with k!/h^k = 0 exited 3)
+    code, rep, _ = run_json(capsys, ["derive", "--expr", expr, "--point", x, "0", "0", "0", "--k", k])
+    assert code == 0 and rep["results"]["value"] == [0.0, 0.0, 0.0, 0.0]
+    assert rep["results"]["method"] == "series" and rep["results"]["accuracy_warning"] is False
 
 
 @pytest.mark.parametrize("expr", ["j*p", "p*i*p", "cos(p)-k"])
