@@ -24,13 +24,14 @@ derivatives) has components phi1' = da(phi1) + dabar(phi1) and likewise for
 phi2.  Since d/da + d/d(conj a) = d/dx for any function, psi' = d(psi)/dx,
 taken along x without forming the partials.
 
-Partials and the first derivative share one central difference on doubling
-pairs: :func:`_step` gives h = step * max(1, |p|), :func:`_stepped` the
-pairs p +- e*h (hi is evaluated first), and :func:`_quotient` (hi - lo)/(2h).
-:func:`partials` forms them for 1, i, j, k in one loop, reaching
-:func:`_stepped` or :func:`_quotient` only on a non-finite value, and hands
-its pairs straight to :func:`hquat.functions.phi_components`.  A higher
-derivative is the slice function's, lifted (:func:`kth_derivative`).
+The partials and :func:`full_derivative` share one central difference on
+doubling pairs: :func:`_step` gives h = step * max(1, |p|), :func:`_stepped`
+the pairs p +- e*h (hi is evaluated first), and :func:`_quotient`
+(hi - lo)/(2h).  :func:`partials` forms them for 1, i, j, k in one loop,
+reaching :func:`_stepped` or :func:`_quotient` only on a non-finite value,
+and hands its pairs straight to :func:`hquat.functions.phi_components`.
+A derivative of any order k >= 1 off the origin is the slice function's,
+lifted (:func:`kth_derivative`).
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ DEFAULT_TOL = 1e-6
 
 
 def _step(step: float, p: Quaternion, k: int = 1) -> float:
-    """Step h = step**(1/k) * max(1, |p|) of a central difference (k = 1) or
-    radius of a k-th derivative's circle; k = 0 only validates ``step``.
+    """Step h = step * max(1, |p|) of a central difference, or radius
+    h = step**(1/k) * max(1, |p|) of a k-th derivative's circle; k = 0 only
+    validates ``step``.
     EvaluationOverflowError when the width 2h leaves the double range."""
     # h >= step*max(1, |p|) >= eps*|c| for every component c, so c +- h != c
     if not sys.float_info.epsilon <= step < math.inf:
@@ -256,7 +258,7 @@ class DerivativeResult(NamedTuple):
 
     value: Quaternion
     order: int
-    method: str  # "exact", "stencil" (k = 1 off the origin) or "series"
+    method: str  # "exact" or "series"
     step: float | None
     truncation_estimate: float
     accuracy_warning: bool
@@ -270,23 +272,22 @@ def _accuracy_bound(value: Quaternion) -> float:
 def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STEP) -> DerivativeResult:
     """k-th full quaternionic derivative d^k(psi)/dx^k of f at p.
 
-    The route follows from the input: "exact" evaluation at k = 0; "stencil",
-    :func:`full_derivative`, at k = 1 off the origin; "series" elsewhere: k!
-    times the k-th Maclaurin coefficient at p = 0, and off it the lift of
-    Cauchy's integral for F^(k)(x + i|V|), k!/(N h^k) times the k-th Fourier
-    sum S_k of N = 2^k slice samples on the circle of radius
-    h = step**(1/k) * max(1, |p|), for the k <= 16 within the extraction's
-    budget; a tree with a non-real constant has no slice samples
-    (ValueError).  Estimates: h^2/6 * max(1, |value|) at k = 1; at the
-    origin k! times the noise floor of :class:`hquat.series.MaclaurinExtraction`,
-    rounding only, so 1/(1-p) at k = 4 is off by 1.5e-5 under 5e-13; off it
-    k!/h^k times the samples' noise unit plus |S_{k+N/2}|/N, the aliasing a
-    singularity in or near the circle makes large: |2E_k - S_k|/N (E the
-    sums of every other sample) for k >= 3, and at k = 2, whose half grid
-    folds S_4 onto S_0, |S_3|*min(1, |S_3/S_2|)/N.  Each sets the accuracy
-    warning above 1e-4 * max(1, |value|).  EvaluationOverflowError when the
-    stencil width, a stepped or circle point, a quotient, k! times a
-    coefficient, the value or an estimate leaves the double range.
+    The route follows from the input: "exact" evaluation at k = 0; "series"
+    for every k >= 1: k! times the k-th Maclaurin coefficient at p = 0, and
+    off it the lift of Cauchy's integral for F^(k)(x + i|V|), k!/(N h^k)
+    times the k-th Fourier sum S_k of N = 2^max(k, 2) slice samples on the
+    circle of radius h = step**(1/k) * max(1, |p|), for the k <= 16 within
+    the extraction's budget; a tree with a non-real constant has no slice
+    samples (ValueError).  Estimates: at the origin k! times the noise floor
+    of :class:`hquat.series.MaclaurinExtraction`, rounding only, so 1/(1-p)
+    at k = 4 is off by 1.5e-5 under 5e-13; off it k!/h^k times the samples'
+    noise unit plus |S_{k+N/2}|/N, the aliasing a singularity in or near the
+    circle makes large: |S_3|/4 at k = 1, |2E_k - S_k|/N (E the sums of
+    every other sample) for k >= 3, and at k = 2, whose half grid folds S_4
+    onto S_0, |S_3|*min(1, |S_3/S_2|)/N.  Each sets the accuracy warning
+    above 1e-4 * max(1, |value|).  EvaluationOverflowError when the circle's
+    width, a circle point, k! times a coefficient, the value or an estimate
+    leaves the double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -301,13 +302,8 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
         value = Quaternion.from_real(_times_factorial(k, ext.real_coeffs()[k]))
         est = _times_factorial(k, ext.noise_floors[k])
         method, h = "series", None
-    elif k == 1:
-        value, method = full_derivative(f, p, step), "stencil"
-        est = h * h / 6.0 * max(1.0, value.norm())
-        if not math.isfinite(est):
-            raise EvaluationOverflowError(f"truncation estimate 1*h^2/6*max(1, |value|) overflows at h = {h!r}")
     else:
-        if (N := 2 ** min(k, 64)) * (k + 129) > MAX_EXTRACTION_TERMS:  # 2^64 samples alone are past the budget
+        if (N := 2 ** min(max(k, 2), 64)) * (k + 129) > MAX_EXTRACTION_TERMS:  # 2^64 samples alone are past the budget
             raise ValueError(f"derivative order {k} is beyond the series route off p = 0: 2^k samples*(k+129) must be <= {MAX_EXTRACTION_TERMS}")
         def fk(w0: complex) -> complex:
             nonlocal est

@@ -58,7 +58,7 @@ def test_series_with_a_pole_inside_the_circle_is_right_or_refused(capsys):
     assert code != 0 or math.isclose(results["coefficients"][0], 1 / 0.7, rel_tol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="item 2: the 1e-5 stencil step straddles the pole at 0")
+@pytest.mark.xfail(strict=True, reason="item 2: the pole at 0 lies inside the circle of radius 1e-5; the value 1.0e8 is flagged, not refused")
 def test_derive_next_to_a_pole_is_right_or_refused(capsys):
     code, results = _machine(capsys, ["derive", "--expr", "1/p", "--point", "1e-6", "0", "0", "0"])
     assert code != 0 or math.isclose(results["value"][0], -1e12, rel_tol=1e-6)
@@ -87,7 +87,7 @@ def test_series_of_the_conjugate_on_the_slice_is_refused(capsys):
     assert code != 0
 
 
-@pytest.mark.xfail(strict=True, reason="item 13, stage B: only the origin route sees that j*p is not holomorphic")
+@pytest.mark.xfail(strict=True, reason="item 13, stage B: j*p has no slice function off the origin (exit 2), its extraction is non-real at it (exit 4)")
 def test_derive_of_a_nonreal_tree_exits_alike_at_and_off_the_origin(capsys):
     off, _ = _machine(capsys, ["derive", "--expr", "j*p", "--point", "0.3", "0", "0", "0"])
     origin, _ = _machine(capsys, ["derive", "--expr", "j*p", "--point", "0", "0", "0", "0"])
