@@ -46,8 +46,11 @@ miss an overflow that a later node hides, e.g. exp(-inf) = 0.  Both modes
 share one node shape, ``v if ok(v := op(...)) else finite(v)``: the mode's
 predicate ``ok`` (``cmath.isfinite`` in the slice) is called inline, and
 only a value it rejects reaches the mode's check ``finite``, which raises.
-The only :class:`~hquat.quaternion.Quaternion` an evaluation builds is the
-result of :func:`evaluate` at a quaternion point, made by
+A head's own range error (``cmath``'s OverflowError) is re-raised by the
+mode's runner as EvaluationOverflowError naming the point as a Quaternion,
+(a, 0) in the slice mode, so both modes give one text.  Apart from that
+point, the only :class:`~hquat.quaternion.Quaternion` an evaluation builds
+is the result of :func:`evaluate` at a quaternion point, made by
 :meth:`~hquat.quaternion.Quaternion.from_cd` from the final pair;
 :func:`evaluate` at a doubling pair returns the :class:`ComplexPair` that
 :func:`phi_components` returns, and at a complex number the complex value,
@@ -317,9 +320,10 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
     two forms agree bit for bit.  A complex number a is the point a + 0*j of
     the slice C_i and runs the slice mode, whose value at a finite a equals
     the first component of the value at (a, 0) under ``==``.  Its errors are
-    the pair mode's at (a, 0) by construction, as no error text shows the
-    sign of a zero; a tree that :func:`has_nonreal_constant` flags is
-    refused before it is compiled.
+    the pair mode's at (a, 0) by construction, as no node's error text shows
+    the sign of a zero and a range error names the point (a, 0); a tree
+    that :func:`has_nonreal_constant` flags is refused before it is
+    compiled.
 
     Raises ZeroDivisorError for division by a numerically zero value,
     EvaluationOverflowError when intermediates leave the double range, and
@@ -337,8 +341,8 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
             object.__setattr__(expr, "_compiled_slice", fn)
         try:
             return fn(p)
-        except OverflowError as exc:
-            raise EvaluationOverflowError(str(exc)) from exc
+        except OverflowError as exc:  # a head's cmath range error, named as the pair mode names it
+            raise EvaluationOverflowError(f"{exc} at {Quaternion.from_cd(p, 0j)!r}") from exc
     if not isinstance(p, Quaternion):
         _pair_ok(p) or Quaternion.from_cd(*p)  # the constructor raises, naming the component
         return phi_components(expr, p)
@@ -440,8 +444,8 @@ def phi_components(expr: FuncExpr, p: Pair) -> ComplexPair:
         object.__setattr__(expr, "_compiled", fn)
     try:
         return tuple.__new__(ComplexPair, fn(p))
-    except OverflowError as exc:
-        raise EvaluationOverflowError(str(exc)) from exc
+    except OverflowError as exc:  # a head's cmath range error, with the point named
+        raise EvaluationOverflowError(f"{exc} at {Quaternion.from_cd(*p)!r}") from exc
 
 
 def product_cd(fval: ComplexPair, gval: ComplexPair) -> ComplexPair:

@@ -467,10 +467,13 @@ class MaclaurinExtraction(NamedTuple):
 def _circle(N: int, rho: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """The twiddle table roots[j] = e^{-2 pi i j/N} for j < N and the sample
     points rho*conj(roots[j]), kept for the 16 pairs (N, rho) used most
-    recently.  An extraction has at most N_max = MAX_EXTRACTION_TERMS // 129
-    = 130055 samples and each entry keeps 80 B per sample (a root and a
-    point, each a complex and its tuple slot), so the cache holds at most
-    16 * N_max * 80 B, about 166 MB; a 1024-sample entry is 82 KB."""
+    recently.  A derivative's circle, at the origin too, scales the entry
+    (N, 1.0), so series-spectral's series, radius and derive ops use 14
+    entries in all.  An extraction has at most
+    N_max = MAX_EXTRACTION_TERMS // 129 = 130055 samples and each entry
+    keeps 80 B per sample (a root and a point, each a complex and its tuple
+    slot), so the cache holds at most 16 * N_max * 80 B, about 166 MB; a
+    1024-sample entry is 82 KB."""
     roots = tuple(cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N))
     return roots, tuple(complex(rho * w.real, -rho * w.imag) for w in roots)
 
@@ -542,8 +545,7 @@ def maclaurin_extraction(
     # with only real constants is sampled at the complex point a in evaluate's
     # slice mode, since its second component is zero on the slice; any other
     # goes in as the doubling pair (a, 0) and comes back as a pair.  Either
-    # way the sampling of series, radius and an origin derive builds no
-    # Quaternion.
+    # way the sampling of series and radius builds no Quaternion.
     roots, points = _circle(N, rho)
     if has_nonreal_constant(f):
         pairs = [evaluate(f, (a, 0j)) for a in points]

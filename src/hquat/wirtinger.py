@@ -30,8 +30,8 @@ the pairs p +- e*h (hi is evaluated first), and :func:`_quotient`
 (hi - lo)/(2h).  :func:`partials` forms them for 1, i, j, k in one loop,
 reaching :func:`_stepped` or :func:`_quotient` only on a non-finite value,
 and hands its pairs straight to :func:`hquat.functions.phi_components`.
-A derivative of any order k >= 1 off the origin is the slice function's,
-lifted (:func:`kth_derivative`).
+A derivative of any order k >= 1, at the origin too, is the slice
+function's, lifted, from one Cauchy circle (:func:`kth_derivative`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .functions import EvaluationOverflowError, FuncExpr, _lift, evaluate, phi_components
 from .quaternion import I, J, K, ONE, ZERO, Pair, Quaternion
-from .series import MAX_EXTRACTION_TERMS, _circle, _dft_head, _noise_unit, maclaurin_extraction
+from .series import DEFAULT_RHO, MAX_EXTRACTION_TERMS, _circle, _dft_head, _noise_unit
 
 __all__ = [
     "DerivativeResult",
@@ -272,64 +272,64 @@ def _accuracy_bound(value: Quaternion) -> float:
 def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STEP) -> DerivativeResult:
     """k-th full quaternionic derivative d^k(psi)/dx^k of f at p.
 
-    The route follows from the input: "exact" evaluation at k = 0; "series"
-    for every k >= 1: k! times the k-th Maclaurin coefficient at p = 0, and
-    off it the lift of Cauchy's integral for F^(k)(x + i|V|), k!/(N h^k)
-    times the k-th Fourier sum S_k of N = 2^max(k, 2) slice samples on the
-    circle of radius h = step**(1/k) * max(1, |p|), for the k <= 16 within
-    the extraction's budget; a tree with a non-real constant has no slice
-    samples (ValueError).  Estimates: at the origin k! times the noise floor
-    of :class:`hquat.series.MaclaurinExtraction`, rounding only, so 1/(1-p)
-    at k = 4 is off by 1.5e-5 under 5e-13; off it k!/h^k times the samples'
-    noise unit plus |S_{k+N/2}|/N, the aliasing a singularity in or near the
-    circle makes large: |S_3|/4 at k = 1, |2E_k - S_k|/N (E the sums of
-    every other sample) for k >= 3, and at k = 2, whose half grid folds S_4
-    onto S_0, |S_3|*min(1, |S_3/S_2|)/N.  Each sets the accuracy warning
-    above 1e-4 * max(1, |value|).  EvaluationOverflowError when the circle's
-    width, a circle point, k! times a coefficient, the value or an estimate
-    leaves the double range.
+    "exact" evaluation at k = 0.  Every k >= 1 takes one "series" route at
+    every point: the lift of Cauchy's integral for F^(k)(w0), w0 = x + i|V|,
+    that is k!/(N h^k) times the k-th Fourier sum S_k of N slice samples on
+    the circle of radius h (the result's ``step``) about w0.  Only h and N
+    depend on p: the extraction's DEFAULT_RHO and max(64, 8(k+1)) at the
+    origin, h = step**(1/k) * max(1, |p|) and N = 2^max(k, 2) off it.  An N
+    with N*(k+129) past the extraction's budget is refused before any
+    evaluation (ValueError), and so is a tree with a non-real constant,
+    which has no slice samples.  The estimate is k!/h^k times the samples'
+    noise unit plus a*min(1, a/|S_k|)/N, where a = |S_{k+N/2}| = |2E_k - S_k|
+    (E the sums of every other sample; a = |S_3| on 4 points) is the
+    aliasing that a singularity in or near the circle makes large; it sets
+    the accuracy warning above 1e-4 * max(1, |value|).  A pole inside the
+    circle puts its content at negative frequencies, which neither term
+    sees.  EvaluationOverflowError when the circle's width, a circle point,
+    the value or the estimate leaves the double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    h = _step(step, p, 0 if p == ZERO else k)
+    h = _step(step, p, 0 if p == ZERO else k)  # step is validated at the origin too
     if k == 0:
         return DerivativeResult(evaluate(f, p), 0, "exact", None, 0.0, False)
-    if p == ZERO:
-        try:
-            ext = maclaurin_extraction(f, n=k)
-        except ValueError as exc:  # a limit of the extraction, which knows k as n
-            raise ValueError(f"derivative order {k} is beyond the series route at p = 0: {exc}") from exc
-        value = Quaternion.from_real(_times_factorial(k, ext.real_coeffs()[k]))
-        est = _times_factorial(k, ext.noise_floors[k])
-        method, h = "series", None
-    else:
-        if (N := 2 ** min(max(k, 2), 64)) * (k + 129) > MAX_EXTRACTION_TERMS:  # 2^64 samples alone are past the budget
-            raise ValueError(f"derivative order {k} is beyond the series route off p = 0: 2^k samples*(k+129) must be <= {MAX_EXTRACTION_TERMS}")
-        def fk(w0: complex) -> complex:
-            nonlocal est
-            _stepped((w0, 0j), ONE, h), _stepped((w0, 0j), I, h)  # w0 +- h, w0 +- ih bound the circle; raises, naming the component
-            roots, points = _circle(N, 1.0)  # h * z is bitwise _circle(N, h)'s point; one entry per N
-            x = [evaluate(f, w0 + h * z) for z in points]
-            c, g = _dft_head(x, roots, max(k + 1, 4)), math.factorial(k)
-            d = 2.0 * _dft_head(x[::2], roots[::2], k + 1)[k] - c[k] if k >= 3 else c[3]
-            a = math.hypot(d.real, d.imag)  # |S_{k+N/2}|; at k = 2 |S_3| times |S_3/S_2| <= 1
-            a *= a / max(a, math.hypot(c[2].real, c[2].imag), 5e-324) if k == 2 else 1.0
-            w, est = c[k] / N * g, (_noise_unit(x, N) + a / N) * g
-            for _ in range(k):  # h^k itself may leave the double range where the value does not
-                w, est = w / h, est / h
-            if not (cmath.isfinite(w) and math.isfinite(est)):
-                raise EvaluationOverflowError(f"derivative of order {k} from {N} samples at h = {h!r} leaves the double range")
-            return w
-        value, method = Quaternion.from_cd(*_lift(fk, p.to_cd())), "series"
-    return DerivativeResult(value, k, method, h, est, est > _accuracy_bound(value))
+    # 2^64 samples alone are past the budget, so 2^k is never formed past k = 64
+    h, N = (h, 2 ** min(max(k, 2), 64)) if p != ZERO else (DEFAULT_RHO, max(64, 8 * (k + 1)))
+    if N * (k + 129) > MAX_EXTRACTION_TERMS:
+        got = N if N < 2**64 else f"2^{k}"
+        raise ValueError(f"derivative order {k} is beyond the series route: samples*(k+129) must be <= {MAX_EXTRACTION_TERMS}, got {got} * {k + 129}")
+    est = 0.0  # set by fk, which _lift calls once
+
+    def fk(w0: complex) -> complex:
+        nonlocal est
+        _stepped((w0, 0j), ONE, h), _stepped((w0, 0j), I, h)  # w0 +- h, w0 +- ih bound the circle; raises, naming the component
+        roots, points = _circle(N, 1.0)  # h * z is bitwise _circle(N, h)'s point; one entry per N
+        x = [evaluate(f, w0 + h * z) for z in points]
+        c = _dft_head(x, roots, max(k + 1, 4))
+        d = 2.0 * _dft_head(x[::2], roots[::2], k + 1)[k] - c[k] if N > 4 else c[3]
+        a = math.hypot(d.real, d.imag)  # |S_{k+N/2}|, times |S_{k+N/2}/S_k| <= 1
+        a *= a / max(a, math.hypot(c[k].real, c[k].imag), 5e-324)
+        w = c[k] / N
+        w, est = complex(_times_factorial(k, w.real), _times_factorial(k, w.imag)), _times_factorial(k, _noise_unit(x, N) + a / N)
+        for _ in range(k):  # h^k itself may leave the double range where the value does not
+            w, est = w / h, est / h
+        if not (cmath.isfinite(w) and math.isfinite(est)):
+            raise EvaluationOverflowError(f"derivative of order {k} from {N} samples at h = {h!r} leaves the double range")
+        return w
+
+    value = Quaternion.from_cd(*_lift(fk, p.to_cd()))
+    return DerivativeResult(value, k, "series", h, est, est > _accuracy_bound(value))
 
 
 def _times_factorial(k: int, c: float) -> float:
     """k!*c rounded once, with the sign of c (also of a zero): k! is not
-    rounded to a double first (it is exact in one only up to k = 22).
-    EvaluationOverflowError past the double range."""
+    rounded to a double first (it is exact in one only up to k = 22);
+    +-inf past the double range, and a non-finite c as it is."""
+    if not math.isfinite(c):
+        return c
     num, den = c.as_integer_ratio()
     try:
         return math.copysign(num * math.factorial(k) / den, c)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(f"{k}! * {c!r} leaves the double range") from exc
+    except OverflowError:
+        return math.copysign(math.inf, c)

@@ -268,7 +268,10 @@ def test_series_left_constant_is_nonreal(capsys, expr):
         (["series", "--expr", "1e-300*i*p", "--n", "3"], 4),
         (["series", "--expr", "p+1e-9*i"], 4),
         (["radius", "--expr", "exp(p)+1e-12*k"], 4),
-        (["derive", "--expr", "p+1e-9*i", "--point", "0", "0", "0", "0", "--k", "2"], 4),
+        # derive has no residue since it samples one circle at every point:
+        # at the origin too its p+1e-9*i is a usage error
+        # (test_derive_nonreal_coefficient_exit_code)
+        (["series", "--expr", "exp(p)+1e-9*i*p^2", "--n", "3"], 4),
     ],
 )
 def test_nonreal_verdict_reads_the_noise_floors(capsys, argv, want):
@@ -463,6 +466,22 @@ def test_derive_of_a_nonreal_tree_off_the_origin_is_refused_at_every_order(capsy
         assert "a tree with a non-real constant has no slice function" in err
 
 
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (["series", "--expr", "exp(exp(exp(p)))", "--rho", "6", "--n", "5"], "x=6.0, y=0.0"),
+        (["eval", "--expr", "exp(exp(exp(p)))", "--point", "6", "0", "0", "0"], "x=6.0, y=0.0"),
+        # the circle's second sample, w0 + ih with h = 1e300 and 1e150
+        (["derive", "--expr", "cos(p)", "--point", "0", "0", "0.5", "0", "--step=1e300"], "x=6.123233995736766e+283, y=1e+300"),
+        (["derive", "--expr", "cos(p)", "--point", "0", "0", "0.5", "0", "--step=1e300", "--k", "2"], "x=6.123233995736766e+133, y=1e+150"),
+    ],
+)
+def test_head_range_error_names_the_point(capsys, argv, point):
+    # the bare "math range error" of cmath named no point, in either mode
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (3, "", f"hquat: evaluation error: math range error at Quaternion({point}, z=0.0, u=0.0)\n")
+
+
 def test_derive_overflowing_difference_with_finite_derivative(capsys):
     # f' = 1.7e308*cos(1e5) = -1.70e308 is finite, but f itself overflows on
     # the circle of radius h = 1e-5*|p| = 1, where |Im sin| = |cos(1e5)|*sinh(1)
@@ -506,10 +525,13 @@ def test_derive_at_the_origin_of_subnormal_samples_reports_its_noise(capsys, k):
 
 
 def test_derive_nonreal_coefficient_exit_code(capsys):
-    # the origin takes the series route, which rejects the coefficient of i*p
-    code, out, err = run_cli(capsys, ["derive", "--expr", "i*p", "--point", "0", "0", "0", "0"])
-    assert code == 4 and out == ""
-    assert "non-real coefficient" in err
+    # the origin's extraction read the coefficient of i*p as non-real (exit
+    # 4); one circle at every point makes a tree with a non-real constant a
+    # usage error with one line, at the origin as off it
+    for expr in ("i*p", "p+1e-9*i", "j*p"):
+        errs = [run_usage_error(capsys, ["derive", "--expr", expr, "--point", x, "0", "0", "0", "--k", "2"]).splitlines()[-1]
+                for x in ("0", "0.3")]
+        assert errs == ["hquat: error: a tree with a non-real constant has no slice function"] * 2
 
 
 @pytest.mark.parametrize(
@@ -523,10 +545,14 @@ def test_derive_nonreal_coefficient_exit_code(capsys):
 )
 def test_extraction_overflow_is_eval_error(capsys, argv):
     # the circle sums overflowed: series and radius exited 2 as a usage error,
-    # derive 4 on a nan residue, and the small circle 4 on an inf residue
+    # derive 4 on a nan residue, and the small circle 4 on an inf residue;
+    # derive names its own circle at every point
     code, out, err = run_cli(capsys, argv + ["--format", "machine"])
     assert code == 3 and out == ""
-    assert "evaluation error" in err and "leave the double range" in err
+    if argv[0] == "derive":
+        assert err == "hquat: evaluation error: derivative of order 1 from 64 samples at h = 0.8 leaves the double range\n"
+    else:
+        assert "evaluation error" in err and "leave the double range" in err
 
 
 @pytest.mark.parametrize(
@@ -640,7 +666,8 @@ def test_commute_limit_holds_past_the_product_overflow(capsys):
         # pair mode: the same for a sample (a, b) of a non-real constant tree
         (["series", "--expr", "1.5e308+1.5e308*i", "--n", "3"], "64 samples at rho = 0.8"),
         (["radius", "--expr", "1.5e308+1.5e308*i"], "200 samples at rho = 0.8"),
-        (["derive", "--expr", "1.5e308+1.5e308*i", "--point", "0", "0", "0", "0", "--k", "1"], "64 samples at rho = 0.8"),
+        # and of a second component (derive, which has no pair samples, stood here)
+        (["series", "--expr", "1.5e308+1.5e308*j", "--n", "3"], "64 samples at rho = 0.8"),
         # pair mode: finite samples, but a residue's modulus leaves the range
         (["series", "--expr", "1.3e308*(j+k)*p^3", "--rho", "0.25", "--n", "3"], "64 samples at rho = 0.25"),
     ],
@@ -858,7 +885,7 @@ def test_rho_whose_powers_leave_the_double_range_is_a_usage_error(capsys, sub, r
     [
         (["eval", "--expr", "1e999", "--point", "0", "0", "0", "0"], "finite"),
         (["eval", "--expr", "p", "--point", "nan", "0", "0", "0"], "non-finite quaternion component"),
-        (["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "17"], "derivative order 17 is beyond the series route off p = 0"),
+        (["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "17"], "derivative order 17 is beyond the series route: samples*(k+129) must be <= 16777216, got 131072 * 146"),
         (["commute", "--expr", "sin(p)"], "exactly two --expr arguments"),
         (["derive", "--expr", "p", "--point", "0", "0", "0", "0", "--k", "0"], "must be >= 1"),
         # the extraction's limits spoke of rho and n, which derive has no flags for

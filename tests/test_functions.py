@@ -235,6 +235,18 @@ def test_overflow_names_its_non_finite_components_in_every_form():
         assert str(error.value) == "non-finite intermediate value x=inf"
 
 
+def test_head_range_error_names_the_point_in_every_form():
+    # cmath's bare "math range error" named neither the point nor the node;
+    # each mode's runner names the point, (a, 0) in the slice mode
+    tree = parse("exp(exp(exp(p)))")
+    texts = []
+    for point in (6 + 0j, (6 + 0j, 0j), Quaternion(6, 0, 0, 0)):
+        with pytest.raises(EvaluationOverflowError) as error:
+            evaluate(tree, point)
+        texts.append(str(error.value))
+    assert texts == ["math range error at Quaternion(x=6.0, y=0.0, z=0.0, u=0.0)"] * 3
+
+
 @pytest.mark.parametrize("node", list(functions.BINARY))
 def test_each_binary_node_evaluates_lhs_before_rhs(node):
     overflow, zero_divisor = parse("exp(1000)"), parse("1/(0*p)")
