@@ -9,10 +9,9 @@ produce byte-identical documents.  It is written on one line as
 is human-oriented and not a stability contract; each subcommand returns it
 as a renderer that :func:`main` calls only for ``--format text``.
 
-:func:`main` builds its parser anew on every call, registering only the
-sub-parser its first argument names (all six when it names none, as with
-``--help`` or ``--version``); help, usage and error text do not depend on
-which sub-parsers were registered.
+:func:`main` parses a named subcommand with that subcommand's parser alone; it
+builds the full parser, all six sub-parsers, to parse a call that names none
+and to report a leftover argument or a library error, in the same bytes.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 evaluation
 error, 4 non-real coefficient.
@@ -26,6 +25,7 @@ import json
 import math
 import random
 import sys
+from gettext import gettext
 from typing import Callable, Sequence
 
 from . import __version__
@@ -375,16 +375,18 @@ SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Cal
 }
 
 
-def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The hquat parser: only ``command``'s sub-parser when it names a
-    subcommand, every sub-parser otherwise (``--help``, ``--version``, an
-    unknown name, no arguments).
+def _add_subcommand(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``sp`` given what ``hquat name`` parses: its own arguments, --format, --out, func and subcommand."""
+    _, add_arguments, handler = SUBCOMMANDS[name]
+    add_arguments(sp)
+    sp.add_argument("--format", choices=("text", "machine"), default="text")
+    sp.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
+    sp.set_defaults(func=handler, subcommand=name)
+    return sp
 
-    With a named subcommand the subcommand metavar still lists all six, so
-    the main usage line is the same either way; the main help, the
-    invalid-choice error and the missing-subcommand error only arise when
-    none is named.
-    """
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The full hquat parser: all six sub-parsers, each built by :func:`_add_subcommand`."""
     parser = argparse.ArgumentParser(
         prog="hquat",
         description="Quaternionic holomorphic function toolkit",
@@ -398,16 +400,9 @@ def build_arg_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"hquat {__version__}")
-    named = command in SUBCOMMANDS
-    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in [command] if named else SUBCOMMANDS:
-        help_text, add_arguments, handler = SUBCOMMANDS[name]
-        sp = sub.add_parser(name, help=help_text)
-        add_arguments(sp)
-        sp.add_argument("--format", choices=("text", "machine"), default="text")
-        sp.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
-        sp.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        _add_subcommand(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -432,8 +427,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv.append(arg if value is None else f"--expr={value}")
         if arg == "--point":
             argv += map(_point_value, itertools.islice(given, 4))
-    parser = build_arg_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    # the full parser reads any "--=..." as ambiguous between its own --help and --version
+    if argv and argv[0] in SUBCOMMANDS and not any(arg.startswith("--=") for arg in argv):
+        args, extras = _add_subcommand(argparse.ArgumentParser(prog=f"hquat {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+        if extras:
+            build_arg_parser().error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    else:
+        args = build_arg_parser().parse_args(argv)
     try:
         code, inputs, results, render = args.func(args)
         if args.format == "machine":
@@ -457,4 +457,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"hquat: non-real coefficient: {exc}", file=sys.stderr)
         return EXIT_NONREAL
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        build_arg_parser().error(str(exc))

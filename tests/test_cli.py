@@ -1033,15 +1033,35 @@ _PARSER_PROBES = [[name, *tail] for name in SUBCOMMANDS for tail in (["-h"], [],
     ["derive", "--expr", "exp(p)", "--point", "0.5", "0", "0", "0", "--k", "17"],
     ["radius", "--expr", "p", "--rho", "nan"],
     ["commute", "--expr", "sin(p)"],
-    # after a named subcommand: an argument left for the main parser to
+    # after a named subcommand: arguments left for the main parser to
     # reject in its usage line, and the main parser's own --version
     ["eval", "--expr", "p", "--point", "1", "2", "3", "4", "extra"],
+    ["series", "--expr", "p", "extra", "--n", "3", "more"],
     ["eval", "--version"],
+    # a repeated option keeps its last value; abbreviations of the named
+    # subcommand's options are its own
+    ["series", "--expr", "p", "--n", "3", "--n", "4"],
+    ["eval", "--ex", "p", "--po", "1", "2", "3", "4"],
+    ["derive", "--ex", "p", "--po", "1", "2", "3", "4", "--k", "2", "--st", "1e-3"],
+    # "--=x" could match both of the main parser's own --help and --version;
+    # after "--" every argument is a positional, which no sub-parser has
+    ["eval", "--expr", "p", "--point", "1", "2", "3", "4", "--=x"],
+    ["series", "--", "--expr", "p"],
     [],
     ["-h"],
     ["--version"],
     ["bogus"],
+    ["--bogus", "eval", "--expr", "p", "--point", "1", "2", "3", "4"],
+    ["--version", "eval", "--expr", "p", "--point", "1", "2", "3", "4"],
 ]
+
+
+class _NamesNoSubcommand(dict):
+    """``SUBCOMMANDS`` for which ``main``'s test of its first argument fails,
+    so that every call is parsed by the full parser's ``parse_args``."""
+
+    def __contains__(self, name):
+        return False
 
 
 def test_lazy_parser_says_what_the_full_parser_says(tmp_path, capsys, monkeypatch):
@@ -1051,17 +1071,21 @@ def test_lazy_parser_says_what_the_full_parser_says(tmp_path, capsys, monkeypatc
     lazy = []
     for argv in corpus:
         lazy.append((_exit(argv), *capsys.readouterr()))
-    build = cli.build_arg_parser
-    monkeypatch.setattr(cli, "build_arg_parser", lambda command: build())
+    monkeypatch.setattr(cli, "SUBCOMMANDS", _NamesNoSubcommand(SUBCOMMANDS))
     for argv, seen in zip(corpus, lazy):
         assert (_exit(argv), *capsys.readouterr()) == seen, argv
+
+
+def _options(parser):
+    """The option strings of each of ``parser``'s arguments, in registration order."""
+    return [a.option_strings for a in parser._actions]
 
 
 def _registered(parser):
     """Each registered sub-parser's name, the option strings of its arguments
     and its handler, in registration order."""
     [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return [(name, [a.option_strings for a in sp._actions], sp.get_default("func")) for name, sp in action.choices.items()]
+    return [(name, _options(sp), sp.get_default("func")) for name, sp in action.choices.items()]
 
 
 def _full(name):
@@ -1070,21 +1094,58 @@ def _full(name):
     _, add_arguments, handler = SUBCOMMANDS[name]
     own = argparse.ArgumentParser(add_help=False)
     add_arguments(own)
-    return name, [["-h", "--help"], *(a.option_strings for a in own._actions), ["--format"], ["--out"]], handler
+    return name, [["-h", "--help"], *_options(own), ["--format"], ["--out"]], handler
+
+
+def _built_parsers(monkeypatch):
+    """A list that records every ``argparse.ArgumentParser`` built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    return built
 
 
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_a_named_subcommand_builds_only_its_own_arguments(capsys, monkeypatch, name):
-    built = []
-    build = cli.build_arg_parser
-    monkeypatch.setattr(cli, "build_arg_parser", lambda command: built.append(build(command)) or built[-1])
+    built = _built_parsers(monkeypatch)
     with pytest.raises(SystemExit):
         main([name, "-h"])
     capsys.readouterr()
     [parser] = built
-    assert _registered(parser) == [_full(name)]
+    assert parser.prog == f"hquat {name}"
+    assert (name, _options(parser), parser.get_default("func")) == _full(name)
+    assert parser.get_default("subcommand") == name
 
 
 @pytest.mark.parametrize("command", [None, "-h", "--version", "bogus"])
-def test_no_subcommand_named_builds_every_subcommand(command):
-    assert _registered(cli.build_arg_parser(command)) == [_full(name) for name in SUBCOMMANDS]
+def test_no_subcommand_named_builds_every_subcommand(capsys, monkeypatch, command):
+    built = _built_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main([] if command is None else [command])
+    capsys.readouterr()
+    assert len(built) == 1 + len(SUBCOMMANDS) and built[0].prog == "hquat"
+    assert _registered(built[0]) == [_full(name) for name in SUBCOMMANDS]
+
+
+def test_the_full_parser_is_built_only_to_report_an_error(capsys, monkeypatch):
+    built = _built_parsers(monkeypatch)
+    cli.build_arg_parser()
+    full = len(built)
+    assert full == 1 + len(SUBCOMMANDS)
+    for argv, code in ((["eval", "--expr", "p", "--point", "1", "2", "3", "4"], 0),
+                       (["series", "--expr", "exp(p)", "--n", "3", "--format", "machine"], 0),
+                       (["check", "--expr", "conj(p)", "--point", "0.3", "0", "0.2", "-0.1"], 2)):
+        del built[:]
+        assert _exit(argv) == code
+        assert len(built) == 1, argv
+    for argv in (["eval", "--expr", "p", "--point", "1", "2", "3", "4", "extra"],
+                 ["check", "--expr", "exp(p)", "--radius", "nan"]):
+        del built[:]
+        assert _exit(argv) == "SystemExit(2)"
+        assert len(built) == 1 + full, argv
+    capsys.readouterr()
