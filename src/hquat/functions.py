@@ -36,7 +36,9 @@ as its mode binds it from :data:`HEADS`.
 :func:`phi_components` is the pair mode's one runner and :func:`evaluate`
 the slice mode's.  The compiled functions are cached on the root node
 object as the attributes ``_compiled`` (pair) and ``_compiled_slice``, not
-by value, since the frozen-dataclass hash walks the whole tree; they are
+by value, since the frozen-dataclass hash walks the whole tree, so they live
+as long as the tree: for a tree from :func:`hquat.parser.parse`, as long as
+its memo keeps the tree, which every later parse of its text shares; they are
 not dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
 :meth:`FuncExpr.__getstate__` leaves them out of pickles and copies.  Every
 node checks its value for finiteness (every product of an integer power,

@@ -17,10 +17,16 @@ A unary minus folds into a real literal ("-2" is the constant -2); applied
 to anything else it desugars to multiplication by -1, since the tree has no
 negation node.  :func:`format_expr` emits canonical text with minimal
 parentheses such that parsing it reproduces the tree structurally.
+
+:func:`parse` returns one shared immutable tree per text: it keeps the trees
+of the 16 texts of at most 4096 characters that it parsed most recently, so
+a text asked about again (its series, radius, derivatives, holomorphy) is
+not parsed or compiled again; its docstring bounds the memory they hold.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -64,6 +70,11 @@ _TOKEN_RE = re.compile(
 _UINT_RE = re.compile(r"\d+\Z")
 
 _UNIT_CONSTS = {"i": I, "j": J, "k": K}
+
+# :func:`parse` keeps the trees of this many texts, each of at most this
+# many characters.
+MEMO_SIZE = 16
+MEMO_MAX_CHARS = 4096
 
 # Binary operator text -> node class; the class's BINARY row gives its level.
 _BINARY_NODES = {op.text: node for node, op in BINARY.items()}
@@ -197,8 +208,8 @@ class _Parser:
         raise ParseError(tok.pos, "p, a number, exp/sin/cos, i/j/k or '('", tok.describe())
 
 
-def parse(src: str) -> FuncExpr:
-    """Parse expression text into a function tree."""
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _parsed(src: str) -> FuncExpr:
     parser = _Parser(_tokenize(src))
     node = parser.expr()
     tok = parser.peek()
@@ -208,6 +219,25 @@ def parse(src: str) -> FuncExpr:
     if node._depth > MAX_DEPTH:
         raise ParseError(tok.pos, f"tree depth <= {MAX_DEPTH}", f"depth {node._depth}")
     return node
+
+
+def parse(src: str) -> FuncExpr:
+    """Parse expression text into a function tree.
+
+    A text of at most :data:`MEMO_MAX_CHARS` = 4096 characters gives the one
+    tree kept for it among the :data:`MEMO_SIZE` = 16 texts parsed most
+    recently, shared by every caller: a tree is immutable and keeps its
+    compiled functions on its root, so a repeated text is neither
+    tokenized, parsed nor compiled again.  A longer text is parsed afresh on
+    each call, and an error is raised on every call and never kept.  A
+    character adds at most two nodes (a unary minus before anything but a
+    number adds a Mul and a RealConst), and a node holds about 120 B and,
+    once both modes are compiled, about 0.9 KB in all, so a tree at the
+    cutoff holds at most about 7 MB and the memo about 114 MB; a benchmark
+    text of 70 characters holds under 20 KB."""
+    if isinstance(src, str) and len(src) <= MEMO_MAX_CHARS:
+        return _parsed(src)
+    return _parsed.__wrapped__(src)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import hquat
-from hquat import Quaternion, cli, format_expr
+from hquat import Quaternion, cli, format_expr, functions, parse
 from hquat.cli import MAX_GRID, SUBCOMMANDS, main, sample_ball
 from hquat.functions import MAX_DEPTH, MAX_EXPONENT
+from test_functions import _node_count
 from test_parser import _random_tree
 
 
@@ -51,6 +52,26 @@ def test_machine_format_is_deterministic(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_a_repeated_series_call_compiles_its_tree_once(capsys, monkeypatch, fresh_parse_memo):
+    compiled = []
+    original = functions._compile
+
+    def counted(expr, mode):
+        compiled.append(mode)
+        return original(expr, mode)
+
+    monkeypatch.setattr(functions, "_compile", counted)
+    argv = ["series", "--expr", "exp(p)*sin(p)+p^2", "--n", "17", "--rho", "0.9"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    # the second call gets the first call's tree from the parse memo, with
+    # its slice function already compiled, and prints the same bytes
+    assert compiled == ["slice"] * _node_count(parse("exp(p)*sin(p)+p^2"))
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,7 @@ def test_evaluate_refuses_a_non_finite_complex_or_pair_point(text):
             assert type(got.value) is ValueError and str(got.value) == str(want.value), (text, point)
 
 
-def test_overflow_names_its_non_finite_components_in_every_form():
+def test_overflow_names_its_non_finite_components_in_every_form(fresh_parse_memo):
     # the slice mode raises its own error, the same text as the pair mode's,
     # with no sign of a zero in it; no pair function is built for it
     tree = parse("p^1024")
@@ -384,7 +384,7 @@ def _node_count(expr):
     return 1 + sum(_node_count(c) for c in vars(expr).values() if isinstance(c, FuncExpr))
 
 
-def test_tree_is_compiled_once(monkeypatch):
+def test_tree_is_compiled_once(monkeypatch, fresh_parse_memo):
     compiled = []
     original = functions._compile
 

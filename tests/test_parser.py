@@ -23,7 +23,7 @@ from hquat import (
     parse,
 )
 from hquat.functions import BINARY, HEADS, MAX_DEPTH
-from hquat.parser import GRAMMAR
+from hquat.parser import GRAMMAR, MEMO_MAX_CHARS, MEMO_SIZE, _parsed
 
 
 def test_grammar_examples():
@@ -201,3 +201,47 @@ def test_rational_and_negative_exponents_rejected():
     for text in ("p^1.5", "p^-2", "p^(2)", "p^p"):
         with pytest.raises(ParseError):
             parse(text)
+
+
+def test_a_repeated_text_gives_the_same_tree(fresh_parse_memo):
+    tree = parse("sin(p)*cos(p)")
+    assert parse("sin(p)*cos(p)") is tree
+    # the memo is keyed by text: an equal tree from another text is its own
+    spaced = parse("sin(p) * cos(p)")
+    assert spaced == tree and spaced is not tree
+    assert parse("exp(p)") != tree
+    assert _parsed.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("p$", ParseError, "expected a token, found '$' at position 1"),
+        ("p^1025", ValueError, "integer power exponent must be in [0, 1024], got 1025"),
+        ("*".join(["p"] * (MAX_DEPTH + 1)), ParseError,
+         f"expected tree depth <= {MAX_DEPTH}, found depth {MAX_DEPTH + 1} at position {2 * MAX_DEPTH + 1}"),
+    ],
+)
+def test_an_error_is_raised_on_every_call_and_never_kept(fresh_parse_memo, text, error, message):
+    parse("p")
+    for _ in range(3):
+        with pytest.raises(error) as exc:
+            parse(text)
+        assert type(exc.value) is error and str(exc.value) == message
+        assert _parsed.cache_info().currsize == 1
+
+
+def test_a_text_past_the_cutoff_is_parsed_afresh(fresh_parse_memo):
+    at_cutoff = "sin(p)" + " " * (MEMO_MAX_CHARS - len("sin(p)"))
+    assert parse(at_cutoff) is parse(at_cutoff)
+    longer = at_cutoff + " "
+    first, second = parse(longer), parse(longer)
+    assert first == second == parse(at_cutoff) and first is not second
+    assert _parsed.cache_info().currsize == 1
+
+
+def test_the_memo_keeps_the_most_recent_texts_only(fresh_parse_memo):
+    trees = [parse(f"p+{n}") for n in range(2 * MEMO_SIZE)]
+    assert MEMO_SIZE == _parsed.cache_info().maxsize == _parsed.cache_info().currsize == 16
+    assert parse(f"p+{2 * MEMO_SIZE - 1}") is trees[-1]
+    assert parse("p+0") == trees[0] and parse("p+0") is not trees[0]
