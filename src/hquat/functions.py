@@ -13,10 +13,10 @@ by r.  In particular exp(p) = e^x * (cos V + r sin V), and sin/cos follow
 from the exponential the same way as over the complex numbers.
 
 There is one evaluator.  One walk compiles a tree, once per mode, into
-nested closures: each binary node applies its mode's operation from
+nested closures: each binary node is built from its mode's entry in
 :data:`BINARY`, the table that also gives the parser and the formatter each
 operator's text and precedence, and each head applies its complex function
-as its mode binds it from :data:`HEADS`.
+from :data:`HEADS`.
 
 * ``pair`` works on raw doubling pairs (a, b) of complex numbers, the value
   a + b*j, and each head lifts its argument as above.
@@ -44,10 +44,18 @@ not dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them, and
 node checks its value for finiteness (every product of an integer power,
 too) and raises EvaluationOverflowError on inf or nan, naming only the
 non-finite components x, y, z, u; a check on the final value alone would
-miss an overflow that a later node hides, e.g. exp(-inf) = 0.  Both modes
-share one node shape, ``v if ok(v := op(...)) else finite(v)``: the mode's
-predicate ``ok`` (``cmath.isfinite`` in the slice) is called inline, and
-only a value it rejects reaches the mode's check ``finite``, which raises.
+miss an overflow that a later node hides, e.g. exp(-inf) = 0.  A pair node
+does all of its work in its own frame: it reads an operand that is ``p`` or
+a constant directly and calls only a subtree's function, evaluating lhs
+before rhs; it does its doubling arithmetic inline (+ and - componentwise,
+* by :func:`~hquat.quaternion.cd_mul`'s formula, / as that product with
+:func:`~hquat.quaternion.cd_inverse` of rhs, ^n as n such products, a head
+by :func:`_lift`), the same operations in the same order, so bit for bit;
+and it checks both components with ``cmath.isfinite``, calling
+:func:`_finite`, which raises, only on a value that fails.  A slice node is
+``v if ok(v := op(...)) else finite(v)``, its operation and predicate
+``cmath.isfinite`` each one C call; only a value the predicate rejects
+reaches ``finite``, which raises.
 A head's own range error (``cmath``'s OverflowError) is re-raised by the
 mode's runner as EvaluationOverflowError naming the point as a Quaternion,
 (a, 0) in the slice mode, so both modes give one text.  Apart from that
@@ -69,9 +77,9 @@ tree was made; :func:`hquat.parser.parse` reads the same depth.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
+from cmath import isfinite
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -234,29 +242,6 @@ HEADS: dict[type[FuncExpr], Head] = {
 }
 
 
-def _slice_inverse(a: complex) -> complex:
-    """1/a on the slice: the first component of cd_inverse((a, 0)), bit for
-    bit, whose scaling branch and ZeroDivisorError it takes outside the
-    normal range of |a|**2."""
-    x, y = a.real, a.imag
-    n2 = x * x + y * y
-    if _TINY <= n2 < math.inf:
-        return complex(x / n2, -y / n2)
-    return cd_inverse((a, 0j))[0]
-
-
-# The one table of binary operators, by node class: the text, the precedence
-# level (+,- bind looser than *,/) and the operation of each compile mode, on
-# two doubling pairs and on two complex numbers of the slice.
-Binary = NamedTuple("Binary", [("text", str), ("level", int), ("pair", Callable), ("slice", Callable)])
-BINARY: dict[type[FuncExpr], Binary] = {
-    Add: Binary("+", 1, lambda x, y: (x[0] + y[0], x[1] + y[1]), operator.add),
-    Sub: Binary("-", 1, lambda x, y: (x[0] - y[0], x[1] - y[1]), operator.sub),
-    Mul: Binary("*", 2, cd_mul, operator.mul),
-    Div: Binary("/", 2, lambda x, y: cd_mul(x, cd_inverse(y)), lambda x, y: x * _slice_inverse(y)),
-}
-
-
 def has_nonreal_constant(expr: FuncExpr) -> bool:
     """True when the tree contains a quaternion constant with i/j/k parts."""
     return _nonreal(check_depth(expr))
@@ -333,7 +318,7 @@ def evaluate(expr: FuncExpr, p: Quaternion | Pair | complex) -> Quaternion | Com
     (named as a Quaternion's) or a non-real constant at a complex point.
     """
     if isinstance(p, complex):
-        cmath.isfinite(p) or Quaternion.from_cd(p, 0j)  # the constructor raises, naming the component
+        isfinite(p) or Quaternion.from_cd(p, 0j)  # the constructor raises, naming the component
         try:
             fn = expr._compiled_slice
         except AttributeError:
@@ -359,9 +344,9 @@ def _overflow(*components: float) -> EvaluationOverflowError:
 
 
 def _pair_ok(q: Pair) -> bool:
-    """Whether both components of q are finite; the pair mode's predicate."""
+    """Whether both components of the doubling pair q are finite."""
     a, b = q
-    return cmath.isfinite(a) and cmath.isfinite(b)
+    return isfinite(a) and isfinite(b)
 
 
 def _finite(q: Pair) -> Pair:
@@ -378,13 +363,106 @@ def _slice_finite(a: complex) -> complex:
     raise _overflow(a.real, a.imag)
 
 
-# Each compile mode's constant (from its doubling pair), head binding (a head's
-# complex function to its node's operation), finiteness predicate, which every
-# node calls inline, and node check, which raises where the predicate fails.
-Mode = NamedTuple("Mode", [("constant", Callable), ("bind", Callable), ("ok", Callable), ("finite", Callable)])
-MODES: dict[str, Mode] = {
-    "pair": Mode(lambda a, b: (a, b), lambda fn: functools.partial(_lift, fn), _pair_ok, _finite),
-    "slice": Mode(lambda a, b: a, lambda fn: fn, cmath.isfinite, _slice_finite),
+# The pair mode's node builders, each taking its operands' (fn, value) from
+# _pair_operand; see the module docstring for what a pair node does.
+
+
+def _pair_operand(expr: FuncExpr) -> tuple[Callable | None, Pair | None]:
+    """(fn, value) by which a pair node reads its operand expr: (its
+    function, None) for a subtree, (None, its pair) for a constant and
+    (None, None) for p.  expr is compiled in every case, so each node is
+    compiled once per mode."""
+    fn = _compile(expr, "pair")
+    if isinstance(expr, Var):
+        return None, None
+    if isinstance(expr, (RealConst, QuatConst)):
+        return None, fn(None)  # the constant's pair, at any point
+    return fn, None
+
+
+def _pair_add(lf, lv, rf, rv) -> Callable:
+    def add(p):
+        a1, b1 = lf(p) if lf else p if lv is None else lv
+        a2, b2 = rf(p) if rf else p if rv is None else rv
+        a, b = a1 + a2, b1 + b2
+        return (a, b) if isfinite(a) and isfinite(b) else _finite((a, b))
+
+    return add
+
+
+def _pair_sub(lf, lv, rf, rv) -> Callable:
+    def sub(p):
+        a1, b1 = lf(p) if lf else p if lv is None else lv
+        a2, b2 = rf(p) if rf else p if rv is None else rv
+        a, b = a1 - a2, b1 - b2
+        return (a, b) if isfinite(a) and isfinite(b) else _finite((a, b))
+
+    return sub
+
+
+def _pair_mul(lf, lv, rf, rv) -> Callable:
+    def mul(p):  # cd_mul's formula
+        a1, b1 = lf(p) if lf else p if lv is None else lv
+        a2, b2 = rf(p) if rf else p if rv is None else rv
+        a, b = a1 * a2 - b1 * b2.conjugate(), a1 * b2 + a2.conjugate() * b1
+        return (a, b) if isfinite(a) and isfinite(b) else _finite((a, b))
+
+    return mul
+
+
+def _pair_div(lf, lv, rf, rv) -> Callable:
+    def div(p):  # lhs times cd_inverse(rhs), by cd_mul's formula
+        a1, b1 = lf(p) if lf else p if lv is None else lv
+        a2, b2 = cd_inverse(rf(p) if rf else p if rv is None else rv)
+        a, b = a1 * a2 - b1 * b2.conjugate(), a1 * b2 + a2.conjugate() * b1
+        return (a, b) if isfinite(a) and isfinite(b) else _finite((a, b))
+
+    return div
+
+
+def _pair_power(bf, bv, exponent: int) -> Callable:
+    def power(p):  # 1 times the base, exponent times, by cd_mul's formula
+        a2, b2 = bf(p) if bf else p if bv is None else bv
+        a2c, b2c = a2.conjugate(), b2.conjugate()
+        a, b = 1 + 0j, 0j
+        for _ in range(exponent):
+            a, b = a * a2 - b * b2c, a * b2 + a2c * b
+            if not (isfinite(a) and isfinite(b)):
+                _finite((a, b))
+        return a, b
+
+    return power
+
+
+def _pair_head(fn, af, av) -> Callable:
+    def head(p):
+        q = _lift(fn, af(p) if af else p if av is None else av)
+        a, b = q
+        return q if isfinite(a) and isfinite(b) else _finite(q)
+
+    return head
+
+
+def _slice_inverse(a: complex) -> complex:
+    """1/a on the slice: the first component of cd_inverse((a, 0)), bit for
+    bit, whose scaling branch and ZeroDivisorError it takes outside the
+    normal range of |a|**2."""
+    x, y = a.real, a.imag
+    n2 = x * x + y * y
+    if _TINY <= n2 < math.inf:
+        return complex(x / n2, -y / n2)
+    return cd_inverse((a, 0j))[0]
+
+
+# The one table of binary operators, by node class: the text, the precedence
+# level (+,- bind looser than *,/), the pair mode's node builder and the slice
+# mode's operation on two complex numbers.
+Binary = NamedTuple("Binary", [("text", str), ("level", int), ("pair", Callable), ("slice", Callable)])
+BINARY: dict[type[FuncExpr], Binary] = {
+    Add: Binary("+", 1, _pair_add, operator.add),
+    Sub: Binary("-", 1, _pair_sub, operator.sub),
+    Mul: Binary("*", 2, _pair_mul, operator.mul),
+    Div: Binary("/", 2, _pair_div, lambda x, y: x * _slice_inverse(y)),
 }
 
 
@@ -392,32 +470,41 @@ def _compile(expr: FuncExpr, mode: str) -> Callable:
     """The function p -> value of expr at p in the mode ("pair" or "slice"),
     as closures over the children compiled in that mode; they evaluate lhs
     before rhs and check every node's value."""
-    constant, bind, ok, finite = MODES[mode]
     if isinstance(expr, Var):
         return lambda p: p
     if isinstance(expr, (RealConst, QuatConst)):
-        a, b = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
-        value = constant(a, b)
+        value = expr.value.to_cd() if isinstance(expr, QuatConst) else (complex(expr.value, 0.0), 0j)
+        if mode == "slice":
+            value = value[0]
         return lambda p: value
+    pair = mode == "pair"
+    # the slice node: v if ok(v := op(...)) else finite(v), its operation and
+    # predicate each one C call
+    ok, finite = isfinite, _slice_finite
     op = BINARY.get(type(expr))
     if op is not None:
-        lhs, rhs, fn = _compile(expr.lhs, mode), _compile(expr.rhs, mode), getattr(op, mode)
+        if pair:
+            return op.pair(*_pair_operand(expr.lhs), *_pair_operand(expr.rhs))
+        lhs, rhs, fn = _compile(expr.lhs, mode), _compile(expr.rhs, mode), op.slice
         return lambda p: v if ok(v := fn(lhs(p), rhs(p))) else finite(v)
     if isinstance(expr, IntPow):
+        if pair:
+            return _pair_power(*_pair_operand(expr.base), expr.exponent)
         base, exponent = _compile(expr.base, mode), expr.exponent
-        mul, one = getattr(BINARY[Mul], mode), constant(1 + 0j, 0j)
 
         def power(p):
             b = base(p)
-            out = one
+            out = 1 + 0j
             for _ in range(exponent):
-                out = v if ok(v := mul(out, b)) else finite(v)
+                out = v if ok(v := out * b) else finite(v)
             return out
 
         return power
     head = HEADS.get(type(expr))
     if head is not None:
-        arg, fn = _compile(expr.arg, mode), bind(head.fn)
+        if pair:
+            return _pair_head(head.fn, *_pair_operand(expr.arg))
+        arg, fn = _compile(expr.arg, mode), head.fn
         return lambda p: v if ok(v := fn(arg(p))) else finite(v)
     raise TypeError(f"unknown expression node {expr!r}")
 

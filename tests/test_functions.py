@@ -380,6 +380,79 @@ def test_pair_form_of_evaluate_is_bitwise_the_quaternion_form():
     assert type(evaluate(P, ONE.to_cd())) is ComplexPair
 
 
+# Operands of the node under test: p, real and quaternion constants with
+# signed zeros, subnormals and magnitudes near overflow, and subtrees.
+NODE_OPERANDS = (
+    P,
+    RealConst(-0.0),
+    RealConst(5e-324),
+    RealConst(-1.7e308),
+    QuatConst(Quaternion(-0.0, 5e-324, 0.0, -2.5)),
+    QuatConst(Quaternion(1e300, -0.0, -1e-310, 3.0)),
+    Mul(P, QuatConst(Quaternion(0.5, -0.0, 2.0, -5e-324))),
+    Sub(Exp(P), RealConst(1.0)),
+)
+NODE_POINTS = (
+    (0j, 0j),
+    (complex(-0.0, -0.0), complex(-0.0, 0.0)),
+    (complex(5e-324, -5e-324), complex(-5e-324, 0.0)),
+    (complex(1.5, -0.25), complex(0.5, 2.0)),
+    (complex(1e-160, 0.0), complex(0.0, -1e-160)),  # |p|^2 underflows
+    (complex(1e154, -0.0), complex(0.0, 1e154)),  # |p|^2 overflows
+    (complex(1.7e308, 0.0), 0j),
+    (complex(-1e308, 1e308), complex(1e308, -1e308)),
+)
+
+
+def _reference_node(expr, p):
+    """The value of expr's root node at the pair p by the doubling
+    arithmetic (cd_mul, cd_inverse, componentwise sums, _lift) on its
+    operands' values, each node's value passed through _finite, with a head's
+    range error named as phi_components names it."""
+    values = [phi_components(c, p) for c in vars(expr).values() if isinstance(c, FuncExpr)]
+    try:
+        if isinstance(expr, (Add, Sub)):
+            (a1, b1), (a2, b2) = values
+            return functions._finite((a1 + a2, b1 + b2) if isinstance(expr, Add) else (a1 - a2, b1 - b2))
+        if isinstance(expr, Mul):
+            return functions._finite(functions.cd_mul(*values))
+        if isinstance(expr, Div):
+            return functions._finite(functions.cd_mul(values[0], functions.cd_inverse(values[1])))
+        if isinstance(expr, IntPow):
+            out = (1 + 0j, 0j)
+            for _ in range(expr.exponent):
+                out = functions._finite(functions.cd_mul(out, values[0]))
+            return out
+        return functions._finite(functions._lift(HEADS[type(expr)].fn, values[0]))
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"{exc} at {Quaternion.from_cd(*p)!r}") from exc
+
+
+def _pair_reprs(thunk):
+    """repr of the four components of the pair thunk() returns, or the type
+    and text of its error."""
+    try:
+        a, b = thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return repr(a.real), repr(a.imag), repr(b.real), repr(b.imag)
+
+
+def test_each_pair_node_is_the_doubling_arithmetic_bit_for_bit(fresh_parse_memo):
+    trees = [node(lhs, rhs) for node in functions.BINARY for lhs in NODE_OPERANDS for rhs in NODE_OPERANDS]
+    trees += [IntPow(base, n) for base in NODE_OPERANDS for n in range(6)]
+    trees += [head(arg) for head in (Exp, Sin, Cos) for arg in NODE_OPERANDS]
+    outcomes = set()
+    for tree in trees:
+        for p in NODE_POINTS:
+            want = _pair_reprs(lambda: _reference_node(tree, p))
+            assert _pair_reprs(lambda: phi_components(tree, p)) == want, (tree, p)
+            outcomes.add(want[0] if isinstance(want[0], type) else "value")
+            if want[0] is EvaluationOverflowError and " at Quaternion(" in want[1]:
+                outcomes.add("range error")
+    assert outcomes == {"value", EvaluationOverflowError, ZeroDivisorError, "range error"}
+
+
 def _node_count(expr):
     return 1 + sum(_node_count(c) for c in vars(expr).values() if isinstance(c, FuncExpr))
 
@@ -714,12 +787,15 @@ def _exact_mul(p, q):
 
 
 def _exact_walk(expr, p):
-    """The exact value of a tree of *, / and ^ over real constants at the
-    Fraction quaternion p, with every intermediate's norm in range."""
+    """The exact value of a tree of *, / and ^ over real and quaternion
+    constants at the Fraction quaternion p, with every intermediate's norm in
+    range."""
     if isinstance(expr, Var):
         q = p
     elif isinstance(expr, RealConst):
         q = (Fraction(expr.value), Fraction(0), Fraction(0), Fraction(0))
+    elif isinstance(expr, QuatConst):
+        q = tuple(map(Fraction, (expr.value.x, expr.value.y, expr.value.z, expr.value.u)))
     elif isinstance(expr, Mul):
         q = _exact_mul(_exact_walk(expr.lhs, p), _exact_walk(expr.rhs, p))
     elif isinstance(expr, Div):
@@ -742,7 +818,10 @@ def _scan_double(rng):
 
 def _scan_tree(rng, depth):
     if depth >= 3 or rng.random() < 0.3:
-        return P if rng.random() < 0.5 else RealConst(_scan_double(rng))
+        leaf = rng.random()
+        if leaf < 0.15:
+            return QuatConst(Quaternion(*[_scan_double(rng) if rng.random() < 0.7 else 0.0 for _ in range(4)]))
+        return P if leaf < 0.55 else RealConst(_scan_double(rng))
     kind = rng.randrange(3)
     if kind == 2:
         return IntPow(_scan_tree(rng, depth + 1), rng.randint(0, 4))
@@ -751,16 +830,20 @@ def _scan_tree(rng, depth):
 
 def test_products_quotients_and_powers_match_exact_arithmetic():
     """Where every exact intermediate has a norm in [1e-290, 1e290], a tree
-    of *, / and ^ over real constants evaluates to its exact value within
-    1e-10 relative, in pair mode at quaternion points and in slice mode at
-    complex points.  The quaternion norm is multiplicative, so no
-    cancellation spoils that bound."""
+    of *, / and ^ over real and quaternion constants evaluates to its exact
+    value within 1e-10 relative, in pair mode at quaternion points and, when
+    its constants are real, in slice mode at complex points.  The quaternion
+    norm is multiplicative, so no cancellation spoils that bound."""
     rng = random.Random(28)
     compared = {"pair": 0, "slice": 0}
+    with_quaternion_constant = 0
     extremes = [Fraction(1), Fraction(1)]
     for _ in range(500):
         tree = _scan_tree(rng, 0)
+        nonreal = has_nonreal_constant(tree)
         for mode in ("pair", "slice", "pair", "slice"):
+            if nonreal and mode == "slice":
+                continue
             comps = [_scan_double(rng) if rng.random() < 0.8 else 0.0 for _ in range(4 if mode == "pair" else 2)]
             exact_point = tuple(map(Fraction, comps)) + (Fraction(0),) * (4 - len(comps))
             try:
@@ -777,7 +860,9 @@ def test_products_quotients_and_powers_match_exact_arithmetic():
             err2 = sum((Fraction(g) - w) ** 2 for g, w in zip(got, want))
             assert err2 <= Fraction(1, 10**20) * n2, (format_expr(tree), mode, comps)
             compared[mode] += 1
+            with_quaternion_constant += nonreal
             extremes = [min(extremes[0], n2), max(extremes[1], n2)]
     assert min(compared.values()) >= 200, compared
+    assert with_quaternion_constant >= 50, with_quaternion_constant
     # the compared values reach past where |q|^2 leaves the normal range
     assert extremes[0] < Fraction(10) ** -400 and extremes[1] > Fraction(10) ** 400
