@@ -12,6 +12,8 @@ as a renderer that :func:`main` calls only for ``--format text``.
 :func:`main` parses a named subcommand with that subcommand's parser alone; it
 builds the full parser, all six sub-parsers, to parse a call that names none
 and to report a leftover argument or a library error, in the same bytes.
+Each parser build reads the terminal width once and hands it to every help
+formatter, which would otherwise read it again for each argument.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 evaluation
 error, 4 non-real coefficient.
@@ -20,10 +22,12 @@ error, 4 non-real coefficient.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import random
+import shutil
 import sys
 from gettext import gettext
 from typing import Callable, Sequence
@@ -385,12 +389,21 @@ def _add_subcommand(sp: argparse.ArgumentParser, name: str) -> argparse.Argument
     return sp
 
 
+def _help_width() -> int:
+    """The width argparse's help formatter reads when given none, the
+    terminal's columns less 2; a parser build reads it once and passes it to
+    each of its formatters."""
+    return shutil.get_terminal_size().columns - 2
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     """The full hquat parser: all six sub-parsers, each built by :func:`_add_subcommand`."""
+    width = _help_width()
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="hquat",
         description="Quaternionic holomorphic function toolkit",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
         epilog=(
             "expression grammar (EBNF):\n"
             + GRAMMAR
@@ -402,7 +415,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hquat {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, _, _) in SUBCOMMANDS.items():
-        _add_subcommand(sub.add_parser(name, help=help_text), name)
+        _add_subcommand(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
@@ -429,7 +442,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             argv += map(_point_value, itertools.islice(given, 4))
     # the full parser reads any "--=..." as ambiguous between its own --help and --version
     if argv and argv[0] in SUBCOMMANDS and not any(arg.startswith("--=") for arg in argv):
-        args, extras = _add_subcommand(argparse.ArgumentParser(prog=f"hquat {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+        formatter = functools.partial(argparse.HelpFormatter, width=_help_width())
+        parser = _add_subcommand(argparse.ArgumentParser(prog=f"hquat {argv[0]}", formatter_class=formatter), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
         if extras:
             build_arg_parser().error(gettext("unrecognized arguments: %s") % " ".join(extras))
     else:

@@ -24,7 +24,9 @@ Convergence machinery:
   the N samples come from a radix-2 decimation in frequency pruned to those
   outputs, about N*log2(n) multiply-adds in place of N*(n+1) direct ones.
   The twiddle table and the sample points of the 16 most recent pairs
-  (N, rho) are cached, 80 B per sample, at most about 166 MB in all.
+  (N, rho) are cached, 80 B per sample, at most about 166 MB in all, and
+  the kernel's direct-sum twiddle rows of the 64 most recent leaf shapes,
+  at most about 10.5 MB.
 """
 
 from __future__ import annotations
@@ -474,8 +476,35 @@ def _circle(N: int, rho: float) -> tuple[tuple[complex, ...], tuple[complex, ...
     keeps 80 B per sample (a root and a point, each a complex and its tuple
     slot), so the cache holds at most 16 * N_max * 80 B, about 166 MB; a
     1024-sample entry is 82 KB."""
-    roots = tuple(cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N))
+    roots = _unit_roots(N)
     return roots, tuple(complex(rho * w.real, -rho * w.imag) for w in roots)
+
+
+def _unit_roots(N: int) -> tuple[complex, ...]:
+    """The twiddle table e^{-2 pi i j/N} for j < N, uncached: the one formula
+    behind :func:`_circle`'s table and :func:`_leaf_rows`'s."""
+    return tuple(cmath.exp(complex(0.0, -2.0 * math.pi * j / N)) for j in range(N))
+
+
+# Bound on one cached leaf shape, in twiddle row references (need-1)*L
+LEAF_ROWS_MAX_REFS = 4096
+
+
+def _twiddle_rows(roots: Sequence[complex], need: int) -> Iterator[Iterable[complex]]:
+    """Rows k = 1..need-1 of the table roots of length L: row k is
+    roots[k*m mod L] for m < L, chained from the k strided slices
+    roots[(-b*L) mod k::k]."""
+    L = len(roots)
+    return (itertools.chain.from_iterable(roots[-b * L % k :: k] for b in range(k)) for k in range(1, need))
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_rows(L: int, need: int) -> tuple[tuple[complex, ...], ...]:
+    """:func:`_twiddle_rows` of :func:`_unit_roots` (L), kept for the 64 leaf
+    shapes (L, need) used most recently.  That table is bitwise every one a
+    caller passes :func:`_dft_head`: _circle(N, rho)[0][::2**d] is
+    _unit_roots(N) with each angle scaled by a power of two, which is exact."""
+    return tuple(map(tuple, _twiddle_rows(_unit_roots(L), need)))
 
 
 def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[complex]:
@@ -485,12 +514,22 @@ def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[com
     An even list that needs more than 4 outputs is split in half (radix-2
     decimation in frequency): the folded sums x[m] + x[m+L/2] give the even
     outputs and the twisted differences (x[m] - x[m+L/2]) roots[m] the odd
-    ones, about L*log2(need) terms in all.  Other lists are summed directly,
-    twiddle row k chained from the k strided slices roots[(-b*L) mod k::k].
+    ones, about L*log2(need) terms in all.  Other lists are summed directly
+    against twiddle rows k = 1..need-1 (:func:`_twiddle_rows`).
+
+    A leaf whose rows hold at most LEAF_ROWS_MAX_REFS = 4096 references
+    takes them from :func:`_leaf_rows`, cached by shape (L, need); the 34
+    leaf shapes of series-spectral hold 3930 in all.  An entry keeps its
+    references (8 B each) and at most 4096 complex numbers (32 B each), so
+    the 64 entries hold at most 64 * 4096 * 40 B, about 10.5 MB, beside
+    :func:`_circle`'s 166 MB.  A larger leaf (a long odd list at a large
+    need, or a long list that needs at most 4 outputs) chains its rows from
+    `roots` on every call.  The rows and the order of each sum are the same
+    either way, so the outputs are too, bit for bit.
     """
     L = len(x)
     if L % 2 or need <= 4:
-        rows = (itertools.chain.from_iterable(roots[-b * L % k :: k] for b in range(k)) for k in range(1, need))
+        rows = _leaf_rows(L, need) if 0 < L * (need - 1) <= LEAF_ROWS_MAX_REFS else _twiddle_rows(roots, need)
         return [sum(x, 0.0j)] + [sum(map(operator.mul, x, row), 0.0j) for row in rows]
     h = L // 2
     head, tail, half = x[:h], x[h:], roots[::2]

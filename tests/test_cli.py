@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -1095,6 +1096,58 @@ def test_lazy_parser_says_what_the_full_parser_says(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "SUBCOMMANDS", _NamesNoSubcommand(SUBCOMMANDS))
     for argv, seen in zip(corpus, lazy):
         assert (_exit(argv), *capsys.readouterr()) == seen, argv
+
+
+@pytest.mark.parametrize("columns", [None, "20", "45", "80", "200"])
+def test_one_width_read_per_parser_says_what_argparse_defaults_say(capsys, monkeypatch, columns):
+    # help, usage errors and leftover arguments of every subcommand and of
+    # the full parser, in the same bytes as formatters that read the
+    # terminal width themselves, argparse's default (width None)
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    once = []
+    for argv in _PARSER_PROBES:
+        once.append((_exit(argv), *capsys.readouterr()))
+    monkeypatch.setattr(cli, "_help_width", lambda: None)
+    for argv, seen in zip(_PARSER_PROBES, once):
+        assert (_exit(argv), *capsys.readouterr()) == seen, argv
+
+
+_GOOD_ARGV = {
+    "eval": ["--expr", "p", "--point", "1", "0", "0", "0"],
+    "check": ["--expr", "exp(p)", "--grid", "1"],
+    "series": ["--expr", "exp(p)", "--n", "3"],
+    "derive": ["--expr", "cos(p)", "--point", "0", "0", "0", "0", "--k", "2"],
+    "radius": ["--expr", "1/(1-p)"],
+    "commute": ["--expr", "p", "--expr", "p^2", "--grid", "1"],
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_a_named_subcommand_reads_the_terminal_width_once(capsys, monkeypatch, name):
+    reads = []
+    size = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    for argv, code in (([name, *_GOOD_ARGV[name]], 0), ([name, "-h"], "SystemExit(0)"), ([name], "SystemExit(2)")):
+        reads.clear()
+        assert _exit(argv) == code, argv
+        capsys.readouterr()
+        assert len(reads) <= 1, argv
+
+
+def test_a_constant_divisor_of_zero_is_an_eval_error_after_its_lhs(capsys):
+    argv = ["eval", "--expr", "1/0", "--point", "1", "0", "0", "0"]
+    assert run_cli(capsys, argv) == (3, "", "hquat: evaluation error: quaternion too close to zero to invert: |p|^2 = 0.0\n")
+    argv = ["eval", "--expr", "exp(p)/0", "--point", "710", "0", "0", "0"]
+    want = "hquat: evaluation error: math range error at Quaternion(x=710.0, y=0.0, z=0.0, u=0.0)\n"
+    assert run_cli(capsys, argv) == (3, "", want)
 
 
 def _options(parser):

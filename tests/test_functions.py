@@ -453,6 +453,20 @@ def test_each_pair_node_is_the_doubling_arithmetic_bit_for_bit(fresh_parse_memo)
     assert outcomes == {"value", EvaluationOverflowError, ZeroDivisorError, "range error"}
 
 
+def test_a_zero_constant_divisor_raises_at_each_evaluation_after_lhs(fresh_parse_memo):
+    zero = "quaternion too close to zero to invert: |p|^2 = 0.0"
+    for text in ("1/0", "p/0", "p/(0*i)", "exp(p)/0"):
+        tree = parse(text)  # builds without raising
+        for _ in range(2):
+            with pytest.raises(ZeroDivisorError) as error:
+                evaluate(tree, ONE)
+            assert str(error.value) == zero, text
+    # lhs's own error wins over the divisor's
+    tree = parse("exp(p)/0")
+    with pytest.raises(EvaluationOverflowError, match="^math range error at Quaternion"):
+        evaluate(tree, Quaternion(710.0, 0.0, 0.0, 0.0))
+
+
 def _node_count(expr):
     return 1 + sum(_node_count(c) for c in vars(expr).values() if isinstance(c, FuncExpr))
 

@@ -1,9 +1,11 @@
 import cmath
+import itertools
 import math
 import operator
 import random
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -635,6 +637,85 @@ def test_dft_kernel_matches_direct_dft_at_every_length():
             assert len(got) == need
             for k in range(need):
                 assert abs(got[k] - want[k]) <= 4 * L * eps * vmax, (L, need, k)
+
+
+def _chained_dft_head(x, roots, need):
+    """The kernel with every leaf's twiddle rows chained from the k strided
+    slices of the `roots` it is passed, on every call: the reference for the
+    cached rows."""
+    L = len(x)
+    if L % 2 or need <= 4:
+        rows = (itertools.chain.from_iterable(roots[-b * L % k :: k] for b in range(k)) for k in range(1, need))
+        return [sum(x, 0.0j)] + [sum(map(operator.mul, x, row), 0.0j) for row in rows]
+    h = L // 2
+    head, tail, half = x[:h], x[h:], roots[::2]
+    out = [0.0j] * need
+    out[::2] = _chained_dft_head(list(map(operator.add, head, tail)), half, (need + 1) // 2)
+    out[1::2] = _chained_dft_head(list(map(operator.mul, map(operator.sub, head, tail), roots)), half, need // 2)
+    return out
+
+
+def _roots(L):
+    return [cmath.exp(complex(0.0, -2.0 * math.pi * j / L)) for j in range(L)]
+
+
+# the top-level shapes (samples, outputs) of the kernel calls that
+# series-spectral's series, radius and derive ops make
+SPECTRAL_DFT_SHAPES = (
+    (1024, 65), (1024, 33), (1024, 18), (520, 65), (264, 33), (144, 18), (96, 12), (88, 11), (80, 10),
+    (72, 9), (64, 8), (64, 7), (64, 6), (64, 5), (64, 4), (48, 12), (44, 11), (40, 10), (36, 9),
+    (32, 8), (32, 7), (32, 6), (32, 5), (32, 4), (32, 3), (32, 2), (4, 4),
+)
+
+
+def test_dft_kernel_with_cached_rows_is_bitwise_the_chained_kernel():
+    rng = random.Random(1966)
+    shapes = [(L, need) for L in range(1, 131) for need in sorted({1, 2, 3, 5, L // 4} - {0})]
+    # an odd leaf over the cache bound, and leaves of length 65 under it
+    shapes += [*SPECTRAL_DFT_SHAPES, (1027, 65), (1040, 65)]
+    for L, need in shapes:
+        roots = _roots(L)
+        x = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(L)]
+        for _ in range(2):  # the call that stores a shape's rows, then one that reuses them
+            assert repr(series_module._dft_head(x, roots, need)) == repr(_chained_dft_head(x, roots, need)), (L, need)
+
+
+def test_every_strided_twiddle_table_is_bitwise_the_formula_table():
+    # the cached rows of a leaf of length L come from e^{-2 pi i j/L}; every
+    # caller passes the kernel _circle(N, rho)[0][::2**d] with N = L*2**d,
+    # the same angles scaled by a power of two, so bit for bit the same
+    def bits(table):
+        return array("d", itertools.chain.from_iterable((w.real, w.imag) for w in table)).tobytes()
+
+    for N in range(2, 2049, 2):
+        roots = series_module._circle.__wrapped__(N, 0.8)[0]
+        d = 1
+        while N % 2**d == 0:
+            assert bits(roots[:: 2**d]) == bits(_roots(N >> d)), (N, d)
+            d += 1
+
+
+def test_leaf_rows_are_cached_by_shape_within_their_bound():
+    rows = series_module._leaf_rows
+    assert rows.cache_info().maxsize == 64 and series_module.LEAF_ROWS_MAX_REFS == 4096
+    rows.cache_clear()
+    rng = random.Random(7)
+
+    def run(L, need):
+        x = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(L)]
+        series_module._dft_head(x, _roots(L), need)
+        info = rows.cache_info()
+        return info.hits, info.misses, info.currsize
+
+    # an odd leaf of 8 rows of 65: stored, then found
+    assert run(65, 9) == (0, 1, 1)
+    assert run(65, 9) == (1, 1, 1)
+    # 2048 * 2 = 4096 row references are stored, 2048 * 3 never are
+    assert run(2048, 3) == (1, 2, 2)
+    assert run(2048, 4) == (1, 2, 2)
+    assert run(1027, 65) == (1, 2, 2)
+    # a leaf that needs one output has no rows to keep
+    assert run(1027, 1) == (1, 2, 2)
 
 
 @pytest.mark.parametrize(
