@@ -13,20 +13,18 @@ Convergence machinery:
   and their Domb-Sykes line against 1/l, whose intercept is 1/radius;
 * a majorant (M-) test certifying uniform and absolute convergence on a
   closed ball;
-* Maclaurin coefficient extraction by sampling the restriction of the
-  function to the complex plane (z = u = 0) on a circle and taking discrete
-  Fourier coefficients.  A tree with only real constants is sampled in the
-  slice mode of :func:`hquat.functions.evaluate`, one complex number per
-  sample; any other tree in its pair mode, one doubling pair per sample.
-  Coefficients of a holomorphic series are real, so an imaginary or
-  second-component residue beyond SIGNAL_FLOORS noise floors of its index
-  signals a non-holomorphic input.  The first n+1 Fourier coefficients of
-  the N samples come from a radix-2 decimation in frequency pruned to those
-  outputs, about N*log2(n) multiply-adds in place of N*(n+1) direct ones.
-  The twiddle table and the sample points of the 16 most recent pairs
-  (N, rho) are cached, 80 B per sample, at most about 166 MB in all, and
-  the kernel's direct-sum twiddle rows of the 64 most recent leaf shapes,
-  at most about 10.5 MB.
+* Maclaurin coefficient extraction: the discrete Fourier coefficients of
+  the function on a circle in the complex plane (z = u = 0), from the one
+  Cauchy kernel :func:`_cauchy`, whose other caller is
+  :func:`hquat.wirtinger.kth_derivative`.  A tree with only real constants
+  is sampled in the slice mode of :func:`hquat.functions.evaluate`, any
+  other in its pair mode.  Coefficients of a holomorphic series are real,
+  so an imaginary or second-component residue beyond SIGNAL_FLOORS noise
+  floors of its index signals a non-holomorphic input.  The first n+1 sums
+  come from a radix-2 decimation in frequency pruned to those outputs,
+  about N*log2(n) multiply-adds in place of N*(n+1).  Sample points and
+  twiddles of 16 pairs (N, rho), at most about 166 MB, and the direct-sum
+  twiddle rows of 64 leaf shapes, at most about 10.5 MB, are cached.
 """
 
 from __future__ import annotations
@@ -416,13 +414,12 @@ MAX_EXTRACTION_TERMS = 2**24
 class MaclaurinExtraction(NamedTuple):
     """Raw circle-sampling output: real parts and non-real residues.
 
-    ``noise_floors[k]`` estimates the rounding noise of coefficient k
-    (sqrt(N) times machine epsilon times the largest sampled magnitude, but
-    at least sqrt(N) times the smallest subnormal unless every sample is 0,
-    amplified by the 1/rho^k rescaling).  Every verdict on the extraction
-    reads one rule, :meth:`is_signal`: a coefficient, a non-real residue or a
-    difference from a closed-form rule at index k counts only beyond
-    :meth:`threshold` (k), SIGNAL_FLOORS noise floors.
+    ``noise_floors[k]`` estimates the rounding noise of coefficient k, the
+    samples' noise unit (:func:`_cauchy`) amplified by 1/rho^k.  Every
+    verdict on the extraction reads one rule, :meth:`is_signal`: a
+    coefficient, a non-real residue or a difference from a closed-form rule
+    at index k counts only beyond :meth:`threshold` (k), SIGNAL_FLOORS noise
+    floors.
     """
 
     coeffs: tuple[float, ...]
@@ -469,13 +466,12 @@ class MaclaurinExtraction(NamedTuple):
 def _circle(N: int, rho: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """The twiddle table roots[j] = e^{-2 pi i j/N} for j < N and the sample
     points rho*conj(roots[j]), kept for the 16 pairs (N, rho) used most
-    recently.  A derivative's circle, at the origin too, scales the entry
-    (N, 1.0), so series-spectral's series, radius and derive ops use 14
-    entries in all.  An extraction has at most
-    N_max = MAX_EXTRACTION_TERMS // 129 = 130055 samples and each entry
-    keeps 80 B per sample (a root and a point, each a complex and its tuple
-    slot), so the cache holds at most 16 * N_max * 80 B, about 166 MB; a
-    1024-sample entry is 82 KB."""
+    recently.  A derivative's circle at the origin shares series' entry
+    (N, DEFAULT_RHO) and one off it scales the entry (N, 1.0), so
+    series-spectral's series, radius and derive ops use 14 entries in all.
+    An entry keeps 80 B per sample (a root and a point, each a complex and
+    its tuple slot), and an extraction has at most MAX_EXTRACTION_TERMS //
+    129 = 130055 samples, so the cache holds at most about 166 MB."""
     roots = _unit_roots(N)
     return roots, tuple(complex(rho * w.real, -rho * w.imag) for w in roots)
 
@@ -509,23 +505,18 @@ def _leaf_rows(L: int, need: int) -> tuple[tuple[complex, ...], ...]:
 
 def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[complex]:
     """The first `need` >= 1 DFT outputs sum_m x[m] roots[k*m mod L], with
-    L = len(x) and roots[j] = e^{-2 pi i j/L}.
-
-    An even list that needs more than 4 outputs is split in half (radix-2
-    decimation in frequency): the folded sums x[m] + x[m+L/2] give the even
-    outputs and the twisted differences (x[m] - x[m+L/2]) roots[m] the odd
-    ones, about L*log2(need) terms in all.  Other lists are summed directly
-    against twiddle rows k = 1..need-1 (:func:`_twiddle_rows`).
-
-    A leaf whose rows hold at most LEAF_ROWS_MAX_REFS = 4096 references
-    takes them from :func:`_leaf_rows`, cached by shape (L, need); the 34
-    leaf shapes of series-spectral hold 3930 in all.  An entry keeps its
-    references (8 B each) and at most 4096 complex numbers (32 B each), so
-    the 64 entries hold at most 64 * 4096 * 40 B, about 10.5 MB, beside
-    :func:`_circle`'s 166 MB.  A larger leaf (a long odd list at a large
-    need, or a long list that needs at most 4 outputs) chains its rows from
-    `roots` on every call.  The rows and the order of each sum are the same
-    either way, so the outputs are too, bit for bit.
+    L = len(x) and roots[j] = e^{-2 pi i j/L}.  An even list that needs more
+    than 4 outputs is split in half (radix-2 decimation in frequency): the
+    folded sums x[m] + x[m+L/2] give the even outputs and the twisted
+    differences (x[m] - x[m+L/2]) roots[m] the odd ones, about L*log2(need)
+    terms in all.  Other lists are summed directly against the twiddle rows
+    k = 1..need-1 (:func:`_twiddle_rows`): from :func:`_leaf_rows`, cached by
+    shape (L, need), when they hold at most LEAF_ROWS_MAX_REFS = 4096
+    references (the 34 leaf shapes of series-spectral hold 3930), else
+    chained from `roots` on every call.  The rows and the order of each sum
+    are the same either way, so the outputs are too, bit for bit.  The 64
+    entries keep at most 64 * 4096 * 40 B (8 B per reference, 32 B per
+    complex number), about 10.5 MB, beside :func:`_circle`'s 166 MB.
     """
     L = len(x)
     if L % 2 or need <= 4:
@@ -539,13 +530,43 @@ def _dft_head(x: list[complex], roots: Sequence[complex], need: int) -> list[com
     return out
 
 
-def _noise_unit(samples: Iterable[complex], N: int) -> float:
-    """sqrt(N)*eps*vmax, vmax the largest sample modulus, but at least sqrt(N)*2^-1074 unless every sample is 0."""
+def _cauchy(f: FuncExpr, w0: complex, r: float, N: int, need: int, pair: bool = False, half: int = 0) -> tuple:
+    """The one Cauchy kernel, of :func:`maclaurin_extraction` and
+    :func:`hquat.wirtinger.kth_derivative`: f once at each of the N points
+    w0 + r*e^{i th_m}, th_m = 2 pi m/N (_circle(N, r)'s at w0 = 0, else on
+    the entry (N, 1.0)), in the slice mode, or with ``pair`` the pair mode
+    at (a, 0), and the sums S_k = sum_m f_m roots[k*m mod N] for k < need.
+    Returns the heads of a (and of b and conj(b) when b is not all 0), the
+    first ``half`` sums over every other sample or None, the noise unit
+    sqrt(N)*eps*vmax (vmax the largest modulus of an a or a b, inf past the
+    double range; at least sqrt(N)*2^-1074 unless all are 0) and up.  The
+    sums stay below N*M < 2^(m + bits of N), M < 2^m the largest sample
+    modulus (a pair's the quaternion's): past 2^1020, when M is finite, the
+    samples are first scaled by 2^-e, e = m + bits of N - 1020, exactly down
+    to the subnormals, and the caller multiplies what it derives from the
+    sums and the noise unit by up = 2^e (1.0 otherwise)."""
+    roots, points = _circle(N, 1.0 if w0 else r)
+    points = [w0 + r * z for z in points] if w0 else points
+    if pair:
+        first, second = map(list, zip(*[evaluate(f, (a, 0j)) for a in points]))
+    else:
+        first, second = [evaluate(f, a) for a in points], []
     try:
-        vmax = max(map(abs, samples))
+        vmax = max(map(abs, itertools.chain(first, second)))
     except OverflowError:  # a finite sample whose modulus leaves the double range
         vmax = math.inf
-    return math.sqrt(N) * max(2.220446049250313e-16 * vmax, 5e-324) if vmax else 0.0
+    noise = math.sqrt(N) * max(2.220446049250313e-16 * vmax, 5e-324) if vmax else 0.0
+    # b vanishes on the slice for every real-coefficient function; otherwise
+    # a left constant can move conj(a)-terms to the negative frequencies of b
+    spectra = [first, second, [b.conjugate() for b in second]] if any(second) else [first]
+    top = max(math.hypot(a.real, a.imag, b.real, b.imag) for a, b in zip(first, second)) if pair else vmax
+    e = max(0, math.frexp(top)[1] + N.bit_length() - 1020) if top < math.inf else 0
+    if e:
+        down = 2.0**-e
+        spectra = [[complex(v.real * down, v.imag * down) for v in x] for x in spectra]
+        noise *= down
+    heads = [_dft_head(x, roots, need) for x in spectra]
+    return heads, _dft_head(spectra[0][::2], roots[::2], half) if half else None, noise, 2.0**e
 
 
 def maclaurin_extraction(
@@ -560,9 +581,8 @@ def maclaurin_extraction(
     e^{-ik th_m}; for a holomorphic function this is the k-th series
     coefficient.  The residue of index k collects the imaginary part of the
     first doubling component and the magnitudes of the second one at the
-    frequencies k and -k.  Each of the N samples is evaluated once.
-    EvaluationOverflowError when a sample's modulus, a coefficient, residue
-    or noise floor leaves the double range.
+    frequencies k and -k.  EvaluationOverflowError when a sample's modulus,
+    a coefficient, residue or noise floor leaves the double range.
     """
     if n < 0:
         raise ValueError("coefficient count must be >= 0")
@@ -578,40 +598,21 @@ def maclaurin_extraction(
     if N * (n + 1 + 128) > MAX_EXTRACTION_TERMS:
         raise ValueError(f"samples*(n+129) must be <= {MAX_EXTRACTION_TERMS}, got {N} * {n + 129}")
 
-    # roots[j] = e^{-2 pi i j/N} gives both the sample points rho*conj(roots[m])
-    # and the twiddles e^{-ik th_m} = roots[k*m mod N]: the angle is reduced
-    # exactly in integers, so its phase error does not grow with k*m.  A tree
-    # with only real constants is sampled at the complex point a in evaluate's
-    # slice mode, since its second component is zero on the slice; any other
-    # goes in as the doubling pair (a, 0) and comes back as a pair.  Either
-    # way the sampling of series and radius builds no Quaternion.
-    roots, points = _circle(N, rho)
-    if has_nonreal_constant(f):
-        pairs = [evaluate(f, (a, 0j)) for a in points]
-        first, second = [a for a, _ in pairs], [b for _, b in pairs]
-    else:
-        first, second = [evaluate(f, a) for a in points], []
-    # b vanishes on the slice for every real-coefficient function; otherwise
-    # a left constant can move conj(a)-terms to the negative frequencies of b
-    second_conj = [b.conjugate() for b in second] if any(second) else None
-    noise_unit = _noise_unit(itertools.chain(first, second), N)
-    sums = [_dft_head(first, roots, n + 1)]
-    if second_conj is not None:
-        sums += [_dft_head(second, roots, n + 1), _dft_head(second_conj, roots, n + 1)]
+    heads, _, noise_unit, up = _cauchy(f, 0j, rho, N, n + 1, pair=has_nonreal_constant(f))
     coeffs: list[float] = []
     residues: list[float] = []
     floors: list[float] = []
-    for k, column in enumerate(zip(*sums)):
+    for k, column in enumerate(zip(*heads)):
         scale = 1.0 / (N * rho**k)
         c1 = column[0] * scale
-        coeffs.append(c1.real)
+        coeffs.append(c1.real * up)
         # the sum of conj(b) at k is the conjugate of b's at frequency -k
         try:
             parts = [abs(s * scale) for s in column[1 : 3 if k else 2]]
         except OverflowError:  # a finite residue whose modulus leaves the double range
             parts = [math.inf]
-        residues.append(math.hypot(c1.imag, *parts))
-        floors.append(noise_unit / rho**k)
+        residues.append(math.hypot(c1.imag, *parts) * up)
+        floors.append(noise_unit / rho**k * up)
     if not all(map(math.isfinite, itertools.chain(coeffs, residues, floors))):
         raise EvaluationOverflowError(f"coefficients from {N} samples at rho = {rho!r} leave the double range")
     return MaclaurinExtraction(tuple(coeffs), tuple(residues), rho, N, tuple(floors))

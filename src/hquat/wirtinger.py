@@ -30,8 +30,8 @@ the pairs p +- e*h (hi is evaluated first), and :func:`_quotient`
 (hi - lo)/(2h).  :func:`partials` forms them for 1, i, j, k in one loop,
 reaching :func:`_stepped` or :func:`_quotient` only on a non-finite value,
 and hands its pairs straight to :func:`hquat.functions.phi_components`.
-A derivative of any order k >= 1, at the origin too, is the slice
-function's, lifted, from one Cauchy circle (:func:`kth_derivative`).
+A derivative of any order k >= 1, at the origin too, is the slice function's,
+lifted, from one Cauchy circle of series' Cauchy kernel (:func:`kth_derivative`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .functions import EvaluationOverflowError, FuncExpr, _lift, evaluate, phi_components
 from .quaternion import I, J, K, ONE, ZERO, Pair, Quaternion
-from .series import DEFAULT_RHO, MAX_EXTRACTION_TERMS, _circle, _dft_head, _noise_unit
+from .series import DEFAULT_RHO, MAX_EXTRACTION_TERMS, _cauchy
 
 __all__ = [
     "DerivativeResult",
@@ -272,22 +272,21 @@ def _accuracy_bound(value: Quaternion) -> float:
 def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STEP) -> DerivativeResult:
     """k-th full quaternionic derivative d^k(psi)/dx^k of f at p.
 
-    "exact" evaluation at k = 0.  Every k >= 1 takes one "series" route at
-    every point: the lift of Cauchy's integral for F^(k)(w0), w0 = x + i|V|,
-    that is k!/(N h^k) times the k-th Fourier sum S_k of N slice samples on
-    the circle of radius h (the result's ``step``) about w0.  Only h and N
-    depend on p: the extraction's DEFAULT_RHO and max(64, 8(k+1)) at the
-    origin, h = step**(1/k) * max(1, |p|) and N = 2^max(k, 2) off it.  An N
-    with N*(k+129) past the extraction's budget is refused before any
-    evaluation (ValueError), and so is a tree with a non-real constant,
-    which has no slice samples.  The estimate is k!/h^k times the samples'
-    noise unit plus a*min(1, a/|S_k|)/N, where a = |S_{k+N/2}| = |2E_k - S_k|
-    (E the sums of every other sample; a = |S_3| on 4 points) is the
-    aliasing that a singularity in or near the circle makes large; it sets
-    the accuracy warning above 1e-4 * max(1, |value|).  A pole inside the
-    circle puts its content at negative frequencies, which neither term
-    sees.  EvaluationOverflowError when the circle's width, a circle point,
-    the value or the estimate leaves the double range.
+    "exact" evaluation at k = 0.  Every k >= 1 is "series" at every point:
+    the lift of Cauchy's integral F^(k)(w0) = k!/(N h^k) S_k, w0 = x + i|V|,
+    from series' Cauchy kernel on N slice samples of the circle of radius h
+    (the result's ``step``) about w0.  At the origin h and N are the
+    extraction's, DEFAULT_RHO and max(64, 8(k+1)); off it h = step**(1/k) *
+    max(1, |p|) and N = 2^max(k, 2).  ValueError before any evaluation for
+    an N*(k+129) past the extraction's budget, and at the first sample for a
+    tree with a non-real constant.  The estimate is k!/h^k times the noise
+    unit plus a*min(1, a/|S_k|)/N, a = |S_{k+N/2}| = |2E_k - S_k| (E the
+    half-grid sums; |S_3| on 4 points), the aliasing that a singularity in
+    or near the circle makes large; above 1e-4 * max(1, |value|) it sets the
+    accuracy warning.  A pole inside the circle puts its content at negative
+    frequencies, which neither term sees.  EvaluationOverflowError when the
+    circle's width, a circle point, the value or the estimate leaves the
+    double range.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -304,16 +303,15 @@ def kth_derivative(f: FuncExpr, p: Quaternion, k: int, step: float = DEFAULT_STE
     def fk(w0: complex) -> complex:
         nonlocal est
         _stepped((w0, 0j), ONE, h), _stepped((w0, 0j), I, h)  # w0 +- h, w0 +- ih bound the circle; raises, naming the component
-        roots, points = _circle(N, 1.0)  # h * z is bitwise _circle(N, h)'s point; one entry per N
-        x = [evaluate(f, w0 + h * z) for z in points]
-        c = _dft_head(x, roots, max(k + 1, 4))
-        d = 2.0 * _dft_head(x[::2], roots[::2], k + 1)[k] - c[k] if N > 4 else c[3]
+        (c,), half, noise, up = _cauchy(f, w0, h, N, max(k + 1, 4), half=k + 1 if N > 4 else 0)
+        d = 2.0 * half[k] - c[k] if N > 4 else c[3]
         a = math.hypot(d.real, d.imag)  # |S_{k+N/2}|, times |S_{k+N/2}/S_k| <= 1
         a *= a / max(a, math.hypot(c[k].real, c[k].imag), 5e-324)
         w = c[k] / N
-        w, est = complex(_times_factorial(k, w.real), _times_factorial(k, w.imag)), _times_factorial(k, _noise_unit(x, N) + a / N)
+        w, est = complex(_times_factorial(k, w.real), _times_factorial(k, w.imag)), _times_factorial(k, noise + a / N)
         for _ in range(k):  # h^k itself may leave the double range where the value does not
             w, est = w / h, est / h
+        w, est = complex(w.real * up, w.imag * up), est * up
         if not (cmath.isfinite(w) and math.isfinite(est)):
             raise EvaluationOverflowError(f"derivative of order {k} from {N} samples at h = {h!r} leaves the double range")
         return w

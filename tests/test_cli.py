@@ -14,6 +14,7 @@ import pytest
 
 import hquat
 from hquat import Quaternion, cli, format_expr, functions, parse
+from hquat import series as series_module
 from hquat.cli import MAX_GRID, SUBCOMMANDS, main, sample_ball
 from hquat.functions import MAX_DEPTH, MAX_EXPONENT
 from test_functions import _node_count
@@ -559,22 +560,43 @@ def test_derive_nonreal_coefficient_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["series", "--expr", "1.7e308+0*p"],
-        ["radius", "--expr", "1.7e308+0*p"],
-        ["derive", "--expr", "1.7e308+0*p", "--point", "0", "0", "0", "0"],
+        # a finite sample whose modulus leaves the double range is not scaled
+        # into range: slice mode, pair mode (the quaternion's modulus, each
+        # component's being finite), and derive's circle on series' points
+        ["series", "--expr", "6.8e307*((1.25*p)^3-1-1.25*p-(1.25*p)^4)", "--n", "3"],
+        ["series", "--expr", "1.3e308*(1+j)", "--n", "3"],
+        ["derive", "--expr", "6.8e307*((1.25*p)^3-1-1.25*p-(1.25*p)^4)", "--point", "0", "0", "0", "0"],
         ["series", "--expr", "1e300+0*p", "--n", "10", "--rho", "1e-30"],
     ],
 )
 def test_extraction_overflow_is_eval_error(capsys, argv):
-    # the circle sums overflowed: series and radius exited 2 as a usage error,
-    # derive 4 on a nan residue, and the small circle 4 on an inf residue;
-    # derive names its own circle at every point
+    # the small circle exited 4 on an inf residue; derive names its own
+    # circle at every point
     code, out, err = run_cli(capsys, argv + ["--format", "machine"])
     assert code == 3 and out == ""
     if argv[0] == "derive":
         assert err == "hquat: evaluation error: derivative of order 1 from 64 samples at h = 0.8 leaves the double range\n"
     else:
         assert "evaluation error" in err and "leave the double range" in err
+
+
+def test_extraction_past_the_sum_overflow_gives_the_value(capsys):
+    # the Fourier sums of N samples near the double range overflowed, so
+    # series and radius of 1.7e308 exited 3, and derive at the origin exited
+    # 3 at k = 1..4, 6, 8, 10 and 12 but 0 at the odd k >= 5; the samples are
+    # now scaled by a power of two before the sums and back after
+    for text, n, rho, k, want in (("1.7e308+0*p", 8, 0.8, 0, 1.7e308), ("1e307*p", 3, 1.0, 1, 1e307)):
+        ext = series_module.maclaurin_extraction(parse(text), n, rho)
+        assert abs(ext.coeffs[k] - want) <= ext.noise_floors[k], text
+        code, rep, _ = run_json(capsys, ["series", "--expr", text, "--n", str(n), "--rho", str(rho)])
+        assert code == 0 and rep["results"]["coefficients"] == list(ext.coeffs)
+    code, rep, _ = run_json(capsys, ["radius", "--expr", "1.7e308+0*p"])
+    assert code == 0 and rep["results"]["note"] == "need 4 nonzero coefficients, found 1"
+    for k in range(1, 14):
+        code, rep, _ = run_json(capsys, ["derive", "--expr", "1.7e308+0*p", "--point", "0", "0", "0", "0", "--k", str(k)])
+        results = rep["results"]
+        assert code == 0 and results["accuracy_warning"] is True, k
+        assert max(map(abs, results["value"])) <= results["truncation_estimate"] < math.inf, k
 
 
 @pytest.mark.parametrize(

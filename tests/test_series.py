@@ -740,6 +740,23 @@ def test_extraction_matches_reference_dft_deep_decimation(expr, monkeypatch):
     assert tops.count(144) == (3 if expr == "j*p" else 1)
 
 
+def test_cauchy_kernel_scales_samples_near_the_double_range_exactly():
+    # N samples of modulus vmax sum to at most N*vmax; past 2^1020 the kernel
+    # scales them by 2^-e first and hands back up = 2^e.  Away from the
+    # subnormals that is exact: up times each scaled sum, half-grid sum and
+    # noise unit is bitwise the unscaled one, here where no sum overflows
+    tree, N = parse("1e305*exp(p)"), 64
+    roots, points = series_module._circle(N, 0.8)
+    x = [evaluate(tree, a) for a in points]
+    (head,), half, noise, up = series_module._cauchy(tree, 0j, 0.8, N, 18, half=9)
+    assert up == 4.0
+    for got, want in ((head, series_module._dft_head(x, roots, 18)), (half, series_module._dft_head(x[::2], roots[::2], 9))):
+        assert [((s.real * up).hex(), (s.imag * up).hex()) for s in got] == [(w.real.hex(), w.imag.hex()) for w in want]
+    assert noise * up == math.sqrt(N) * 2.220446049250313e-16 * max(map(abs, x))
+    # a sample a tenth as large is not scaled
+    assert series_module._cauchy(parse("1e304*exp(p)"), 0j, 0.8, N, 18)[3] == 1.0
+
+
 def test_sampling_and_the_stencil_count_evaluations_as_perfbench_pins_them(monkeypatch):
     # the counts perfbench's SELF_CHECKS pin, without a traced run: one
     # evaluate call per circle sample, of an extraction and of a derivative

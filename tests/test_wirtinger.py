@@ -650,6 +650,8 @@ def _count_calls(monkeypatch, name, module=wirtinger):
 
 def test_evaluation_counts(monkeypatch):
     evals = _count_calls(monkeypatch, "evaluate")
+    # the circle samples are evaluated in series' Cauchy kernel
+    circle_evals = _count_calls(monkeypatch, "evaluate", series_module)
     phis = _count_calls(monkeypatch, "phi_components")
     tree = parse("sin(p)*cos(p)")
     p = Quaternion(0.5, 0.2, -0.1, 0.3)
@@ -657,9 +659,9 @@ def test_evaluation_counts(monkeypatch):
     full_derivative(tree, p)
     assert (len(evals), len(phis)) == (2, 0)
     for k in range(1, 5):
-        evals.clear()
+        circle_evals.clear()
         kth_derivative(tree, p, k)
-        assert (len(evals), len(phis)) == (2 ** max(k, 2), 0)
+        assert (len(circle_evals), len(phis)) == (2 ** max(k, 2), 0)
 
     evals.clear()
     # phi_components runs the compiled tree itself, not functions.evaluate
@@ -670,7 +672,7 @@ def test_evaluation_counts(monkeypatch):
 
 def test_circle_makes_one_evaluation_at_each_of_its_points(monkeypatch):
     # the nested stencil made 2^k calls at only k + 1 distinct points
-    evals = _count_calls(monkeypatch, "evaluate")
+    evals = _count_calls(monkeypatch, "evaluate", series_module)
     tree, p = parse("exp(p)*p"), Quaternion(0.1, 0.0, 0.4, 0.0)
     for k in range(1, 9):
         evals.clear()
@@ -686,7 +688,7 @@ def test_circle_makes_one_evaluation_at_each_of_its_points(monkeypatch):
 
 
 def test_circle_order_sixteen_runs_and_seventeen_is_refused_unevaluated(monkeypatch):
-    evals = _count_calls(monkeypatch, "evaluate")
+    evals = _count_calls(monkeypatch, "evaluate", series_module)
     tree, p = parse("exp(p)"), Quaternion(0.5, 0.0, 0.1, 0.0)
     r = kth_derivative(tree, p, 16)
     assert r.method == "series" and len(evals) == 2**16
@@ -700,6 +702,65 @@ def test_circle_order_sixteen_runs_and_seventeen_is_refused_unevaluated(monkeypa
         with pytest.raises(ValueError, match=rf"^derivative order {k} is beyond the series route: samples\*\(k\+129\) must be <= 16777216, got {re.escape(got)}$"):
             kth_derivative(tree, q, k)
     assert evals == []
+
+
+def test_series_and_derive_sample_their_circles_through_one_kernel(monkeypatch):
+    # maclaurin_extraction (series, radius) and kth_derivative (derive) each
+    # make one call of series._cauchy, the only code that samples a circle
+    kernel, calls = series_module._cauchy, []
+
+    def counted(f, w0, r, N, need, pair=False, half=0):
+        calls.append((w0, r, N, need, pair, half))
+        return kernel(f, w0, r, N, need, pair, half)
+
+    monkeypatch.setattr(series_module, "_cauchy", counted)
+    monkeypatch.setattr(wirtinger, "_cauchy", counted)
+    tree, p = parse("exp(p)*p"), Quaternion(0.1, 0.0, 0.4, 0.0)
+    h3, h2 = 1e-5 ** (1.0 / 3.0), 1e-5 ** 0.5
+    for call, want in (
+        (lambda: series_module.maclaurin_extraction(tree, 17), (0j, 0.8, 144, 18, False, 0)),
+        # the pair path of a tree with a non-real constant
+        (lambda: series_module.maclaurin_extraction(parse("j*p"), 5, 1.0), (0j, 1.0, 64, 6, True, 0)),
+        (lambda: kth_derivative(tree, ZERO, 3), (0j, 0.8, 64, 4, False, 4)),
+        (lambda: kth_derivative(tree, p, 3), (0.1 + 0.4j, h3, 8, 4, False, 4)),
+        # 4 points have no half grid to alias against: S_3 stands in
+        (lambda: kth_derivative(tree, p, 2), (0.1 + 0.4j, h2, 4, 4, False, 0)),
+    ):
+        calls.clear()
+        call()
+        assert calls == [want]
+    calls.clear()
+    kth_derivative(tree, p, 0)
+    assert calls == []
+    # derive asks for the slice mode, so a tree with a non-real constant is
+    # refused at its first sample, at and off the origin
+    for q in (ZERO, p):
+        calls.clear()
+        with pytest.raises(ValueError, match="non-real constant"):
+            kth_derivative(parse("j*p"), q, 2)
+        assert len(calls) == 1 and calls[0][4] is False
+
+
+def test_derive_at_the_origin_samples_the_points_of_series(monkeypatch):
+    # the origin's circle is series' own (N, 0.8) entry of _circle, bitwise
+    # the points 0j + 0.8*z on the unit circle (N, 1.0) it sampled before
+    evals = _count_calls(monkeypatch, "evaluate", series_module)
+    tree = parse("cos(p)")
+
+    def bits(points):
+        return [(a.real.hex(), a.imag.hex()) for a in points]
+
+    for k in (1, 7, 8, 11, 30):
+        N = max(64, 8 * (k + 1))
+        evals.clear()
+        series_module.maclaurin_extraction(tree, k, 0.8, N)
+        want = bits(args[1] for args in evals)
+        misses = series_module._circle.cache_info().misses
+        evals.clear()
+        kth_derivative(tree, ZERO, k)
+        assert bits(args[1] for args in evals) == want and len(want) == N, k
+        assert series_module._circle.cache_info().misses == misses
+        assert bits(0j + 0.8 * z for z in series_module._circle(N, 1.0)[1]) == want, k
 
 
 def _stencil_points():
